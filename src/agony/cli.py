@@ -40,11 +40,19 @@ def _load_graph(path: str) -> tuple[WeightedDigraph, VertexTable]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             g, table = parse_edge_list(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
     except ParseError as exc:
         raise _CliError(EXIT_INPUT, f"{path}: {exc}") from exc
     return normalize(g), table
+
+
+def _read_lines(path: str) -> list[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
 
 
 def _parse_penalty(text: str) -> PenaltySpec:
@@ -144,13 +152,8 @@ def _cmd_heuristic(args) -> int:
 
 
 def _read_ranking(path: str, table: VertexTable) -> list[int]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
     got: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -181,28 +184,45 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot read {args.manifest}: {exc}") from exc
-    print("dataset\tmethod\tscore\tratio\ttime_s")
-    for raw in lines:
+_BENCH_METHODS = ("exact", "plain", "scc", "best")
+
+
+def _parse_manifest(path: str) -> list[tuple[str, str, Optional[int], list[str]]]:
+    """Lines 'name path [k=INT] [methods=...]', all checked before any run."""
+    entries = []
+    for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path} line {lineno}"
         parts = line.split()
-        name, path = parts[0], parts[1]
+        if len(parts) < 2:
+            raise _CliError(EXIT_INPUT, f"{where}: expected 'name path [options]'")
         k = None
         methods = ["exact", "scc", "plain"]
         for opt in parts[2:]:
             if opt.startswith("k="):
-                k = int(opt[2:])
+                try:
+                    k = int(opt[2:])
+                except ValueError:
+                    raise _CliError(EXIT_INPUT, f"{where}: k {opt[2:]!r} is not an integer") from None
+                if k < 1:
+                    raise _CliError(EXIT_INPUT, f"{where}: k must be >= 1, got {k}")
             elif opt.startswith("methods="):
                 methods = opt[8:].split(",")
+                for method in methods:
+                    if method not in _BENCH_METHODS:
+                        raise _CliError(EXIT_INPUT, f"{where}: unknown bench method {method!r}")
             else:
-                raise _CliError(EXIT_INPUT, f"unknown manifest option {opt!r}")
+                raise _CliError(EXIT_INPUT, f"{where}: unknown manifest option {opt!r}")
+        entries.append((parts[0], parts[1], k, methods))
+    return entries
+
+
+def _cmd_bench(args) -> int:
+    entries = _parse_manifest(args.manifest)
+    print("dataset\tmethod\tscore\tratio\ttime_s")
+    for name, path, k, methods in entries:
         try:
             g, _ = _load_graph(path)
         except _CliError:
@@ -216,10 +236,8 @@ def _cmd_bench(args) -> int:
                 res = min_agony(g, k)
                 score = res.agony
                 optimal = score
-            elif method in ("plain", "scc", "best"):
-                _, score = heuristic_rank(g, k, method)
             else:
-                raise _CliError(EXIT_INPUT, f"unknown bench method {method!r}")
+                _, score = heuristic_rank(g, k, method)
             rows.append((method, score, time.perf_counter() - t0))
         for method, score, secs in rows:
             if optimal in (None, 0):

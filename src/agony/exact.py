@@ -19,7 +19,12 @@ from .circulation import (
     solve_fast,
     uncapacitate,
 )
-from .graph import WeightedDigraph, score_ranking, strongly_connected_components
+from .graph import (
+    WeightedDigraph,
+    score_ranking,
+    split_by_part,
+    strongly_connected_components,
+)
 from .penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
 
 Score = Union[int, Fraction]
@@ -46,16 +51,6 @@ class ExactResult:
     used_scc: bool
     components: list[ComponentSolve] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
-
-
-def _induced_subgraph(g: WeightedDigraph, vertices: list[int]) -> WeightedDigraph:
-    local = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (local[u], local[v], w)
-        for u, v, w in g.edges
-        if u in local and v in local
-    ]
-    return WeightedDigraph(len(vertices), edges)
 
 
 def _solve_component(g, k, penalty, solver, contract_factor, check_invariants):
@@ -141,14 +136,17 @@ def min_agony(
         # single tier: the only assignment is all-zero
         components.append(ComponentSolve(list(range(n)), 0, [0] * n))
     elif use_scc:
+        comps = strongly_connected_components(g)
+        subs = split_by_part(g, [comp for comp in comps if len(comp) > 1])
+        subs.reverse()  # pop() hands out each subgraph in order, then drops it
         offset = 0
-        for comp in strongly_connected_components(g):
+        for comp in comps:
             if len(comp) == 1:
                 components.append(ComponentSolve(comp, offset, [0]))
                 ranks[comp[0]] = offset
                 offset += 1
                 continue
-            sub = _induced_subgraph(g, comp)
+            sub = subs.pop()
             sg, state, local = _solve_component(
                 sub, len(comp), penalty, solver, contract_factor, check_invariants
             )

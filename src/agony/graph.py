@@ -77,6 +77,13 @@ class WeightedDigraph:
         self._out = None
         self._in = None
 
+    @classmethod
+    def _adopt(cls, n: int, edges: list[tuple[int, int, int]]) -> WeightedDigraph:
+        """Wrap edges already valid for n vertices, without the copy and checks."""
+        g = cls.__new__(cls)
+        g.n, g.edges, g._out, g._in = n, edges, None, None
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -241,6 +248,27 @@ def strongly_connected_components(g: WeightedDigraph) -> list[list[int]]:
                     low[u] = low[v]
     comps.reverse()
     return comps
+
+
+def split_by_part(g: WeightedDigraph, parts: Sequence[Sequence[int]]) -> list[WeightedDigraph]:
+    """Subgraph induced by each part, from one pass over the edges.
+
+    Part i's subgraph numbers its vertices by their position in parts[i]
+    and keeps the edges of g with both endpoints in parts[i], in g.edges
+    order.  Parts must be disjoint; vertices in no part are dropped.
+    """
+    part_of = [-1] * g.n
+    local = [0] * g.n
+    for pi, verts in enumerate(parts):
+        for i, v in enumerate(verts):
+            part_of[v] = pi
+            local[v] = i
+    buckets: list[list[tuple[int, int, int]]] = [[] for _ in parts]
+    for u, v, w in g.edges:
+        pu = part_of[u]
+        if pu >= 0 and pu == part_of[v]:
+            buckets[pu].append((local[u], local[v], w))
+    return [WeightedDigraph._adopt(len(verts), edges) for verts, edges in zip(parts, buckets)]
 
 
 def condensation_layers(

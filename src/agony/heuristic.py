@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .graph import WeightedDigraph, condensation_layers, score_ranking
+from .graph import WeightedDigraph, condensation_layers, score_ranking, split_by_part
 from .penalties import LINEAR
 from .splittree import PruneDP, SplitTree, build_split_tree, prune_tree
 
@@ -97,15 +97,9 @@ def _layer_data(g: WeightedDigraph):
     for li, verts in enumerate(layers):
         for v in verts:
             layer_of[v] = li
-    trees: list[SplitTree] = []
-    for verts in layers:
-        local = {v: i for i, v in enumerate(verts)}
-        edges = [
-            (local[u], local[v], w)
-            for u, v, w in g.edges
-            if layer_of[u] == layer_of[v] and u in local
-        ]
-        trees.append(build_split_tree(WeightedDigraph(len(verts), edges)))
+    subs = split_by_part(g, layers)
+    subs.reverse()  # pop() hands out each subgraph in order, then drops it
+    trees: list[SplitTree] = [build_split_tree(subs.pop()) for _ in layers]
     inter_1based = [(layer_of[u] + 1, layer_of[v] + 1, w) for u, v, w in inter]
     return layers, trees, inter_1based
 
@@ -137,6 +131,8 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
     if k < 1:
         raise ValueError(f"tier budget must be >= 1, got {k}")
     dps = [PruneDP(t, k) for t in trees]
+    # gains[i - 1][l]: best gain of layer i alone on l ranks
+    gains = [[dp.value(l) for l in range(k + 1)] for dp in dps]
 
     # lopt[i][h]: best gain of layers 1..i on h ranks; merge runs share one rank
     window = _LayerWindow(n_layers, inter)
@@ -166,11 +162,12 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
             spend_best = None
             spend_l = None
             l_hi = h if i == 1 else h - 1
+            gain, before = gains[i - 1], lopt[i - 1]
             for l in range(1, l_hi + 1):
-                rest = lopt[i - 1][h - l]
+                rest = before[h - l]
                 if rest == _INF:
                     continue
-                val = dps[i - 1].value(l) + rest
+                val = gain[l] + rest
                 if spend_best is None or val < spend_best:
                     spend_best, spend_l = val, l
             merge_val = jvals[i]

@@ -14,6 +14,11 @@ def toy(tmp_path):
     return str(p)
 
 
+def _one_line_error(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def _summary(err):
     out = {}
     for line in err.splitlines():
@@ -82,6 +87,12 @@ class TestExact:
         p.write_text("a b c d e\n")
         assert main(["exact", str(p)]) == 2
 
+    def test_non_utf8_edge_list_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"a b\n\xe9t\xe9 b\n")
+        assert main(["exact", str(p)]) == 2
+        assert _one_line_error(capsys.readouterr().err)
+
     def test_nonpositive_k_exits_2(self, toy, capsys):
         assert main(["exact", toy, "--k", "0"]) == 2
         assert main(["heuristic", toy, "--k", "-3"]) == 2
@@ -141,6 +152,12 @@ class TestScore:
         assert main(["score", toy, str(r)]) == 4
         assert "'d'" in capsys.readouterr().err
 
+    def test_non_utf8_ranking_exits_2(self, toy, tmp_path, capsys):
+        r = tmp_path / "r.txt"
+        r.write_bytes(b"a 0\nb 1\nc 2\nd \xff\n")
+        assert main(["score", toy, str(r)]) == 2
+        assert _one_line_error(capsys.readouterr().err)
+
     def test_extra_labels_warn_but_score(self, toy, tmp_path, capsys):
         r = tmp_path / "r.txt"
         r.write_text("a 1\nb 0\nc 0\nd 1\nzzz 9\n")
@@ -178,3 +195,20 @@ class TestBench:
         rows = [l.split("\t") for l in capsys.readouterr().out.splitlines()[1:]]
         assert {r[1] for r in rows} == {"exact", "plain"}
         assert all(r[2] == "3" for r in rows)  # plain at k=2 is optimal
+
+    @pytest.mark.parametrize(
+        "line", ["onlyname", "x {toy} k=abc", "x {toy} k=0"], ids=["no-path", "k-abc", "k-0"]
+    )
+    def test_malformed_manifest_line_exits_2(self, toy, tmp_path, capsys, line):
+        manifest = tmp_path / "bench.txt"
+        manifest.write_text(f"toy {toy}\n" + line.format(toy=toy) + "\n")
+        assert main(["bench", str(manifest)]) == 2
+        cap = capsys.readouterr()
+        assert _one_line_error(cap.err) and "line 2" in cap.err
+        assert cap.out == ""  # checked before anything runs
+
+    def test_non_utf8_manifest_exits_2(self, toy, tmp_path, capsys):
+        manifest = tmp_path / "bench.txt"
+        manifest.write_bytes(f"toy {toy}\n".encode() + b"\xc3\x28 g.txt\n")
+        assert main(["bench", str(manifest)]) == 2
+        assert _one_line_error(capsys.readouterr().err)

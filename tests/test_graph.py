@@ -11,6 +11,7 @@ from agony.graph import (
     normalize,
     parse_edge_list,
     score_ranking,
+    split_by_part,
     strongly_connected_components,
 )
 from agony.penalties import LINEAR, PenaltySpec
@@ -203,3 +204,54 @@ class TestLayers:
                     layer_of[v] = i
             for u, v, _ in inter:
                 assert layer_of[u] < layer_of[v]
+
+
+def _naive_split(g, verts):
+    """Per-part filter over all edges: the quadratic reference."""
+    local = {v: i for i, v in enumerate(verts)}
+    return [(local[u], local[v], w) for u, v, w in g.edges if u in local and v in local]
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return WeightedDigraph(0, [])
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 5)), max_size=40))
+    return WeightedDigraph(n, edges)
+
+
+class TestSplitByPart:
+    def _check(self, g, parts):
+        subs = split_by_part(g, parts)
+        assert len(subs) == len(parts)
+        for verts, sub in zip(parts, subs):
+            assert sub.n == len(verts)
+            assert sub.edges == _naive_split(g, verts)
+
+    @given(_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_partition_matches_naive_filter(self, g, data):
+        # label -1 leaves a vertex out; labels nobody draws give empty parts
+        n_parts = data.draw(st.integers(1, 5))
+        labels = data.draw(st.lists(st.integers(-1, n_parts - 1), min_size=g.n, max_size=g.n))
+        order = data.draw(st.permutations(range(g.n)))
+        parts = [[] for _ in range(n_parts)]
+        for v in order:
+            if labels[v] >= 0:
+                parts[labels[v]].append(v)
+        self._check(g, parts)
+
+    @given(_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_sccs_and_layers_match_naive_filter(self, g):
+        comps = strongly_connected_components(g)
+        self._check(g, comps)
+        self._check(g, [c for c in comps if len(c) > 1])
+        self._check(g, condensation_layers(g)[0])
+
+    def test_no_parts(self):
+        g = graph_from_text(TOY)
+        assert split_by_part(g, []) == []
+        assert split_by_part(g, [[]])[0].n == 0
