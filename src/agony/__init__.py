@@ -2,82 +2,40 @@
 
 Exact minimization goes through a min-cost circulation reduction; a
 divide-and-conquer split-tree heuristic covers the very large cases.
+Solver internals live in their modules (``agony.circulation``,
+``agony.splittree`` and so on).
 """
 
-from .canonical import ResidualView, canonical_ranking, distinct_rank_count
-from .circulation import (
-    CirculationInstance,
-    ShiftedArc,
-    ShiftedGraph,
-    SolveStats,
-    SolverError,
-    SolverState,
-    build_agony_instance,
-    build_convex_instance,
-    circulation_value,
-    dump_state,
-    extract_ranking,
-    shifted_score,
-    solve_baseline,
-    solve_fast,
-    uncapacitate,
-)
-from .exact import ComponentSolve, ExactResult, min_agony, verify_certificate
+from .canonical import canonical_ranking, distinct_rank_count
+from .circulation import SolverError
+from .exact import ExactResult, min_agony, verify_certificate
 from .graph import (
     ParseError,
     VertexTable,
     WeightedDigraph,
-    condensation_layers,
     normalize,
     parse_edge_list,
     score_ranking,
-    strongly_connected_components,
 )
-from .heuristic import heuristic_rank, monotone_min, scc_layer_heuristic
+from .heuristic import heuristic_rank
 from .penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
-from .splittree import SplitTree, SplitTreeBuilder, TreeNode, build_split_tree, prune_tree
 
 __all__ = [
-    "CirculationInstance",
-    "ComponentSolve",
     "ExactResult",
     "LINEAR",
     "ParseError",
     "PenaltySpec",
-    "ResidualView",
-    "ShiftedArc",
-    "ShiftedGraph",
-    "SolveStats",
     "SolverError",
-    "SolverState",
-    "SplitTree",
-    "SplitTreeBuilder",
-    "TreeNode",
     "UnsupportedPenaltyError",
     "VertexTable",
     "WeightedDigraph",
-    "build_agony_instance",
-    "build_convex_instance",
-    "build_split_tree",
     "canonical_ranking",
-    "circulation_value",
-    "condensation_layers",
     "distinct_rank_count",
-    "dump_state",
-    "extract_ranking",
     "heuristic_rank",
     "min_agony",
-    "monotone_min",
     "normalize",
     "parse_edge_list",
-    "prune_tree",
-    "scc_layer_heuristic",
     "score_ranking",
-    "shifted_score",
-    "solve_baseline",
-    "solve_fast",
-    "strongly_connected_components",
-    "uncapacitate",
     "verify_certificate",
 ]
 

@@ -4,9 +4,12 @@ The pipeline: a weighted digraph plus a tier budget k becomes a shifted-arc
 graph (``build_agony_instance`` / ``build_convex_instance``), capacitated
 arcs are replaced by negative-bias gadget vertices (``uncapacitate``), and
 the resulting uncapacitated instance is solved by delta-scaling successive
-shortest paths (``solve_baseline``) or by the multi-source variant with
-dynamic shortest-path-tree repair (``solve_fast``).  Optimal integer duals
-turn back into a rank assignment via ``extract_ranking``.
+shortest paths.  One scaling loop (``_solve``) runs the phases for both
+solvers: ``solve_fast`` grows one multi-source shortest-path tree per phase
+and repairs it dynamically after each augmentation, while ``solve_baseline``
+is the single-source mode of the same tree code that rebuilds the tree for
+every augmentation.  Optimal integer duals turn back into a rank assignment
+via ``extract_ranking``.
 
 No floating point anywhere: distances are lexicographic (cost, hops) pairs,
 which is equivalent to perturbing every arc by an epsilon smaller than 1/n,
@@ -17,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Optional, TextIO
+from typing import Callable, Optional
 
 from .graph import WeightedDigraph
 from .penalties import PenaltySpec, UnsupportedPenaltyError
@@ -25,6 +28,8 @@ from .penalties import PenaltySpec, UnsupportedPenaltyError
 # excess threshold alpha = 3/4: a vertex is a source when 4*e(v) >= 3*delta
 _ALPHA_NUM = 3
 _ALPHA_DEN = 4
+# an arc is contracted once its flow reaches _CONTRACT_FACTOR * n * delta
+_CONTRACT_FACTOR = 3
 
 
 class SolverError(RuntimeError):
@@ -143,6 +148,16 @@ class CirculationInstance:
         self.acost.append(cost)
         return a
 
+    def excess(self, flow: list[int]) -> list[int]:
+        """Bias plus inflow minus outflow of every vertex under ``flow``."""
+        e = list(self.bias)
+        asrc, adst = self.asrc, self.adst
+        for a, f in enumerate(flow):
+            if f:
+                e[adst[a]] += f
+                e[asrc[a]] -= f
+        return e
+
     def _build_adjacency(self):
         out = [[] for _ in range(self.n)]
         inn = [[] for _ in range(self.n)]
@@ -208,13 +223,7 @@ class SolverState:
         return sum(acost[a] * f for a, f in enumerate(self.flow) if f)
 
     def excess_vector(self) -> list[int]:
-        inst = self.inst
-        e = list(inst.bias)
-        for a, f in enumerate(self.flow):
-            if f:
-                e[inst.adst[a]] += f
-                e[inst.asrc[a]] -= f
-        return e
+        return self.inst.excess(self.flow)
 
     def check_optimality(self) -> bool:
         """Dual feasibility, complementary slackness and flow conservation."""
@@ -261,15 +270,6 @@ def extract_ranking(state: SolverState, sg: ShiftedGraph) -> list[int]:
     return ranks
 
 
-def dump_state(state: SolverState, fh: TextIO):
-    """Debug dump: one "arc src dst flow" line per arc, then duals."""
-    inst = state.inst
-    for a in range(inst.m):
-        fh.write(f"arc {inst.asrc[a]} {inst.adst[a]} {state.flow[a]}\n")
-    for v in range(inst.n):
-        fh.write(f"dual {v} {state.potentials[v]}\n")
-
-
 # ---------------------------------------------------------------------------
 # solver core
 # ---------------------------------------------------------------------------
@@ -287,11 +287,9 @@ class _Core:
     needed and the final duals of absorbed vertices come out for free.
     """
 
-    def __init__(self, inst: CirculationInstance, contract_factor: int, check: bool):
+    def __init__(self, inst: CirculationInstance):
         n = inst.n
         self.inst = inst
-        self.contract_factor = contract_factor
-        self.check = check
         self.flow = [0] * inst.m
         self.pot = [0] * n
         self.parent = list(range(n))
@@ -339,7 +337,7 @@ class _Core:
     # -- contraction -------------------------------------------------------
 
     def contract_pass(self, delta: int):
-        thr = self.contract_factor * self.inst.n * delta
+        thr = _CONTRACT_FACTOR * self.inst.n * delta
         if thr < 1:
             thr = 1
         flow = self.flow
@@ -396,11 +394,7 @@ class _Core:
     def finalize(self) -> SolverState:
         inst = self.inst
         flow = self.flow
-        e = list(inst.bias)
-        for a, f in enumerate(flow):
-            if f:
-                e[inst.adst[a]] += f
-                e[inst.asrc[a]] -= f
+        e = inst.excess(flow)
         # re-balance contracted arcs, newest contraction first
         for a, members, dst_in_absorbed in reversed(self.clog):
             s_b = sum(e[v] for v in members)
@@ -437,125 +431,7 @@ def _has_excess(core: _Core) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# baseline: one source per shortest-path tree, tree rebuilt every augmentation
-# ---------------------------------------------------------------------------
-
-def solve_baseline(
-    inst: CirculationInstance, *, contract_factor: int = 3, check_invariants: bool = False
-) -> SolverState:
-    """Delta-scaling successive shortest path solver (the reference)."""
-    t0 = time.perf_counter()
-    core = _Core(inst, contract_factor, check_invariants)
-    delta = _initial_delta(core)
-    guard = 0
-    while _has_excess(core):
-        core.stats.outer_phases += 1
-        core.contract_pass(delta)
-        while True:
-            # highest excess first, ties broken by lowest vertex index
-            s = r = None
-            es = er = 0
-            for v in core.roots:
-                ev = core.excess[v]
-                if ev > es or (ev == es > 0 and v < s):
-                    es, s = ev, v
-                elif ev < er or (ev == er < 0 and v < r):
-                    er, r = ev, v
-            if s is None or r is None:
-                break
-            if not (_ALPHA_DEN * es >= _ALPHA_NUM * delta and -_ALPHA_DEN * er >= _ALPHA_NUM * delta):
-                break
-            _augment_single(core, s, r, delta)
-            core.stats.augmentations += 1
-        if check_invariants:
-            core.check_state()
-        if not _has_excess(core):
-            break
-        if delta == 1:
-            guard += 1
-            if guard > 1:
-                raise SolverError("no progress at unit granularity")
-        delta = max(1, delta // 2)
-    core.stats.wall_ms = (time.perf_counter() - t0) * 1e3
-    return core.finalize()
-
-
-def _augment_single(core: _Core, s: int, r: int, delta: int):
-    """Dijkstra from s, dual update pi -= d, push delta along the r path."""
-    inst = core.inst
-    P = core._pot_reader()
-    find = core.find
-    flow = core.flow
-    asrc, adst, acost = inst.asrc, inst.adst, inst.acost
-    n = inst.n
-    dist = [None] * n
-    par_arc = [_UNSET] * n
-    par_dir = [0] * n
-    par_vert = [_ROOT] * n
-    heap = [(0, s)]
-    dist[s] = 0
-    settled = bytearray(n)
-    order: list[int] = []
-    while heap:
-        d, v = heappop(heap)
-        if settled[v]:
-            continue
-        settled[v] = 1
-        order.append(v)
-        for a in core.out_arcs[v]:
-            w = find(adst[a]) if core.has_contractions else adst[a]
-            if w == v or settled[w]:
-                continue
-            rc = acost[a] + P(adst[a]) - P(asrc[a])
-            if rc < 0:
-                raise SolverError(f"negative reduced cost {rc} on arc {a}")
-            nd = d + rc
-            if dist[w] is None or nd < dist[w]:
-                dist[w] = nd
-                par_arc[w] = a
-                par_dir[w] = 1
-                par_vert[w] = v
-                heappush(heap, (nd, w))
-        for a in core.in_arcs[v]:
-            if not flow[a]:
-                continue
-            w = find(asrc[a]) if core.has_contractions else asrc[a]
-            if w == v or settled[w]:
-                continue
-            rc = P(asrc[a]) - P(adst[a]) - acost[a]
-            if rc < 0:
-                raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
-            nd = d + rc
-            if dist[w] is None or nd < dist[w]:
-                dist[w] = nd
-                par_arc[w] = a
-                par_dir[w] = -1
-                par_vert[w] = v
-                heappush(heap, (nd, w))
-    if len(order) != len(core.roots):
-        raise SolverError("residual graph is not connected from the source")
-    pot = core.pot
-    for v in order:
-        pot[v] -= dist[v]
-    # walk the tree path from r back to s and push delta along it
-    v = r
-    while v != s:
-        a = par_arc[v]
-        if a == _UNSET:
-            raise SolverError("sink unreachable from source")
-        if par_dir[v] == 1:
-            flow[a] += delta
-        else:
-            flow[a] -= delta
-            if flow[a] < 0:
-                raise SolverError("negative flow after augmentation")
-        v = par_vert[v]
-    core.excess[s] -= delta
-    core.excess[r] += delta
-
-
-# ---------------------------------------------------------------------------
-# fast solver: multi-source tree, repaired dynamically after augmentations
+# delta-scaling loop and its two phase bodies
 # ---------------------------------------------------------------------------
 
 class _Tree:
@@ -571,50 +447,24 @@ class _Tree:
         self.children: list[set] = [set() for _ in range(n)]
 
 
-def solve_fast(
-    inst: CirculationInstance, *, contract_factor: int = 3, check_invariants: bool = False
+def _solve(
+    inst: CirculationInstance, check_invariants: bool, phase: Callable[[_Core, int], None]
 ) -> SolverState:
-    """Multi-source variant: one tree per phase, repaired after each push.
+    """Delta-scaling successive shortest paths around one phase body.
 
-    Sources are all vertices with excess >= 3/4 delta; after every
-    augmentation the affected subtrees (children of deleted residual arcs
-    and of exhausted sources) are re-rooted by a bounded Dijkstra seeded
-    from the unaffected frontier.
+    Each outer phase contracts the arcs whose flow reached the contraction
+    threshold, then lets ``phase(core, delta)`` push delta-units from
+    vertices with excess >= 3/4 delta to vertices with deficit >= 3/4
+    delta, and halves delta until every excess is gone.
     """
     t0 = time.perf_counter()
-    core = _Core(inst, contract_factor, check_invariants)
+    core = _Core(inst)
     delta = _initial_delta(core)
     guard = 0
     while _has_excess(core):
         core.stats.outer_phases += 1
         core.contract_pass(delta)
-        lim = _ALPHA_NUM * delta
-        sources = {v for v in core.roots if _ALPHA_DEN * core.excess[v] >= lim}
-        sinks = [v for v in core.roots if -_ALPHA_DEN * core.excess[v] >= lim]
-        if sources and sinks:
-            tree = _build_tree(core, sources)
-            sink_heap = [(core.excess[v], v) for v in sinks]
-            heapify(sink_heap)
-            sink_set = set(sinks)
-            while sources and sink_set and sink_heap:
-                ev, r = heappop(sink_heap)
-                if r not in sink_set or core.excess[r] != ev:
-                    continue
-                seeds = _augment_tree(core, tree, r, delta)
-                core.stats.augmentations += 1
-                sroot = seeds.pop()  # last entry is the drained root
-                if _ALPHA_DEN * core.excess[sroot] < lim:
-                    sources.discard(sroot)
-                    seeds.append(sroot)
-                if -_ALPHA_DEN * core.excess[r] < lim:
-                    sink_set.discard(r)
-                else:
-                    heappush(sink_heap, (core.excess[r], r))
-                if not sources:
-                    break
-                if seeds:
-                    _repair_tree(core, tree, seeds)
-                    core.stats.repairs += 1
+        phase(core, delta)
         if check_invariants:
             core.check_state()
         if not _has_excess(core):
@@ -626,6 +476,77 @@ def solve_fast(
         delta = max(1, delta // 2)
     core.stats.wall_ms = (time.perf_counter() - t0) * 1e3
     return core.finalize()
+
+
+def solve_baseline(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
+    """Reference mode: one source per tree, tree rebuilt every augmentation.
+
+    Each augmentation pairs the largest excess with the largest deficit
+    and runs a fresh single-source Dijkstra, so the result checks the tree
+    repair of ``solve_fast`` against a rebuild from scratch.
+    """
+    return _solve(inst, check_invariants, _baseline_phase)
+
+
+def _baseline_phase(core: _Core, delta: int):
+    lim = _ALPHA_NUM * delta
+    while True:
+        # highest excess first, ties broken by lowest vertex index
+        s = r = None
+        es = er = 0
+        for v in core.roots:
+            ev = core.excess[v]
+            if ev > es or (ev == es > 0 and v < s):
+                es, s = ev, v
+            elif ev < er or (ev == er < 0 and v < r):
+                er, r = ev, v
+        if s is None or r is None:
+            break
+        if not (_ALPHA_DEN * es >= lim and -_ALPHA_DEN * er >= lim):
+            break
+        _augment_tree(core, _build_tree(core, {s}), r, delta)
+        core.stats.augmentations += 1
+
+
+def solve_fast(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
+    """Multi-source variant: one tree per phase, repaired after each push.
+
+    Sources are all vertices with excess >= 3/4 delta; after every
+    augmentation the affected subtrees (children of deleted residual arcs
+    and of exhausted sources) are re-rooted by a bounded Dijkstra seeded
+    from the unaffected frontier.
+    """
+    return _solve(inst, check_invariants, _fast_phase)
+
+
+def _fast_phase(core: _Core, delta: int):
+    lim = _ALPHA_NUM * delta
+    sources = {v for v in core.roots if _ALPHA_DEN * core.excess[v] >= lim}
+    sinks = [v for v in core.roots if -_ALPHA_DEN * core.excess[v] >= lim]
+    if sources and sinks:
+        tree = _build_tree(core, sources)
+        sink_heap = [(core.excess[v], v) for v in sinks]
+        heapify(sink_heap)
+        sink_set = set(sinks)
+        while sources and sink_set and sink_heap:
+            ev, r = heappop(sink_heap)
+            if r not in sink_set or core.excess[r] != ev:
+                continue
+            seeds = _augment_tree(core, tree, r, delta)
+            core.stats.augmentations += 1
+            sroot = seeds.pop()  # last entry is the drained root
+            if _ALPHA_DEN * core.excess[sroot] < lim:
+                sources.discard(sroot)
+                seeds.append(sroot)
+            if -_ALPHA_DEN * core.excess[r] < lim:
+                sink_set.discard(r)
+            else:
+                heappush(sink_heap, (core.excess[r], r))
+            if not sources:
+                break
+            if seeds:
+                _repair_tree(core, tree, seeds)
+                core.stats.repairs += 1
 
 
 def _residual_out(core: _Core, v: int):

@@ -11,7 +11,6 @@ import time
 from typing import Optional, Sequence
 
 from .canonical import canonical_ranking, distinct_rank_count
-from .circulation import dump_state
 from .exact import min_agony
 from .graph import (
     ParseError,
@@ -125,11 +124,6 @@ def _cmd_exact(args) -> int:
     ms = (time.perf_counter() - t0) * 1e3
     _self_check(g, ranks, penalty, result.agony)
     _write_ranking(table, ranks, args.out)
-    if args.dump_state:
-        with open(args.dump_state, "w", encoding="utf-8") as fh:
-            for comp in result.components:
-                if comp.state is not None:
-                    dump_state(comp.state, fh)
     _summary(
         "exact", args.input, g, result.k, penalty, result.agony, ranks, ms,
         solver=args.solver, scc=int(result.used_scc), canonical=int(bool(args.canonical)),
@@ -263,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("fast", "baseline"), default="fast")
     p.add_argument("--canonical", action="store_true", help="emit the canonical optimal ranking")
     p.add_argument("--out", default=None, help="write ranking here instead of stdout")
-    p.add_argument("--dump-state", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("heuristic", help="divide-and-conquer heuristic ranking")

@@ -53,11 +53,11 @@ class ExactResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _solve_component(g, k, penalty, solver, contract_factor, check_invariants):
+def _solve_component(g, k, penalty, solver, check_invariants):
     sg = build_convex_instance(g, k, penalty)
     inst = uncapacitate(sg)
     solve = solve_fast if solver == "fast" else solve_baseline
-    state = solve(inst, contract_factor=contract_factor, check_invariants=check_invariants)
+    state = solve(inst, check_invariants=check_invariants)
     _rebase_duals(state, sg)
     ranks = extract_ranking(state, sg)
     return sg, state, ranks
@@ -94,7 +94,6 @@ def min_agony(
     *,
     use_scc: Optional[bool] = None,
     solver: str = "fast",
-    contract_factor: int = 3,
     check_invariants: bool = False,
 ) -> ExactResult:
     """Optimal ranking of g within ranks [0, k-1] under a convex penalty.
@@ -147,9 +146,7 @@ def min_agony(
                 offset += 1
                 continue
             sub = subs.pop()
-            sg, state, local = _solve_component(
-                sub, len(comp), penalty, solver, contract_factor, check_invariants
-            )
+            sg, state, local = _solve_component(sub, len(comp), penalty, solver, check_invariants)
             for v, r in zip(comp, local):
                 ranks[v] = r + offset
             scaled_total += circulation_value(state, sg)
@@ -157,9 +154,7 @@ def min_agony(
             components.append(ComponentSolve(comp, offset, local, sg, state))
             offset += len(comp)
     else:
-        sg, state, local = _solve_component(
-            g, k, penalty, solver, contract_factor, check_invariants
-        )
+        sg, state, local = _solve_component(g, k, penalty, solver, check_invariants)
         ranks = local
         scaled_total = circulation_value(state, sg)
         _merge_stats(stats, state.stats)

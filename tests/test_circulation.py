@@ -9,7 +9,6 @@ from agony.circulation import (
     build_agony_instance,
     build_convex_instance,
     circulation_value,
-    dump_state,
     extract_ranking,
     shifted_score,
     solve_baseline,
@@ -249,22 +248,6 @@ class TestSolvers:
 
 
 class TestStateSurface:
-    def test_dump_state_format(self, tmp_path):
-        g = graph_from_text(TOY)
-        sg = build_agony_instance(g, 4)
-        st = solve_fast(uncapacitate(sg))
-        out = tmp_path / "state.txt"
-        with open(out, "w") as fh:
-            dump_state(st, fh)
-        lines = out.read_text().splitlines()
-        arcs = [l for l in lines if l.startswith("arc ")]
-        duals = [l for l in lines if l.startswith("dual ")]
-        assert len(arcs) == st.inst.m and len(duals) == st.inst.n
-        for line in arcs:
-            _, src, dst, flow = line.split()
-            assert int(flow) >= 0
-            assert 0 <= int(src) < st.inst.n and 0 <= int(dst) < st.inst.n
-
     def test_perturbed_flow_breaks_optimality(self):
         g = graph_from_text(TOY)
         sg = build_agony_instance(g, 4)

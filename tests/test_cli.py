@@ -105,13 +105,6 @@ class TestExact:
         info = _summary(capsys.readouterr().err)
         assert info["penalty"].startswith("sum:")
 
-    def test_dump_state_flag(self, toy, tmp_path, capsys):
-        dump = tmp_path / "state.txt"
-        assert main(["exact", toy, "--no-scc", "--dump-state", str(dump)]) == 0
-        lines = dump.read_text().splitlines()
-        assert any(l.startswith("arc ") for l in lines)
-        assert any(l.startswith("dual ") for l in lines)
-
 
 class TestHeuristic:
     def test_scc_variant_on_dag_scores_zero(self, tmp_path, capsys):
