@@ -8,8 +8,12 @@ shortest paths.  One scaling loop (``_solve``) runs the phases for both
 solvers: ``solve_fast`` grows one multi-source shortest-path tree per phase
 and repairs it dynamically after each augmentation, while ``solve_baseline``
 is the single-source mode of the same tree code that rebuilds the tree for
-every augmentation.  Optimal integer duals turn back into a rank assignment
-via ``extract_ranking``.
+every augmentation.  Building and repairing a tree run one region-restricted
+Dijkstra loop (``_settle_region``), the only code that scans the residual
+arcs leaving a vertex: a build's region is the whole instance, a repair's
+is the subtrees cut off by an augmentation, marked by an epoch stamp.
+Optimal integer duals turn back into a rank assignment via
+``extract_ranking``.
 
 No floating point anywhere: distances are lexicographic (cost, hops) pairs,
 which is equivalent to perturbing every arc by an epsilon smaller than 1/n,
@@ -202,6 +206,9 @@ class SolveStats:
     augmentations: int = 0
     contractions: int = 0
     repairs: int = 0
+    settles: int = 0  # vertices settled by tree builds and repairs
+    # region_log2[b]: repairs whose region has b == len(region).bit_length()
+    region_log2: list[int] = field(default_factory=list)
     wall_ms: float = 0.0
 
 
@@ -297,8 +304,10 @@ class _Core:
         self.has_contractions = False
         self.roots: set[int] = set(range(n))
         self.excess = list(inst.bias)
-        self.out_arcs = [list(x) for x in inst.out_arcs]
-        self.in_arcs = [list(x) for x in inst.in_arcs]
+        # the per-vertex lists are shared with inst: a contraction replaces
+        # the kept root's lists instead of extending them
+        self.out_arcs = list(inst.out_arcs)
+        self.in_arcs = list(inst.in_arcs)
         self.members: dict[int, list[int]] = {v: [v] for v in range(n)}
         # (arc, members of absorbed cluster, True if arc dst was absorbed)
         self.clog: list[tuple[int, tuple[int, ...], bool]] = []
@@ -327,12 +336,6 @@ class _Core:
     def potential(self, x: int) -> int:
         r = self.find(x)
         return self.pot[r] if x == r else self.pot[r] + self.off[x]
-
-    def _pot_reader(self):
-        """Fast potential accessor; plain list lookup until contractions."""
-        if self.has_contractions:
-            return self.potential
-        return self.pot.__getitem__
 
     # -- contraction -------------------------------------------------------
 
@@ -363,8 +366,8 @@ class _Core:
         self.parent[absorbed] = keep
         self.off[absorbed] = self.pot[absorbed] - self.pot[keep]
         self.excess[keep] += self.excess[absorbed]
-        self.out_arcs[keep].extend(self.out_arcs[absorbed])
-        self.in_arcs[keep].extend(self.in_arcs[absorbed])
+        self.out_arcs[keep] = self.out_arcs[keep] + self.out_arcs[absorbed]
+        self.in_arcs[keep] = self.in_arcs[keep] + self.in_arcs[absorbed]
         self.out_arcs[absorbed] = []
         self.in_arcs[absorbed] = []
         self.members[keep].extend(self.members[absorbed])
@@ -435,16 +438,26 @@ def _has_excess(core: _Core) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Tree:
-    """Shortest-path forest over cluster roots, lexicographic (cost, hops)."""
+    """Shortest-path forest over cluster roots, lexicographic (cost, hops).
 
-    __slots__ = ("par_arc", "par_dir", "par_vert", "hops", "children")
+    ``mark`` holds epoch stamps: a vertex stamped ``epoch`` belongs to the
+    region of the current build or repair and is not settled yet, one
+    stamped ``epoch + 1`` was settled by it.  A fresh tree stamps every
+    vertex with epoch 0, and each repair advances the epoch by two, so no
+    per-repair set or dict is needed.  ``children`` gets a set for each
+    vertex when it is settled.
+    """
+
+    __slots__ = ("par_arc", "par_dir", "par_vert", "hops", "children", "mark", "epoch")
 
     def __init__(self, n: int):
         self.par_arc = [_UNSET] * n
         self.par_dir = [0] * n
         self.par_vert = [_UNSET] * n
         self.hops = [0] * n
-        self.children: list[set] = [set() for _ in range(n)]
+        self.children: list[Optional[set]] = [None] * n
+        self.mark = [0] * n
+        self.epoch = 0
 
 
 def _solve(
@@ -549,63 +562,16 @@ def _fast_phase(core: _Core, delta: int):
                 core.stats.repairs += 1
 
 
-def _residual_out(core: _Core, v: int):
-    """Yield (rc, w, arc, dir) for every residual arc leaving cluster v."""
-    inst = core.inst
-    P = core._pot_reader()
-    find = core.find
-    flow = core.flow
-    asrc, adst, acost = inst.asrc, inst.adst, inst.acost
-    contracted = core.has_contractions
-    for a in core.out_arcs[v]:
-        w = find(adst[a]) if contracted else adst[a]
-        if w == v:
-            continue
-        rc = acost[a] + P(adst[a]) - P(asrc[a])
-        if rc < 0:
-            raise SolverError(f"negative reduced cost {rc} on arc {a}")
-        yield rc, w, a, 1
-    for a in core.in_arcs[v]:
-        if not flow[a]:
-            continue
-        w = find(asrc[a]) if contracted else asrc[a]
-        if w == v:
-            continue
-        rc = P(asrc[a]) - P(adst[a]) - acost[a]
-        if rc < 0:
-            raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
-        yield rc, w, a, -1
-
-
 def _build_tree(core: _Core, sources: set) -> _Tree:
-    """Lexicographic multi-source Dijkstra; subtracts distances from duals."""
-    n = core.inst.n
-    tree = _Tree(n)
-    heap = [(0, 0, s, _ROOT, 0, _ROOT) for s in sorted(sources)]
-    heapify(heap)
-    settled = bytearray(n)
-    order: list[tuple[int, int]] = []
-    while heap:
-        d, h, v, a, adir, pv = heappop(heap)
-        if settled[v]:
-            continue
-        settled[v] = 1
-        order.append((v, d))
-        tree.par_arc[v] = a
-        tree.par_dir[v] = adir
-        tree.par_vert[v] = pv
-        tree.hops[v] = h
-        if pv != _ROOT:
-            tree.children[pv].add(v)
-        for rc, w, arc, wdir in _residual_out(core, v):
-            if not settled[w]:
-                heappush(heap, (d + rc, h + 1, w, arc, wdir, v))
-    if len(order) != len(core.roots):
+    """Lexicographic multi-source Dijkstra; subtracts distances from duals.
+
+    The region is the whole instance: a fresh tree marks every vertex with
+    epoch 0, and only cluster roots are ever reached.
+    """
+    tree = _Tree(core.inst.n)
+    heap = [(0, 0, s, _ROOT, 0, _ROOT) for s in sorted(sources)]  # sorted is a heap
+    if _settle_region(core, tree, heap) != len(core.roots):
         raise SolverError("residual graph is not connected from the sources")
-    pot = core.pot
-    for v, d in order:
-        if d:
-            pot[v] -= d
     return tree
 
 
@@ -645,68 +611,195 @@ def _repair_tree(core: _Core, tree: _Tree, seeds: list[int]):
 
     Inserted residual arcs never need repair (they run child to parent and
     are tight); only deletions and source removals invalidate distances,
-    and those can only grow, so the affected region is re-relaxed by a
-    Dijkstra seeded with every residual arc entering it from outside.
+    and those can only grow.  The region (every subtree below a seed) is
+    stamped with a fresh epoch, each residual arc entering it from a
+    settled vertex outside seeds the heap at its reduced cost, and the
+    region is re-settled by the same Dijkstra loop that builds the tree.
     """
-    affected: set[int] = set()
+    mark, children, par_vert = tree.mark, tree.children, tree.par_vert
+    ep = tree.epoch = tree.epoch + 2
+    region: list[int] = []
     stack = list(seeds)
     while stack:
         x = stack.pop()
-        if x in affected:
-            continue
-        affected.add(x)
-        stack.extend(tree.children[x])
+        if mark[x] != ep:
+            mark[x] = ep
+            region.append(x)
+            stack.extend(children[x])
     for s in seeds:
-        p = tree.par_vert[s]
-        if p not in (_ROOT, _UNSET) and p not in affected:
-            tree.children[p].discard(s)
+        p = par_vert[s]
+        if p >= 0 and mark[p] != ep:
+            children[p].discard(s)
+    hist = core.stats.region_log2
+    b = len(region).bit_length()
+    while len(hist) <= b:
+        hist.append(0)
+    hist[b] += 1
 
     inst = core.inst
-    P = core._pot_reader()
-    find = core.find
-    flow = core.flow
     asrc, adst, acost = inst.asrc, inst.adst, inst.acost
+    flow, pot, hops = core.flow, core.pot, tree.hops
+    parent, off, find = core.parent, core.off, core.find
     contracted = core.has_contractions
     heap = []
-    for x in affected:
+    for x in region:
+        px = pot[x]
+        if not contracted:
+            for a in core.in_arcs[x]:
+                u = asrc[a]
+                if u == x or mark[u] == ep:
+                    continue
+                rc = acost[a] + px - pot[u]
+                if rc < 0:
+                    raise SolverError(f"negative reduced cost {rc} on arc {a}")
+                heap.append((rc, hops[u] + 1, x, a, 1, u))
+            for a in core.out_arcs[x]:
+                if not flow[a]:
+                    continue
+                u = adst[a]
+                if u == x or mark[u] == ep:
+                    continue
+                rc = px - pot[u] - acost[a]
+                if rc < 0:
+                    raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
+                heap.append((rc, hops[u] + 1, x, a, -1, u))
+            continue
+        # cluster members as in _settle_region
         for a in core.in_arcs[x]:
-            u = find(asrc[a]) if contracted else asrc[a]
-            if u == x or u in affected:
+            s = asrc[a]
+            u = parent[s]
+            if parent[u] != u:
+                u = find(s)
+            if u == x or mark[u] == ep:
                 continue
-            rc = acost[a] + P(adst[a]) - P(asrc[a])
+            y = adst[a]
+            if parent[y] != x:
+                find(y)
+            rc = acost[a] + px + off[y] - pot[u] - off[s]
             if rc < 0:
                 raise SolverError(f"negative reduced cost {rc} on arc {a}")
-            heappush(heap, (rc, tree.hops[u] + 1, x, a, 1, u))
+            heap.append((rc, hops[u] + 1, x, a, 1, u))
         for a in core.out_arcs[x]:
             if not flow[a]:
                 continue
-            u = find(adst[a]) if contracted else adst[a]
-            if u == x or u in affected:
+            y = adst[a]
+            u = parent[y]
+            if parent[u] != u:
+                u = find(y)
+            if u == x or mark[u] == ep:
                 continue
-            rc = P(asrc[a]) - P(adst[a]) - acost[a]
+            s = asrc[a]
+            if parent[s] != x:
+                find(s)
+            rc = px + off[s] - pot[u] - off[y] - acost[a]
             if rc < 0:
                 raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
-            heappush(heap, (rc, tree.hops[u] + 1, x, a, -1, u))
-
-    settled: dict[int, int] = {}
-    while heap:
-        d, h, x, a, adir, pv = heappop(heap)
-        if x in settled:
-            continue
-        settled[x] = d
-        tree.par_arc[x] = a
-        tree.par_dir[x] = adir
-        tree.par_vert[x] = pv
-        tree.hops[x] = h
-        tree.children[x] = set()
-        for rc, w, arc, wdir in _residual_out(core, x):
-            if w in affected and w not in settled:
-                heappush(heap, (d + rc, h + 1, w, arc, wdir, x))
-    if len(settled) != len(affected):
+            heap.append((rc, hops[u] + 1, x, a, -1, u))
+    heapify(heap)
+    if _settle_region(core, tree, heap) != len(region):
         raise SolverError("affected region disconnected during tree repair")
-    pot = core.pot
-    for x, d in settled.items():
+
+
+def _settle_region(core: _Core, tree: _Tree, heap: list) -> int:
+    """Settle every vertex stamped ``tree.epoch`` from the seeded heap.
+
+    Heap entries are (dist, hops, vertex, arc, dir, parent): the order is
+    lexicographic in (dist, hops) with ties broken by vertex, then arc.
+    Settling stamps ``tree.epoch + 1``, records the tree edge and scans the
+    residual arcs leaving the vertex; each one has its reduced cost checked
+    before the region filter decides whether it enters the heap.  Finally
+    the distances are subtracted from the duals.  Returns the number of
+    vertices settled.
+    """
+    inst = core.inst
+    asrc, adst, acost = inst.asrc, inst.adst, inst.acost
+    flow, pot = core.flow, core.pot
+    out_arcs, in_arcs = core.out_arcs, core.in_arcs
+    parent, off, find = core.parent, core.off, core.find
+    contracted = core.has_contractions
+    mark, children = tree.mark, tree.children
+    par_arc, par_dir, par_vert, hops = tree.par_arc, tree.par_dir, tree.par_vert, tree.hops
+    ep = tree.epoch
+    done = ep + 1
+    order = []
+    while heap:
+        entry = heappop(heap)
+        d, h, x, a, adir, pv = entry
+        if mark[x] != ep:
+            continue
+        mark[x] = done
+        order.append(entry)
+        par_arc[x] = a
+        par_dir[x] = adir
+        par_vert[x] = pv
+        hops[x] = h
+        children[x] = set()
+        if pv != _ROOT:
+            children[pv].add(x)
+        px = pot[x]
+        h += 1
+        if not contracted:
+            # every vertex is its own cluster: arc ends are roots
+            for a in out_arcs[x]:
+                w = adst[a]
+                if w == x:
+                    continue
+                rc = acost[a] + pot[w] - px
+                if rc < 0:
+                    raise SolverError(f"negative reduced cost {rc} on arc {a}")
+                if mark[w] == ep:
+                    heappush(heap, (d + rc, h, w, a, 1, x))
+            for a in in_arcs[x]:
+                if not flow[a]:
+                    continue
+                w = asrc[a]
+                if w == x:
+                    continue
+                rc = pot[w] - px - acost[a]
+                if rc < 0:
+                    raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
+                if mark[w] == ep:
+                    heappush(heap, (d + rc, h, w, a, -1, x))
+            continue
+        # arc ends are cluster members: find() maps one to its root and
+        # leaves its offset relative to that root, so that its potential
+        # is pot[root] + off[member]; a member whose parent is a root
+        # already has that offset
+        for a in out_arcs[x]:
+            y = adst[a]
+            w = parent[y]
+            if parent[w] != w:
+                w = find(y)
+            if w == x:
+                continue
+            s = asrc[a]
+            if parent[s] != x:
+                find(s)
+            rc = acost[a] + pot[w] + off[y] - px - off[s]
+            if rc < 0:
+                raise SolverError(f"negative reduced cost {rc} on arc {a}")
+            if mark[w] == ep:
+                heappush(heap, (d + rc, h, w, a, 1, x))
+        for a in in_arcs[x]:
+            if not flow[a]:
+                continue
+            s = asrc[a]
+            w = parent[s]
+            if parent[w] != w:
+                w = find(s)
+            if w == x:
+                continue
+            y = adst[a]
+            if parent[y] != x:
+                find(y)
+            rc = pot[w] + off[s] - px - off[y] - acost[a]
+            if rc < 0:
+                raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
+            if mark[w] == ep:
+                heappush(heap, (d + rc, h, w, a, -1, x))
+    for entry in order:
+        d = entry[0]
         if d:
-            pot[x] -= d
-    for x in affected:
-        tree.children[tree.par_vert[x]].add(x)
+            pot[entry[2]] -= d
+    core.stats.settles += len(order)
+    return len(order)

@@ -127,6 +127,8 @@ def _cmd_exact(args) -> int:
     _summary(
         "exact", args.input, g, result.k, penalty, result.agony, ranks, ms,
         solver=args.solver, scc=int(result.used_scc), canonical=int(bool(args.canonical)),
+        augmentations=result.stats.augmentations, repairs=result.stats.repairs,
+        settles=result.stats.settles,
     )
     return EXIT_OK
 

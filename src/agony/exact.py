@@ -177,6 +177,12 @@ def _merge_stats(into: SolveStats, part: SolveStats):
     into.augmentations += part.augmentations
     into.contractions += part.contractions
     into.repairs += part.repairs
+    into.settles += part.settles
+    hist = into.region_log2
+    for b, count in enumerate(part.region_log2):
+        if b == len(hist):
+            hist.append(0)
+        hist[b] += count
 
 
 def verify_certificate(g: WeightedDigraph, result: ExactResult, penalty: PenaltySpec) -> bool:

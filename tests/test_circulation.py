@@ -1,7 +1,9 @@
+import copy
 from fractions import Fraction
 
 import pytest
 
+from agony import circulation
 from agony.circulation import (
     ShiftedArc,
     ShiftedGraph,
@@ -247,6 +249,26 @@ class TestSolvers:
         assert st.objective() == 0 and st.stats.augmentations == 0
 
 
+class TestSolveStats:
+    def test_fast_counts_settles_and_repair_regions(self, rng):
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(4, 12), 0.35, 3)
+            stats = solve_fast(uncapacitate(build_agony_instance(g, g.n))).stats
+            hist = stats.region_log2
+            assert sum(hist) == stats.repairs
+            assert not hist or hist[0] == 0  # a repair region is never empty
+            # a region counted at b has at least 2**(b-1) vertices
+            assert stats.settles >= sum(c << (b - 1) for b, c in enumerate(hist) if b)
+
+    def test_baseline_settles_every_vertex_per_augmentation(self, rng):
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(2, 9), 0.4)
+            inst = uncapacitate(build_agony_instance(g, g.n))
+            stats = solve_baseline(inst).stats
+            assert stats.contractions == 0 and stats.repairs == 0 and stats.region_log2 == []
+            assert stats.settles == stats.augmentations * inst.n
+
+
 class TestStateSurface:
     def test_perturbed_flow_breaks_optimality(self):
         g = graph_from_text(TOY)
@@ -263,3 +285,48 @@ class TestStateSurface:
         st.potentials[0] += sg.k + 5
         with pytest.raises(SolverError):
             extract_ranking(st, sg)
+
+
+class TestTreeRepair:
+    """Every repaired tree is a shortest-path tree: a rebuild changes nothing."""
+
+    @pytest.fixture
+    def repairs(self, monkeypatch):
+        """Check every repair of the fast solver; returns the list of checked repairs."""
+        repair = circulation._repair_tree
+        checked = []
+
+        def repair_then_rebuild(core, tree, seeds):
+            repair(core, tree, seeds)
+            sources = {r for r in core.roots if tree.par_arc[r] == circulation._ROOT}
+            fresh = copy.deepcopy(core, {id(core.inst): core.inst})  # inst is read-only
+            rebuilt = circulation._build_tree(fresh, sources)
+            # the rebuild subtracts its distances from the duals: all must be 0
+            assert fresh.pot == core.pot
+            assert all(rebuilt.hops[r] == tree.hops[r] for r in core.roots)
+            checked.append(seeds)
+
+        monkeypatch.setattr(circulation, "_repair_tree", repair_then_rebuild)
+        return checked
+
+    @staticmethod
+    def _solve(g, k, penalty=LINEAR):
+        sg = build_convex_instance(g, k, penalty)
+        return solve_fast(uncapacitate(sg), check_invariants=True).stats
+
+    def test_unit_weights(self, repairs, rng):
+        total = 0
+        for _ in range(8):
+            g = random_graph(rng, 40, 0.09)
+            total += self._solve(g, g.n).repairs
+        assert len(repairs) == total > 0
+
+    def test_convex_large_weights_with_contractions(self, repairs, rng):
+        pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])
+        total = 0
+        for _ in range(4):
+            g = random_graph(rng, 40, 0.09, 10**6)
+            stats = self._solve(g, 5, pen)
+            assert stats.contractions > 0
+            total += stats.repairs
+        assert len(repairs) == total > 0

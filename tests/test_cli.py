@@ -35,6 +35,8 @@ class TestExact:
         info = _summary(cap.err)
         assert info["n"] == "4" and info["m"] == "4" and info["k"] == "4"
         assert info["score"] == "3" and info["scc"] == "1"
+        assert int(info["augmentations"]) > 0 and int(info["settles"]) > 0
+        assert int(info["repairs"]) >= 0
         ranking = dict(line.split("\t") for line in cap.out.splitlines())
         assert set(ranking) == {"a", "b", "c", "d"}
 

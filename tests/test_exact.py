@@ -7,6 +7,7 @@ from agony.penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
 from conftest import brute_min_linear, brute_optima, graph_from_text, random_dag, random_graph
 
 TOY = "a b\nb c\nc a 2\nb d\n"
+TWO_CYCLES = "a b\nb c\nc a\nc d\nd e\ne f\nf d\ne d 2\n"
 
 
 class TestMinAgony:
@@ -36,6 +37,19 @@ class TestMinAgony:
             g = random_graph(rng, rng.randint(2, 8), 0.45, 3)
             values = [min_agony(g, k, use_scc=False).agony for k in range(2, g.n + 1)]
             assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_stats_sum_over_components(self):
+        g = graph_from_text(TWO_CYCLES)
+        res = min_agony(g)
+        parts = [c.state.stats for c in res.components if c.state is not None]
+        assert len(parts) == 2
+        for name in ("outer_phases", "augmentations", "contractions", "repairs", "settles"):
+            assert getattr(res.stats, name) == sum(getattr(p, name) for p in parts)
+        width = max(len(p.region_log2) for p in parts)
+        assert res.stats.region_log2 == [
+            sum(p.region_log2[b] for p in parts if b < len(p.region_log2)) for b in range(width)
+        ]
+        assert res.stats.settles > 0
 
     def test_scc_path_equals_plain_path(self, rng):
         for _ in range(60):

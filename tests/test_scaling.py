@@ -3,7 +3,9 @@
 Both inputs have one component or layer per vertex pair or vertex, the
 worst case for a split that rescans every edge once per part.  At the two
 sizes, 4x apart, linear work gives a time ratio near 4 and a per-part edge
-scan one near 16; the bound of 7 leaves room for timer noise.
+scan one near 16; the bound of 7 leaves room for timer noise.  Each size
+keeps its best of five runs, and the small and large runs alternate, so a
+stall of the host slows one run of each size at most.
 """
 from __future__ import annotations
 
@@ -31,17 +33,19 @@ def _dag_chain(n: int) -> WeightedDigraph:
     return WeightedDigraph(n, [(i, i + 1, 1) for i in range(n - 1)])
 
 
-def _best_time(fn, g, runs: int = 3) -> float:
-    best = float("inf")
+def _time(fn, g) -> float:
+    t0 = time.process_time()
+    fn(g)
+    return time.process_time() - t0
+
+
+def _ratio(fn, make, small: int, runs: int = 5) -> float:
+    g_small, g_large = make(small), make(4 * small)
+    best_small = best_large = float("inf")
     for _ in range(runs):
-        t0 = time.process_time()
-        fn(g)
-        best = min(best, time.process_time() - t0)
-    return best
-
-
-def _ratio(fn, make, small: int) -> float:
-    return _best_time(fn, make(4 * small)) / _best_time(fn, make(small))
+        best_small = min(best_small, _time(fn, g_small))
+        best_large = min(best_large, _time(fn, g_large))
+    return best_large / best_small
 
 
 def test_exact_on_two_cycle_chain_scales_linearly():
