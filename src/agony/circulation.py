@@ -11,7 +11,10 @@ is the single-source mode of the same tree code that rebuilds the tree for
 every augmentation.  Building and repairing a tree run one region-restricted
 Dijkstra loop (``_settle_region``), the only code that scans the residual
 arcs leaving a vertex: a build's region is the whole instance, a repair's
-is the subtrees cut off by an augmentation, marked by an epoch stamp.
+is the subtrees cut off by an augmentation, marked by an epoch stamp.  An
+arc whose flow outgrows the scale is contracted (Orlin's strongly
+polynomial device): its ends merge into one cluster and the arcs are
+rewritten to run between cluster roots, so the loop never sees a member.
 Optimal integer duals turn back into a rank assignment via
 ``extract_ranking``.
 
@@ -288,10 +291,16 @@ _ROOT = -1
 class _Core:
     """Shared state of both solvers: flow, duals, contraction bookkeeping.
 
-    Contractions are a union-find whose offsets freeze the dual difference
-    between merged clusters; reduced costs are always computed from the
-    original arc costs plus unrolled potentials, so no arc rewriting is
-    needed and the final duals of absorbed vertices come out for free.
+    Contracting freezes the dual difference d of the absorbed cluster to
+    the kept one: absorbed members get the kept ``root`` and d added to
+    ``off``, and arcs leaving or entering the absorbed cluster get the kept
+    root as their end and d folded into their cost.  So ``src``, ``dst``
+    and ``cost`` describe the contracted graph over cluster roots, with
+    reduced cost ``cost[a] + pot[dst[a]] - pot[src[a]]``.  Arcs left on
+    members would save no work here but make every residual scan map ends
+    to roots and add offsets.  The lists alias the instance's until the
+    first contraction copies them; ``check_state`` and ``finalize`` work
+    from the instance's costs and the unrolled potentials.
     """
 
     def __init__(self, inst: CirculationInstance):
@@ -299,9 +308,9 @@ class _Core:
         self.inst = inst
         self.flow = [0] * inst.m
         self.pot = [0] * n
-        self.parent = list(range(n))
-        self.off = [0] * n
-        self.has_contractions = False
+        self.root = list(range(n))
+        self.off = [0] * n  # potential of x is pot[root[x]] + off[x]
+        self.src, self.dst, self.cost = inst.asrc, inst.adst, inst.acost
         self.roots: set[int] = set(range(n))
         self.excess = list(inst.bias)
         # the per-vertex lists are shared with inst: a contraction replaces
@@ -313,29 +322,8 @@ class _Core:
         self.clog: list[tuple[int, tuple[int, ...], bool]] = []
         self.stats = SolveStats()
 
-    # -- union-find with potential offsets --------------------------------
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        if p[x] == x:
-            return x
-        path = []
-        v = x
-        while p[v] != v:
-            path.append(v)
-            v = p[v]
-        root = v
-        off = self.off
-        acc = 0
-        for v in reversed(path):
-            acc += off[v]
-            p[v] = root
-            off[v] = acc
-        return root
-
     def potential(self, x: int) -> int:
-        r = self.find(x)
-        return self.pot[r] if x == r else self.pot[r] + self.off[x]
+        return self.pot[self.root[x]] + self.off[x]
 
     # -- contraction -------------------------------------------------------
 
@@ -349,9 +337,7 @@ class _Core:
                 self._contract_arc(a)
 
     def _contract_arc(self, a: int):
-        inst = self.inst
-        rs = self.find(inst.asrc[a])
-        rd = self.find(inst.adst[a])
+        rs, rd = self.src[a], self.dst[a]
         if rs == rd:
             return
         # keep the root with the bigger adjacency to bound merge work
@@ -361,19 +347,30 @@ class _Core:
             keep, absorbed, dst_in_absorbed = rs, rd, True
         else:
             keep, absorbed, dst_in_absorbed = rd, rs, False
-        self.clog.append((a, tuple(self.members[absorbed]), dst_in_absorbed))
+        if self.src is self.inst.asrc:  # first contraction: stop aliasing
+            self.src, self.dst, self.cost = list(self.src), list(self.dst), list(self.cost)
+        members = self.members.pop(absorbed)
+        self.clog.append((a, tuple(members), dst_in_absorbed))
         # freeze the current dual relation between the two clusters
-        self.parent[absorbed] = keep
-        self.off[absorbed] = self.pot[absorbed] - self.pot[keep]
+        d = self.pot[absorbed] - self.pot[keep]
+        root, off = self.root, self.off
+        for v in members:
+            root[v] = keep
+            off[v] += d
+        src, dst, cost = self.src, self.dst, self.cost
+        for b in self.out_arcs[absorbed]:
+            src[b] = keep
+            cost[b] -= d
+        for b in self.in_arcs[absorbed]:
+            dst[b] = keep
+            cost[b] += d
         self.excess[keep] += self.excess[absorbed]
         self.out_arcs[keep] = self.out_arcs[keep] + self.out_arcs[absorbed]
         self.in_arcs[keep] = self.in_arcs[keep] + self.in_arcs[absorbed]
         self.out_arcs[absorbed] = []
         self.in_arcs[absorbed] = []
-        self.members[keep].extend(self.members[absorbed])
-        del self.members[absorbed]
+        self.members[keep].extend(members)
         self.roots.discard(absorbed)
-        self.has_contractions = True
         self.stats.contractions += 1
 
     # -- invariants ---------------------------------------------------------
@@ -636,62 +633,26 @@ def _repair_tree(core: _Core, tree: _Tree, seeds: list[int]):
         hist.append(0)
     hist[b] += 1
 
-    inst = core.inst
-    asrc, adst, acost = inst.asrc, inst.adst, inst.acost
+    src, dst, cost = core.src, core.dst, core.cost
     flow, pot, hops = core.flow, core.pot, tree.hops
-    parent, off, find = core.parent, core.off, core.find
-    contracted = core.has_contractions
     heap = []
     for x in region:
         px = pot[x]
-        if not contracted:
-            for a in core.in_arcs[x]:
-                u = asrc[a]
-                if u == x or mark[u] == ep:
-                    continue
-                rc = acost[a] + px - pot[u]
-                if rc < 0:
-                    raise SolverError(f"negative reduced cost {rc} on arc {a}")
-                heap.append((rc, hops[u] + 1, x, a, 1, u))
-            for a in core.out_arcs[x]:
-                if not flow[a]:
-                    continue
-                u = adst[a]
-                if u == x or mark[u] == ep:
-                    continue
-                rc = px - pot[u] - acost[a]
-                if rc < 0:
-                    raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
-                heap.append((rc, hops[u] + 1, x, a, -1, u))
-            continue
-        # cluster members as in _settle_region
         for a in core.in_arcs[x]:
-            s = asrc[a]
-            u = parent[s]
-            if parent[u] != u:
-                u = find(s)
+            u = src[a]
             if u == x or mark[u] == ep:
                 continue
-            y = adst[a]
-            if parent[y] != x:
-                find(y)
-            rc = acost[a] + px + off[y] - pot[u] - off[s]
+            rc = cost[a] + px - pot[u]
             if rc < 0:
                 raise SolverError(f"negative reduced cost {rc} on arc {a}")
             heap.append((rc, hops[u] + 1, x, a, 1, u))
         for a in core.out_arcs[x]:
             if not flow[a]:
                 continue
-            y = adst[a]
-            u = parent[y]
-            if parent[u] != u:
-                u = find(y)
+            u = dst[a]
             if u == x or mark[u] == ep:
                 continue
-            s = asrc[a]
-            if parent[s] != x:
-                find(s)
-            rc = px + off[s] - pot[u] - off[y] - acost[a]
+            rc = px - pot[u] - cost[a]
             if rc < 0:
                 raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
             heap.append((rc, hops[u] + 1, x, a, -1, u))
@@ -711,12 +672,9 @@ def _settle_region(core: _Core, tree: _Tree, heap: list) -> int:
     the distances are subtracted from the duals.  Returns the number of
     vertices settled.
     """
-    inst = core.inst
-    asrc, adst, acost = inst.asrc, inst.adst, inst.acost
+    src, dst, cost = core.src, core.dst, core.cost
     flow, pot = core.flow, core.pot
     out_arcs, in_arcs = core.out_arcs, core.in_arcs
-    parent, off, find = core.parent, core.off, core.find
-    contracted = core.has_contractions
     mark, children = tree.mark, tree.children
     par_arc, par_dir, par_vert, hops = tree.par_arc, tree.par_dir, tree.par_vert, tree.hops
     ep = tree.epoch
@@ -738,44 +696,11 @@ def _settle_region(core: _Core, tree: _Tree, heap: list) -> int:
             children[pv].add(x)
         px = pot[x]
         h += 1
-        if not contracted:
-            # every vertex is its own cluster: arc ends are roots
-            for a in out_arcs[x]:
-                w = adst[a]
-                if w == x:
-                    continue
-                rc = acost[a] + pot[w] - px
-                if rc < 0:
-                    raise SolverError(f"negative reduced cost {rc} on arc {a}")
-                if mark[w] == ep:
-                    heappush(heap, (d + rc, h, w, a, 1, x))
-            for a in in_arcs[x]:
-                if not flow[a]:
-                    continue
-                w = asrc[a]
-                if w == x:
-                    continue
-                rc = pot[w] - px - acost[a]
-                if rc < 0:
-                    raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
-                if mark[w] == ep:
-                    heappush(heap, (d + rc, h, w, a, -1, x))
-            continue
-        # arc ends are cluster members: find() maps one to its root and
-        # leaves its offset relative to that root, so that its potential
-        # is pot[root] + off[member]; a member whose parent is a root
-        # already has that offset
         for a in out_arcs[x]:
-            y = adst[a]
-            w = parent[y]
-            if parent[w] != w:
-                w = find(y)
+            w = dst[a]
             if w == x:
                 continue
-            s = asrc[a]
-            if parent[s] != x:
-                find(s)
-            rc = acost[a] + pot[w] + off[y] - px - off[s]
+            rc = cost[a] + pot[w] - px
             if rc < 0:
                 raise SolverError(f"negative reduced cost {rc} on arc {a}")
             if mark[w] == ep:
@@ -783,16 +708,10 @@ def _settle_region(core: _Core, tree: _Tree, heap: list) -> int:
         for a in in_arcs[x]:
             if not flow[a]:
                 continue
-            s = asrc[a]
-            w = parent[s]
-            if parent[w] != w:
-                w = find(s)
+            w = src[a]
             if w == x:
                 continue
-            y = adst[a]
-            if parent[y] != x:
-                find(y)
-            rc = pot[w] + off[s] - px - off[y] - acost[a]
+            rc = pot[w] - px - cost[a]
             if rc < 0:
                 raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
             if mark[w] == ep:

@@ -24,8 +24,18 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         # floats are accepted for convenience but converted through repr so
         # that "1.5" means 3/2, not the binary expansion of the double
-        return Fraction(str(x))
-    return Fraction(x)
+        x = str(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def _as_breakpoint(x) -> int:
+    b = _as_fraction(x)
+    if b.denominator != 1:
+        raise ValueError(f"hinge breakpoint must be an integer, got {x!r}")
+    return int(b)
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,7 @@ class PenaltySpec:
     @staticmethod
     def convex_sum(terms) -> "PenaltySpec":
         """Convex penalty sum_i max(0, a_i * (d - b_i)) with a_i > 0."""
-        canon = tuple((_as_fraction(a), int(b)) for a, b in terms)
+        canon = tuple((_as_fraction(a), _as_breakpoint(b)) for a, b in terms)
         return PenaltySpec("convex-sum", canon)
 
     @staticmethod

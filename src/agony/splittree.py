@@ -12,7 +12,7 @@ the tree to at most k leaves when a tier budget is given.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .graph import WeightedDigraph
 
@@ -39,6 +39,17 @@ class TreeNode:
         return self.left is None
 
 
+def _preorder(node: Optional[TreeNode]) -> Iterator[TreeNode]:
+    """Every node of the subtree at ``node``, parents first, left to right."""
+    stack = [node] if node is not None else []
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack.append(node.right)
+            stack.append(node.left)
+
+
 class SplitTree:
     """Result of a build: ordered binary tree plus the score identity."""
 
@@ -48,29 +59,10 @@ class SplitTree:
         self.total_weight = total_weight
 
     def leaves(self) -> list[TreeNode]:
-        if self.root is None:
-            return []
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+        return [node for node in _preorder(self.root) if node.is_leaf]
 
     def internal_nodes(self) -> list[TreeNode]:
-        if self.root is None:
-            return []
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                out.append(node)
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+        return [node for node in _preorder(self.root) if not node.is_leaf]
 
     def score(self) -> int:
         """Total edge weight plus the sum of (negative) split gains."""
@@ -318,26 +310,13 @@ class SplitTreeBuilder:
 
     def current_leaves(self) -> list[LeafState]:
         """Live leaves in left-to-right order (for mid-build auditing)."""
-        out, stack = [], [self.root_node]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node.leaf)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+        return [node.leaf for node in _preorder(self.root_node) if node.is_leaf]
 
     def _freeze(self) -> SplitTree:
-        stack = [self.root_node]
-        while stack:
-            node = stack.pop()
+        for node in _preorder(self.root_node):
             if node.is_leaf:
                 node.vertices = sorted(node.leaf.members())
                 node.leaf = None
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
         return SplitTree(self.root_node, self.g.n, self.g.total_weight)
 
 
@@ -373,21 +352,11 @@ class PruneDP:
         if tree.root is not None:
             self._compute()
 
-    def _postorder(self) -> list[TreeNode]:
-        out, stack = [], [self.tree.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.append(node.left)
-                stack.append(node.right)
-        out.reverse()
-        return out
-
     def _compute(self):
         kmax = self.kmax
         nl, opt, choice = self._nleaves, self._opt, self._choice
-        for node in self._postorder():
+        # reversed preorder: children before their parent
+        for node in reversed(list(_preorder(self.tree.root))):
             key = id(node)
             if node.is_leaf:
                 nl[key] = 1
@@ -438,26 +407,13 @@ class PruneDP:
             node, budget = stack.pop()
             budget = min(budget, self._nleaves[id(node)], self.kmax)
             if node.is_leaf or budget <= 1:
-                out.append(_vertices_under(node))
+                out.append([v for x in _preorder(node) if x.is_leaf for v in x.vertices])
                 continue
             l = self._choice[id(node)][budget]
             # right pushed first so the left group comes out first
             stack.append((node.right, budget - l))
             stack.append((node.left, l))
         return out
-
-
-def _vertices_under(node: TreeNode) -> list[int]:
-    out: list[int] = []
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur.is_leaf:
-            out.extend(cur.vertices)
-        else:
-            stack.append(cur.right)
-            stack.append(cur.left)
-    return out
 
 
 def prune_tree(tree: SplitTree, k: int) -> list[int]:

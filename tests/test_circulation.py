@@ -299,7 +299,10 @@ class TestTreeRepair:
         def repair_then_rebuild(core, tree, seeds):
             repair(core, tree, seeds)
             sources = {r for r in core.roots if tree.par_arc[r] == circulation._ROOT}
-            fresh = copy.deepcopy(core, {id(core.inst): core.inst})  # inst is read-only
+            # a build writes only the duals and the counters of its core
+            fresh = copy.copy(core)
+            fresh.pot = list(core.pot)
+            fresh.stats = circulation.SolveStats()
             rebuilt = circulation._build_tree(fresh, sources)
             # the rebuild subtracts its distances from the duals: all must be 0
             assert fresh.pot == core.pot
@@ -330,3 +333,28 @@ class TestTreeRepair:
             assert stats.contractions > 0
             total += stats.repairs
         assert len(repairs) == total > 0
+
+
+class TestContractionRewrite:
+    """After every contraction the core's arcs run between cluster roots."""
+
+    def test_arcs_follow_roots_and_offsets(self, monkeypatch, rng):
+        contract = circulation._Core._contract_arc
+
+        def contract_then_check(core, a):
+            contract(core, a)
+            inst, root, off = core.inst, core.root, core.off
+            for b, (s, d, c) in enumerate(zip(inst.asrc, inst.adst, inst.acost)):
+                assert core.src[b] == root[s] and core.dst[b] == root[d]
+                assert core.cost[b] == c + off[d] - off[s]
+
+        monkeypatch.setattr(circulation._Core, "_contract_arc", contract_then_check)
+        pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])
+        for solver in (solve_fast, solve_baseline):
+            for _ in range(2):
+                g = random_graph(rng, 25, 0.09, 10**6)
+                inst = uncapacitate(build_convex_instance(g, 5, pen))
+                before = (list(inst.asrc), list(inst.adst), list(inst.acost))
+                assert solver(inst, check_invariants=True).stats.contractions > 0
+                # the instance is never rewritten, only the core's copies
+                assert (inst.asrc, inst.adst, inst.acost) == before

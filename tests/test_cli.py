@@ -102,6 +102,14 @@ class TestExact:
     def test_scoring_only_penalty_exits_3(self, toy, capsys):
         assert main(["exact", toy, "--penalty", "const"]) == 3
 
+    def test_zero_denominator_penalty_exits_2(self, toy, tmp_path, capsys):
+        r = tmp_path / "r.txt"
+        r.write_text("a 0\nb 1\nc 2\nd 3\n")
+        assert main(["exact", toy, "--penalty", "sum:1/0,1"]) == 2
+        assert _one_line_error(capsys.readouterr().err)
+        assert main(["score", toy, str(r), "--penalty", "sum:1/0,1"]) == 2
+        assert _one_line_error(capsys.readouterr().err)
+
     def test_convex_penalty_flag(self, toy, capsys):
         assert main(["exact", toy, "--penalty", "sum:1,-1;2,3"]) == 0
         info = _summary(capsys.readouterr().err)

@@ -52,10 +52,22 @@ def test_parse_mini_language():
     assert p.terms == ((Fraction(3, 2), 0),)
 
 
-@pytest.mark.parametrize("bad", ["", "quad", "sum:", "sum:1", "sum:0,1", "sum:-1,2"])
+@pytest.mark.parametrize("bad", ["", "quad", "sum:", "sum:1", "sum:0,1", "sum:-1,2", "sum:1/0,1"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         PenaltySpec.parse(bad)
+
+
+@pytest.mark.parametrize("b", [1.5, Fraction(3, 2)])
+def test_fractional_breakpoint_rejected(b):
+    with pytest.raises(ValueError):
+        PenaltySpec.convex_sum([(1, b)])
+
+
+def test_integral_breakpoint_values_accepted():
+    p = PenaltySpec.convex_sum([(1, 2.0), (1, Fraction(-4, 2))])
+    assert p.terms == ((Fraction(1), 2), (Fraction(1), -2))
+    assert all(type(b) is int for _, b in p.terms)
 
 
 def test_nonpositive_slope_rejected():
