@@ -3,52 +3,28 @@
 Among all optimal rankings there is a unique one that is pointwise <= every
 other; it is obtained by subtracting, from any optimal ranking, the shortest
 reduced-cost distances from the alpha sentinel in the residual graph of the
-solved circulation.
+solved circulation.  Those distances come from the solver's own Dijkstra
+(``circulation._build_tree``), run on copies of the solved flow and duals.
 """
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .circulation import CirculationInstance, ShiftedGraph, SolverError, SolverState
+from .circulation import ShiftedGraph, SolverError, SolverState, _build_tree, _Core
 
 
-class ResidualView:
-    """Residual graph of a solved circulation, weighted by reduced costs.
+def _shifted_duals(state: SolverState, sg: ShiftedGraph) -> list[int]:
+    """Duals minus the residual distances from alpha; ``state`` is untouched.
 
-    Forward arcs carry t(e) + pi(w) - pi(v); each positive-flow arc also
-    contributes a reversed arc with the negated expression.  Dual
-    feasibility plus slackness make every weight nonnegative, which is
-    asserted during construction.
+    The Dijkstra checks every residual arc: a negative reduced cost or a
+    flow-carrying arc that is not tight raises ``SolverError``, and so does
+    a vertex that alpha cannot reach.
     """
-
-    def __init__(self, inst: CirculationInstance, flow: Sequence[int], pot: Sequence[int]):
-        self.n = inst.n
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]
-        for a in range(inst.m):
-            src, dst = inst.asrc[a], inst.adst[a]
-            rc = inst.acost[a] + pot[dst] - pot[src]
-            if rc < 0:
-                raise SolverError(f"negative residual weight {rc} on arc {a}")
-            adj[src].append((dst, rc))
-            if flow[a] > 0:
-                if rc != 0:
-                    raise SolverError(f"positive-flow arc {a} is not tight")
-                adj[dst].append((src, 0))
-        self.adj = adj
-
-    def distances_from(self, source: int) -> list[Optional[int]]:
-        dist: list[Optional[int]] = [None] * self.n
-        heap = [(0, source)]
-        while heap:
-            d, v = heappop(heap)
-            if dist[v] is not None:
-                continue
-            dist[v] = d
-            for w, rc in self.adj[v]:
-                if dist[w] is None:
-                    heappush(heap, (d + rc, w))
-        return dist
+    core = _Core(state.inst)
+    core.flow = list(state.flow)
+    core.pot = list(state.potentials)
+    _build_tree(core, {sg.alpha})
+    return core.pot
 
 
 def canonical_ranking(state: SolverState, sg: ShiftedGraph, ranks: Sequence[int]) -> list[int]:
@@ -57,14 +33,8 @@ def canonical_ranking(state: SolverState, sg: ShiftedGraph, ranks: Sequence[int]
     r*(v) = r(v) - d(v) with d the residual shortest distance from alpha.
     The result is optimal, canonical, and its smallest rank is 0.
     """
-    view = ResidualView(state.inst, state.flow, state.potentials)
-    dist = view.distances_from(sg.alpha)
-    out = []
-    for v in range(sg.n_original):
-        d = dist[v]
-        if d is None:
-            raise SolverError(f"vertex {v} unreachable from alpha in the residual graph")
-        out.append(ranks[v] - d)
+    pot, shifted = state.potentials, _shifted_duals(state, sg)
+    out = [ranks[v] - (pot[v] - shifted[v]) for v in range(sg.n_original)]
     if out:
         if min(out) != 0:
             raise SolverError("canonical ranking does not start at rank 0")

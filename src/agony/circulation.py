@@ -9,9 +9,11 @@ solvers: ``solve_fast`` grows one multi-source shortest-path tree per phase
 and repairs it dynamically after each augmentation, while ``solve_baseline``
 is the single-source mode of the same tree code that rebuilds the tree for
 every augmentation.  Building and repairing a tree run one region-restricted
-Dijkstra loop (``_settle_region``), the only code that scans the residual
-arcs leaving a vertex: a build's region is the whole instance, a repair's
-is the subtrees cut off by an augmentation, marked by an epoch stamp.  An
+Dijkstra loop (``_settle_region``), the only code in the package that scans
+the residual arcs leaving a vertex: a build's region is the whole instance,
+a repair's is the subtrees cut off by an augmentation, marked by an epoch
+stamp.  The canonical ranking (``agony.canonical``) reuses it through
+``_build_tree`` from the alpha sentinel on a copy of a solved state.  An
 arc whose flow outgrows the scale is contracted (Orlin's strongly
 polynomial device): its ends merge into one cluster and the arcs are
 rewritten to run between cluster roots, so the loop never sees a member.
@@ -122,7 +124,7 @@ class CirculationInstance:
 
     __slots__ = (
         "n", "n_w1", "asrc", "adst", "acost", "bias",
-        "out_arcs", "in_arcs", "w2_origin", "k", "shifted",
+        "out_arcs", "in_arcs", "k",
     )
 
     def __init__(self, n_w1: int, k: Optional[int] = None):
@@ -132,9 +134,7 @@ class CirculationInstance:
         self.adst: list[int] = []
         self.acost: list[int] = []
         self.bias: list[int] = [0] * n_w1
-        self.w2_origin: list[int] = []
         self.k = k
-        self.shifted: Optional[ShiftedGraph] = None
         self.out_arcs: list[list[int]] = []
         self.in_arcs: list[list[int]] = []
 
@@ -184,13 +184,11 @@ def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
     the zero flow with zero duals is dual-feasible and slack.
     """
     inst = CirculationInstance(sg.n_total, k=sg.k)
-    inst.shifted = sg
-    for idx, arc in enumerate(sg.arcs):
+    for arc in sg.arcs:
         if arc.weight is None:
             inst._add_arc(arc.src, arc.dst, -arc.shift)
         else:
             u = inst._add_vertex()
-            inst.w2_origin.append(idx)
             inst._add_arc(arc.src, u, max(-arc.shift, 0))
             inst._add_arc(arc.dst, u, max(arc.shift, 0))
             inst.bias[u] -= arc.weight

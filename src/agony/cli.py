@@ -1,7 +1,7 @@
 """Command-line front end: exact/heuristic ranking, scoring, benchmarks.
 
-Exit codes: 0 success, 2 unreadable input or bad flags, 3 penalty not
-usable for solving, 4 ranking file does not cover the graph.
+Exit codes: 0 success, 2 unreadable input, unwritable output or bad flags,
+3 penalty not usable for solving, 4 ranking file does not cover the graph.
 """
 from __future__ import annotations
 
@@ -66,8 +66,11 @@ def _write_ranking(table: VertexTable, ranks: Sequence[int], out: Optional[str])
     if out is None:
         sys.stdout.write("".join(lines))
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("".join(lines))
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write("".join(lines))
+        except OSError as exc:
+            raise _CliError(EXIT_INPUT, f"cannot write {out}: {exc}") from exc
 
 
 def _summary(command: str, path: str, g: WeightedDigraph, k, penalty, score, ranks, ms, **extra):

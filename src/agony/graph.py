@@ -41,9 +41,6 @@ class VertexTable:
             self._labels.append(label)
         return idx
 
-    def index_of(self, label: str) -> int:
-        return self._index[label]
-
     def label(self, idx: int) -> str:
         return self._labels[idx]
 
@@ -64,7 +61,7 @@ class WeightedDigraph:
     graph has no self-loops and no parallel edges; ``normalize`` produces one.
     """
 
-    __slots__ = ("n", "edges", "_out", "_in")
+    __slots__ = ("n", "edges", "_out")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         self.n = n
@@ -75,13 +72,12 @@ class WeightedDigraph:
             if w < 1:
                 raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
         self._out = None
-        self._in = None
 
     @classmethod
     def _adopt(cls, n: int, edges: list[tuple[int, int, int]]) -> WeightedDigraph:
         """Wrap edges already valid for n vertices, without the copy and checks."""
         g = cls.__new__(cls)
-        g.n, g.edges, g._out, g._in = n, edges, None, None
+        g.n, g.edges, g._out = n, edges, None
         return g
 
     @property
@@ -100,14 +96,6 @@ class WeightedDigraph:
                 out[u].append((v, w))
             self._out = out
         return self._out
-
-    def in_adj(self) -> list[list[tuple[int, int]]]:
-        if self._in is None:
-            inn = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                inn[v].append((u, w))
-            self._in = inn
-        return self._in
 
     def is_normalized(self) -> bool:
         seen = set()

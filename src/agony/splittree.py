@@ -387,9 +387,6 @@ class PruneDP:
             opt[key] = arr
             choice[key] = ch
 
-    def leaves_under(self, node: TreeNode) -> int:
-        return self._nleaves[id(node)]
-
     def value(self, h: int) -> int:
         """Best gain sum for the whole tree with at most h tiers."""
         if self.tree.root is None:

@@ -162,7 +162,7 @@ def test_criterion_5_solver_equivalence(suite1):
 
 
 def test_criterion_6_canonicality():
-    from agony.canonical import ResidualView
+    from agony.canonical import _shifted_duals
 
     rng = random.Random(66)
     checked = 0
@@ -179,11 +179,7 @@ def test_criterion_6_canonicality():
         assert canon == pointwise
         assert distinct_rank_count(canon) == min(len(set(o)) for o in optima)
         # idempotence: shift the duals onto the canonical solution and redo
-        view = ResidualView(comp.state.inst, comp.state.flow, comp.state.potentials)
-        dist = view.distances_from(comp.sg.alpha)
-        comp.state.potentials = [
-            p - (d or 0) for p, d in zip(comp.state.potentials, dist)
-        ]
+        comp.state.potentials = _shifted_duals(comp.state, comp.sg)
         assert canonical_ranking(comp.state, comp.sg, canon) == canon
         checked += 1
     _report(6, True, f"{checked} enumerable instances")

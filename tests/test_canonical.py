@@ -1,8 +1,8 @@
 import pytest
 
-from agony.canonical import ResidualView, canonical_ranking, distinct_rank_count
+from agony.canonical import _shifted_duals, canonical_ranking, distinct_rank_count
 from agony.circulation import SolverError
-from agony.exact import min_agony
+from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, score_ranking
 from agony.penalties import LINEAR
 
@@ -82,10 +82,7 @@ class TestCanonical:
             comp = res.components[0]
             can = canonical_ranking(comp.state, comp.sg, comp.local_ranks)
             # shift the full dual vector down by the same distances and redo
-            view = ResidualView(comp.state.inst, comp.state.flow, comp.state.potentials)
-            dist = view.distances_from(comp.sg.alpha)
-            shifted = [p - (d or 0) for p, d in zip(comp.state.potentials, dist)]
-            comp.state.potentials = shifted
+            comp.state.potentials = _shifted_duals(comp.state, comp.sg)
             again = canonical_ranking(comp.state, comp.sg, can)
             assert again == can
 
@@ -96,14 +93,33 @@ class TestCanonical:
             if g.n:
                 assert min(can) == 0
 
-    def test_residual_view_rejects_bad_duals(self):
+    def test_rejects_bad_duals(self):
         g = graph_from_text("a b\nb c\n")
         res = min_agony(g, 3, use_scc=False)
         comp = res.components[0]
-        bad = list(comp.state.potentials)
-        bad[0] += 10 * comp.sg.k
+        comp.state.potentials[0] += 10 * comp.sg.k
         with pytest.raises(SolverError):
-            ResidualView(comp.state.inst, comp.state.flow, bad)
+            canonical_ranking(comp.state, comp.sg, comp.local_ranks)
+
+    def test_leaves_state_and_instance_unchanged(self, rng):
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(2, 8), 0.4, rng.choice((3, 10**6)))
+            res = min_agony(g, rng.randint(2, g.n), use_scc=False)
+            comp = res.components[0]
+            state, inst = comp.state, comp.state.inst
+            before = (
+                list(state.flow), list(state.potentials),
+                list(inst.asrc), list(inst.adst), list(inst.acost), list(inst.bias),
+                [list(a) for a in inst.out_arcs], [list(a) for a in inst.in_arcs],
+            )
+            canonical_ranking(state, comp.sg, comp.local_ranks)
+            after = (
+                state.flow, state.potentials,
+                inst.asrc, inst.adst, inst.acost, inst.bias,
+                inst.out_arcs, inst.in_arcs,
+            )
+            assert after == before
+            assert verify_certificate(g, res, LINEAR)
 
 
 class TestDistinctCount:

@@ -114,7 +114,6 @@ class TestUncapacitate:
         assert inst.bias[u] == -1
         assert inst.bias[1] == 1
         assert sum(inst.bias) == 0
-        assert inst.w2_origin == [0]
 
     def test_sentinel_loop_arc_cost(self):
         g = WeightedDigraph(4, [(0, 1, 1), (2, 3, 1)])

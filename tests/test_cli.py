@@ -1,4 +1,11 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agony.cli import main
 
@@ -138,6 +145,16 @@ class TestHeuristic:
         assert scores["best"] == min(scores.values())
 
 
+class TestOut:
+    @pytest.mark.parametrize("command", ["exact", "heuristic"])
+    @pytest.mark.parametrize("target", ["missing/x.tsv", "."], ids=["no-dir", "is-dir"])
+    def test_unwritable_out_exits_2(self, toy, tmp_path, capsys, command, target):
+        assert main([command, toy, "--out", str(tmp_path / target)]) == 2
+        cap = capsys.readouterr()
+        assert _one_line_error(cap.err) and "cannot write" in cap.err
+        assert cap.out == ""
+
+
 class TestScore:
     def test_two_cluster_scores(self, tmp_path, capsys):
         g = tmp_path / "g.txt"
@@ -215,3 +232,87 @@ class TestBench:
         manifest.write_bytes(f"toy {toy}\n".encode() + b"\xc3\x28 g.txt\n")
         assert main(["bench", str(manifest)]) == 2
         assert _one_line_error(capsys.readouterr().err)
+
+
+# CLI fuzzing: generated file contents and flag values, every call must end
+# in a documented exit code.  Numbers never use exponent notation, which
+# would let the penalty parser build integers with billions of digits.
+_LABEL = st.sampled_from("abcdef")
+_NUM = st.one_of(st.integers(-3, 12), st.integers(-10**12, 10**12)).map(str)
+_JUNK = st.text(st.characters(codec="utf-8", exclude_characters="eE"), max_size=6)
+_SLOPE = st.one_of(
+    _NUM,
+    st.builds("{}/{}".format, st.integers(-2, 9), st.integers(0, 4)),
+    st.builds("{}.{}".format, st.integers(0, 3), st.integers(0, 99)),
+)
+_PENALTY = st.one_of(
+    st.sampled_from(["linear", "const", "constant"]),
+    st.lists(
+        st.builds("{},{}".format, _SLOPE, st.one_of(st.integers(-4, 4).map(str), _JUNK)),
+        max_size=3,
+    ).map(lambda terms: "sum:" + ";".join(terms)),
+    _JUNK.map("sum:{}".format),
+    _JUNK,
+)
+
+
+def _contents(line):
+    text = st.lists(st.one_of(line, st.just("# comment"), _JUNK), max_size=10).map("\n".join)
+    return st.one_of(text.map(str.encode), st.binary(max_size=24))
+
+
+_EDGES = _contents(
+    st.one_of(
+        st.builds("{} {}".format, _LABEL, _LABEL),
+        st.builds("{} {} {}".format, _LABEL, _LABEL, _NUM),
+        st.lists(st.one_of(_LABEL, _NUM), max_size=4).map(" ".join),
+    )
+)
+_RANKS = _contents(st.builds("{} {}".format, _LABEL, st.one_of(_NUM, _JUNK)))
+_OPTION = st.one_of(
+    st.integers(-2, 12).map("k={}".format),
+    st.lists(st.sampled_from(["exact", "plain", "scc", "best", "x"]), min_size=1, max_size=3)
+    .map(lambda ms: "methods=" + ",".join(ms)),
+    _JUNK,
+)
+_MANIFEST = _contents(
+    st.builds(
+        lambda name, path, opts: " ".join([name, path, *opts]),
+        _LABEL,
+        st.sampled_from(["{graph}", "{dir}/missing.txt", "{dir}"]),
+        st.lists(_OPTION, max_size=2),
+    )
+)
+_K = st.one_of(st.none(), st.integers(-2, 12), st.integers(10**6, 10**9))
+
+
+def _argv(draw, paths):
+    command = draw(st.sampled_from(["exact", "exact", "heuristic", "score", "bench"]))
+    k = draw(_K)
+    k_flag = [] if k is None else ["--k", str(k)]
+    if command == "exact":
+        extra = [f"--penalty={draw(_PENALTY)}", "--solver", draw(st.sampled_from(["fast", "baseline"]))]
+        if draw(st.booleans()):
+            extra.append("--canonical")
+        return ["exact", paths["graph"], *k_flag, *extra]
+    if command == "heuristic":
+        variant = draw(st.sampled_from(["plain", "scc", "best"]))
+        return ["heuristic", paths["graph"], *k_flag, "--variant", variant]
+    if command == "score":
+        return ["score", paths["graph"], paths["ranks"], f"--penalty={draw(_PENALTY)}"]
+    return ["bench", paths["manifest"]]
+
+
+@given(st.data(), _EDGES, _RANKS, _MANIFEST)
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_inputs_never_traceback(data, edges, ranks, manifest):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp, name)) for name in ("graph", "ranks", "manifest")}
+        Path(paths["graph"]).write_bytes(edges)
+        Path(paths["ranks"]).write_bytes(ranks)
+        manifest = manifest.replace(b"{graph}", paths["graph"].encode())
+        Path(paths["manifest"]).write_bytes(manifest.replace(b"{dir}", tmp.encode()))
+        argv = _argv(data.draw, paths)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), argv

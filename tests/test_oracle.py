@@ -12,6 +12,13 @@ is a network matrix, so a basic optimum is integral: the oracle rounds
 the ranks, rescores them exactly, and compares that value with
 ``min_agony``.  Sizes run well past brute force, and weights up to 10^6
 make the solver's contraction path fire.
+
+Canonical rankings get a second LP stage: the same program plus the row
+sum_e sum_i a_i * w(e) * t_{e,i} <= OPT, minimizing sum_v r(v) instead.
+That row leaves only the optimal face of an integral polyhedron, so a
+basic optimum is again integral.  Every optimal ranking lies pointwise
+above the least one, so the least one is the unique minimizer of
+sum_v r(v) over that face, and it must equal ``canonical_ranking``.
 """
 import random
 
@@ -20,8 +27,9 @@ import pytest
 np = pytest.importorskip("numpy")
 pytest.importorskip("scipy")
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, vstack
 
+from agony.canonical import canonical_ranking
 from agony.exact import min_agony
 from agony.graph import WeightedDigraph
 from agony.penalties import PenaltySpec
@@ -49,15 +57,14 @@ def _score(edges, ranks, hinges):
     return total
 
 
-def _rank_lp(n, edges, hinges, k):
-    """Optimal value of the rank LP, made exact by rescoring its ranks."""
+def _rank_program(n, edges, hinges, k):
+    """Rows r(u) - r(v) - t_{e,i} <= b_i, the cost a_i * w(e) of each t, bounds."""
     h = len(hinges)
     rows, cols, vals, rhs = [], [], [], []
     cost = np.zeros(n + len(edges) * h)
     for e, (u, v, w) in enumerate(edges):
         for i, (a, b) in enumerate(hinges):
             row = e * h + i
-            # r(u) - r(v) - t_{e,i} <= b_i
             rows += [row, row, row]
             cols += [u, v, n + row]
             vals += [1.0, -1.0, -1.0]
@@ -65,12 +72,31 @@ def _rank_lp(n, edges, hinges, k):
             cost[n + row] = a * w
     m = len(rhs)
     a_ub = coo_matrix((vals, (rows, cols)), shape=(m, n + m)).tocsr()
-    bounds = [(0, k - 1)] * n + [(0, None)] * m
-    res = linprog(cost, A_ub=a_ub, b_ub=rhs, bounds=bounds, method="highs-ds")
+    return a_ub, rhs, cost, [(0, k - 1)] * n + [(0, None)] * m
+
+
+def _solve_lp(c, a_ub, b_ub, bounds):
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ds")
     assert res.status == 0, res.message
+    return res
+
+
+def _rank_lp(n, edges, hinges, k):
+    """Optimal value of the rank LP, made exact by rescoring its ranks."""
+    a_ub, rhs, cost, bounds = _rank_program(n, edges, hinges, k)
+    res = _solve_lp(cost, a_ub, rhs, bounds)
     value = _score(edges, [round(x) for x in res.x[:n]], hinges)
     assert abs(value - res.fun) <= 1e-6 * max(1.0, res.fun), "rank LP optimum not integral"
     return value
+
+
+def _least_optimal_ranks(n, edges, hinges, k, opt):
+    """Ranks minimizing sum_v r(v) among rankings of cost <= opt, unrounded."""
+    a_ub, rhs, cost, bounds = _rank_program(n, edges, hinges, k)
+    a_ub = vstack([a_ub, cost.reshape(1, -1)]).tocsr()
+    c = np.concatenate([np.ones(n), np.zeros(len(cost) - n)])
+    res = _solve_lp(c, a_ub, rhs + [opt], bounds)
+    return res.x[:n]
 
 
 # (n, k, penalty, max weight, solver); the baseline rebuilds its tree for
@@ -104,4 +130,44 @@ def test_min_agony_matches_rank_lp(n, k, name, wmax, solver):
     assert _score(edges, res.ranks, hinges) == res.agony
     if wmax == BIG:
         # large weights push arc flows past the contraction threshold
+        assert res.stats.contractions > 0
+
+
+# (n, k, penalty, max weight)
+CANONICAL_CASES = [
+    (300, 3, "linear", 1),
+    (300, 5, "convex", 1),
+    (300, 300, "linear", 1),
+    (150, 150, "convex", 1),
+    (60, 3, "linear", 1),
+    (300, 5, "linear", 10),
+    (300, 300, "convex", 10),
+    (150, 3, "convex", 10),
+    (150, 150, "linear", 10),
+    (100, 5, "linear", 10),
+    (60, 60, "linear", 10),
+    (100, 3, "linear", BIG),
+    (100, 5, "linear", BIG),
+    (100, 100, "linear", BIG),
+    (150, 5, "linear", BIG),
+    (150, 150, "linear", BIG),
+    (60, 3, "convex", BIG),
+    (60, 5, "convex", BIG),
+    (60, 60, "convex", BIG),
+    (100, 5, "convex", BIG),
+    (100, 100, "convex", BIG),
+]
+
+
+@pytest.mark.parametrize("n, k, name, wmax", CANONICAL_CASES)
+def test_canonical_ranking_matches_least_lp_optimum(n, k, name, wmax):
+    hinges = HINGES[name]
+    edges = _random_graph(n * 1000 + k * 10 + wmax % 7 + 1, n, wmax)
+    res = min_agony(WeightedDigraph(n, edges), k, PenaltySpec.convex_sum(hinges), use_scc=False)
+    comp = res.components[0]
+    canon = canonical_ranking(comp.state, comp.sg, comp.local_ranks)
+    lp = _least_optimal_ranks(n, edges, hinges, k, res.agony)
+    assert canon == [round(x) for x in lp]
+    assert max(abs(x - r) for x, r in zip(lp, canon)) <= 1e-6
+    if wmax == BIG:
         assert res.stats.contractions > 0
