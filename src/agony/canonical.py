@@ -38,7 +38,7 @@ def canonical_ranking(state: SolverState, sg: ShiftedGraph, ranks: Sequence[int]
     if out:
         if min(out) != 0:
             raise SolverError("canonical ranking does not start at rank 0")
-        if min(out) < 0 or max(out) > sg.k - 1:
+        if max(out) > sg.k - 1:
             raise SolverError("canonical ranking escaped the rank window")
     return out
 

@@ -53,11 +53,11 @@ class ExactResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _solve_component(g, k, penalty, solver, check_invariants):
+def _solve_component(g, k, penalty, solver):
     sg = build_convex_instance(g, k, penalty)
     inst = uncapacitate(sg)
     solve = solve_fast if solver == "fast" else solve_baseline
-    state = solve(inst, check_invariants=check_invariants)
+    state = solve(inst)
     _rebase_duals(state, sg)
     ranks = extract_ranking(state, sg)
     return sg, state, ranks
@@ -94,7 +94,6 @@ def min_agony(
     *,
     use_scc: Optional[bool] = None,
     solver: str = "fast",
-    check_invariants: bool = False,
 ) -> ExactResult:
     """Optimal ranking of g within ranks [0, k-1] under a convex penalty.
 
@@ -146,7 +145,7 @@ def min_agony(
                 offset += 1
                 continue
             sub = subs.pop()
-            sg, state, local = _solve_component(sub, len(comp), penalty, solver, check_invariants)
+            sg, state, local = _solve_component(sub, len(comp), penalty, solver)
             for v, r in zip(comp, local):
                 ranks[v] = r + offset
             scaled_total += circulation_value(state, sg)
@@ -154,7 +153,7 @@ def min_agony(
             components.append(ComponentSolve(comp, offset, local, sg, state))
             offset += len(comp)
     else:
-        sg, state, local = _solve_component(g, k, penalty, solver, check_invariants)
+        sg, state, local = _solve_component(g, k, penalty, solver)
         ranks = local
         scaled_total = circulation_value(state, sg)
         _merge_stats(stats, state.stats)

@@ -15,9 +15,6 @@ from .graph import WeightedDigraph, condensation_layers, score_ranking, split_by
 from .penalties import LINEAR
 from .splittree import PruneDP, SplitTree, build_split_tree, prune_tree
 
-_INF = float("inf")
-
-
 def monotone_min(ell: int, f: Callable[[int, int], object]) -> tuple[list, list]:
     """argmin_j f(j, i) for 1 <= j <= i <= ell, f totally monotone.
 
@@ -53,40 +50,38 @@ def monotone_min(ell: int, f: Callable[[int, int], object]) -> tuple[list, list]
 class _LayerWindow:
     """Incremental total weight of inter-layer edges inside layers [j, i].
 
-    Both pointers only move right within one scan; a query behind either
-    pointer resets the window (once per interleaving level).
+    An edge (lo, hi) is inside exactly when j <= lo and hi <= i.  Both
+    pointers only move right within one scan; a query behind either pointer
+    resets the window (once per interleaving level).
     """
 
     def __init__(self, n_layers: int, edges: list[tuple[int, int, int]]):
-        self.by_hi: list[list[tuple[int, int, int]]] = [[] for _ in range(n_layers + 1)]
-        self.by_lo: list[list[tuple[int, int, int]]] = [[] for _ in range(n_layers + 1)]
-        for eid, (lo, hi, w) in enumerate(edges):
-            self.by_hi[hi].append((lo, w, eid))
-            self.by_lo[lo].append((hi, w, eid))
-        self.n_edges = len(edges)
+        self.by_hi: list[list[tuple[int, int]]] = [[] for _ in range(n_layers + 1)]
+        self.by_lo: list[list[tuple[int, int]]] = [[] for _ in range(n_layers + 1)]
+        for lo, hi, w in edges:
+            self.by_hi[hi].append((lo, w))
+            self.by_lo[lo].append((hi, w))
         self._reset()
 
     def _reset(self):
         self.j = 1
         self.i = 0
         self.total = 0
-        self.in_win = bytearray(self.n_edges)
 
     def value(self, j: int, i: int) -> int:
         if i < self.i or j < self.j:
             self._reset()
+        cur_j = self.j
         while self.i < i:
             self.i += 1
-            cur_j = self.j
-            for lo, w, eid in self.by_hi[self.i]:
+            for lo, w in self.by_hi[self.i]:
                 if lo >= cur_j:
                     self.total += w
-                    self.in_win[eid] = 1
+        cur_i = self.i
         while self.j < j:
-            for hi, w, eid in self.by_lo[self.j]:
-                if self.in_win[eid]:
+            for hi, w in self.by_lo[self.j]:
+                if hi <= cur_i:
                     self.total -= w
-                    self.in_win[eid] = 0
             self.j += 1
         return self.total
 
@@ -119,22 +114,23 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
     if n_layers == 0:
         return ranks
 
-    total_leaves = sum(len(t.leaves()) for t in trees)
-    if k is None or k >= total_leaves:
+    n_leaves = [len(t.leaves()) for t in trees]
+    if k is None or k >= sum(n_leaves):
         base = 0
-        for verts, tree in zip(layers, trees):
-            local_ranks = tree.ranking()
-            for v, lr in zip(verts, local_ranks):
+        for verts, tree, c in zip(layers, trees, n_leaves):
+            for v, lr in zip(verts, tree.ranking()):
                 ranks[v] = base + lr
-            base += max(len(tree.leaves()), 1)
+            base += c
         return ranks
     if k < 1:
         raise ValueError(f"tier budget must be >= 1, got {k}")
     dps = [PruneDP(t, k) for t in trees]
-    # gains[i - 1][l]: best gain of layer i alone on l ranks
-    gains = [[dp.value(l) for l in range(k + 1)] for dp in dps]
+    # gains[i - 1][l]: best gain of layer i alone on l ranks; it stops
+    # improving at the layer's leaf count, so the list stops there too
+    gains = [[dp.value(l) for l in range(min(k, c) + 1)] for dp, c in zip(dps, n_leaves)]
 
-    # lopt[i][h]: best gain of layers 1..i on h ranks; merge runs share one rank
+    # lopt[i][h]: best gain of layers 1..i on h ranks; merge runs share one
+    # rank.  Column 0 is read only for i = 0: every earlier layer needs a rank.
     window = _LayerWindow(n_layers, inter)
     cum = [0] * (n_layers + 1)
     for lo, hi, w in inter:
@@ -142,16 +138,12 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
     for i in range(1, n_layers + 1):
         cum[i] += cum[i - 1]
 
-    lopt = [[_INF] * (k + 1) for _ in range(n_layers + 1)]
+    lopt = [[0] * (k + 1) for _ in range(n_layers + 1)]
     choice: list[list] = [[None] * (k + 1) for _ in range(n_layers + 1)]
-    for h in range(k + 1):
-        lopt[0][h] = 0
-    for h in range(1, k + 1):
-        if h == 1:
-            for i in range(1, n_layers + 1):
-                lopt[i][1] = cum[i]
-                choice[i][1] = ("merge", 1)
-            continue
+    for i in range(1, n_layers + 1):
+        lopt[i][1] = cum[i]
+        choice[i][1] = ("merge", 1)
+    for h in range(2, k + 1):
         prev = [lopt[j][h - 1] for j in range(n_layers + 1)]
 
         def f(j, i, _prev=prev, _win=window):
@@ -159,23 +151,20 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
 
         jarr, jvals = monotone_min(n_layers, f)
         for i in range(1, n_layers + 1):
-            spend_best = None
-            spend_l = None
-            l_hi = h if i == 1 else h - 1
+            # lopt[i - 1] does not increase with h, so past the leaf count a
+            # larger l never beats the leaf count itself
             gain, before = gains[i - 1], lopt[i - 1]
-            for l in range(1, l_hi + 1):
-                rest = before[h - l]
-                if rest == _INF:
-                    continue
-                val = gain[l] + rest
-                if spend_best is None or val < spend_best:
+            l_hi = min(h if i == 1 else h - 1, len(gain) - 1)
+            spend_best, spend_l = gain[1] + before[h - 1], 1
+            for l in range(2, l_hi + 1):
+                val = gain[l] + before[h - l]
+                if val < spend_best:
                     spend_best, spend_l = val, l
-            merge_val = jvals[i]
-            if spend_best is not None and spend_best <= merge_val:
+            if spend_best <= jvals[i]:
                 lopt[i][h] = spend_best
                 choice[i][h] = ("spend", spend_l)
             else:
-                lopt[i][h] = merge_val
+                lopt[i][h] = jvals[i]
                 choice[i][h] = ("merge", jarr[i])
 
     # recover the budget distribution, then assign ranks bottom layer first

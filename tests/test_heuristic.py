@@ -71,6 +71,22 @@ class TestMonotoneMin:
                     assert win.value(j, i) == _naive_window(edges, j, i)
                 win._reset()
 
+    def test_window_values_in_arbitrary_query_order(self, rng):
+        for _ in range(60):
+            L = rng.randint(1, 12)
+            edges = []  # several edges may join the same two layers
+            for _ in range(rng.randint(0, 25)):
+                lo = rng.randint(1, L)
+                hi = rng.randint(lo, L)
+                if lo < hi:
+                    edges.append((lo, hi, rng.randint(1, 5)))
+            win = _LayerWindow(L, edges)
+            # random pairs move either pointer backward as often as forward
+            for _ in range(40):
+                i = rng.randint(1, L)
+                j = rng.randint(1, i)
+                assert win.value(j, i) == _naive_window(edges, j, i), (edges, j, i)
+
 
 class TestSccVariant:
     def test_random_dags_score_zero(self, rng):

@@ -1,11 +1,15 @@
-"""Scaling regressions: SCC and layer decomposition stay linear.
+"""Scaling regressions: SCC and layer decomposition stay linear, and the
+SCC heuristic's budget DP stays linear in the tier budget k.
 
-Both inputs have one component or layer per vertex pair or vertex, the
-worst case for a split that rescans every edge once per part.  At the two
-sizes, 4x apart, linear work gives a time ratio near 4 and a per-part edge
-scan one near 16; the bound of 7 leaves room for timer noise.  Each size
-keeps its best of five runs, and the small and large runs alternate, so a
-stall of the host slows one run of each size at most.
+The decomposition inputs have one component or layer per vertex pair or
+vertex, the worst case for a split that rescans every edge once per part.
+At the two sizes, 4x apart, linear work gives a time ratio near 4 and a
+per-part edge scan one near 16; the bound of 7 leaves room for timer noise.
+The budget case holds the graph and grows k 4x: one totally-monotone search
+per budget gives a ratio near 4, while a spend loop that tries every split
+of every budget grows as k^2, toward 16.  Each size keeps its best of
+several runs, and the small and large runs alternate, so a stall of the
+host slows one run of each size at most.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from agony.graph import WeightedDigraph
 from agony.heuristic import scc_layer_heuristic
 
 MAX_RATIO = 7.0
+MAX_BUDGET_RATIO = 6.0
 
 
 def _two_cycle_chain(c: int) -> WeightedDigraph:
@@ -33,19 +38,24 @@ def _dag_chain(n: int) -> WeightedDigraph:
     return WeightedDigraph(n, [(i, i + 1, 1) for i in range(n - 1)])
 
 
-def _time(fn, g) -> float:
+def _time(fn) -> float:
     t0 = time.process_time()
-    fn(g)
+    fn()
     return time.process_time() - t0
+
+
+def _best_ratio(small, large, runs: int) -> float:
+    """Best time of ``large()`` over best time of ``small()``, runs alternating."""
+    best_small = best_large = float("inf")
+    for _ in range(runs):
+        best_small = min(best_small, _time(small))
+        best_large = min(best_large, _time(large))
+    return best_large / best_small
 
 
 def _ratio(fn, make, small: int, runs: int = 5) -> float:
     g_small, g_large = make(small), make(4 * small)
-    best_small = best_large = float("inf")
-    for _ in range(runs):
-        best_small = min(best_small, _time(fn, g_small))
-        best_large = min(best_large, _time(fn, g_large))
-    return best_large / best_small
+    return _best_ratio(lambda: fn(g_small), lambda: fn(g_large), runs)
 
 
 def test_exact_on_two_cycle_chain_scales_linearly():
@@ -59,3 +69,12 @@ def test_scc_heuristic_on_dag_chain_scales_linearly():
     assert scc_layer_heuristic(_dag_chain(4)) == [0, 1, 2, 3]
     ratio = _ratio(scc_layer_heuristic, _dag_chain, 2000)
     assert ratio <= MAX_RATIO, f"4x layers took {ratio:.1f}x the time"
+
+
+def test_scc_heuristic_budget_scales_linearly_in_k():
+    g = _two_cycle_chain(300)  # 300 layers of two leaves each
+    assert len(set(scc_layer_heuristic(g, 200))) <= 200
+    ratio = _best_ratio(
+        lambda: scc_layer_heuristic(g, 50), lambda: scc_layer_heuristic(g, 200), runs=3
+    )
+    assert ratio <= MAX_BUDGET_RATIO, f"4x budget took {ratio:.1f}x the time"
