@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .circulation import ShiftedGraph, SolverError, SolverState, _build_tree, _Core
+from .exact import ExactResult
 
 
 def _shifted_duals(state: SolverState, sg: ShiftedGraph) -> list[int]:
@@ -27,19 +28,28 @@ def _shifted_duals(state: SolverState, sg: ShiftedGraph) -> list[int]:
     return core.pot
 
 
-def canonical_ranking(state: SolverState, sg: ShiftedGraph, ranks: Sequence[int]) -> list[int]:
-    """Pointwise-minimal optimal ranking derived from a solved state.
+def canonical_ranking(result: ExactResult) -> list[int]:
+    """Pointwise-minimal optimal ranking of a ``min_agony`` result.
 
     r*(v) = r(v) - d(v) with d the residual shortest distance from alpha.
-    The result is optimal, canonical, and its smallest rank is 0.
+    The result is optimal, canonical, and its smallest rank is 0.  It needs
+    one solved instance, so a result stacked from several components
+    (``use_scc`` at the rank window cap) raises ``ValueError``.
     """
+    if not result.ranks or result.k == 1:  # no circulation ran
+        return list(result.ranks)
+    if len(result.components) != 1:
+        raise ValueError("canonical ranking needs one global solve (min_agony use_scc=False)")
+    (comp,) = result.components
+    state, sg = comp.state, comp.sg
     pot, shifted = state.potentials, _shifted_duals(state, sg)
-    out = [ranks[v] - (pot[v] - shifted[v]) for v in range(sg.n_original)]
-    if out:
-        if min(out) != 0:
-            raise SolverError("canonical ranking does not start at rank 0")
-        if max(out) > sg.k - 1:
-            raise SolverError("canonical ranking escaped the rank window")
+    out = list(result.ranks)
+    for i, v in enumerate(comp.vertices):
+        out[v] -= pot[i] - shifted[i]
+    if min(out) != 0:
+        raise SolverError("canonical ranking does not start at rank 0")
+    if max(out) > sg.k - 1:
+        raise SolverError("canonical ranking escaped the rank window")
     return out
 
 

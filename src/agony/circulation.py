@@ -65,7 +65,6 @@ class ShiftedGraph:
     alpha: int
     omega: int
     k: int
-    scale: int
     arcs: tuple[ShiftedArc, ...]
 
     @property
@@ -107,7 +106,7 @@ def build_convex_instance(g: WeightedDigraph, k: int, penalty: PenaltySpec) -> S
         arcs.append(ShiftedArc(alpha, v, None, 0))
         arcs.append(ShiftedArc(v, omega, None, 0))
     arcs.append(ShiftedArc(omega, alpha, None, 1 - k))
-    return ShiftedGraph(n, alpha, omega, k, penalty.scale, tuple(arcs))
+    return ShiftedGraph(n, alpha, omega, k, tuple(arcs))
 
 
 def build_agony_instance(g: WeightedDigraph, k: int) -> ShiftedGraph:
@@ -118,22 +117,19 @@ def build_agony_instance(g: WeightedDigraph, k: int) -> ShiftedGraph:
 class CirculationInstance:
     """Uncapacitated min-cost circulation with vertex biases.
 
-    Vertices 0..n_w1-1 are the shifted graph's vertices; the rest encode one
-    capacitated arc each (two incoming cost-split arcs, bias -capacity).
+    The first ``n_shifted`` vertices are the shifted graph's vertices; the
+    rest encode one capacitated arc each (two incoming cost-split arcs, bias
+    -capacity).
     """
 
-    __slots__ = (
-        "n", "n_w1", "asrc", "adst", "acost", "bias",
-        "out_arcs", "in_arcs", "k",
-    )
+    __slots__ = ("n", "asrc", "adst", "acost", "bias", "out_arcs", "in_arcs", "k")
 
-    def __init__(self, n_w1: int, k: Optional[int] = None):
-        self.n = n_w1
-        self.n_w1 = n_w1
+    def __init__(self, n_shifted: int, k: Optional[int] = None):
+        self.n = n_shifted
         self.asrc: list[int] = []
         self.adst: list[int] = []
         self.acost: list[int] = []
-        self.bias: list[int] = [0] * n_w1
+        self.bias: list[int] = [0] * n_shifted
         self.k = k
         self.out_arcs: list[list[int]] = []
         self.in_arcs: list[list[int]] = []
@@ -230,9 +226,6 @@ class SolverState:
         acost = self.inst.acost
         return sum(acost[a] * f for a, f in enumerate(self.flow) if f)
 
-    def excess_vector(self) -> list[int]:
-        return self.inst.excess(self.flow)
-
     def check_optimality(self) -> bool:
         """Dual feasibility, complementary slackness and flow conservation."""
         for a in range(self.inst.m):
@@ -243,7 +236,7 @@ class SolverState:
                 return False
         if self.flow and min(self.flow) < 0:
             return False
-        return all(x == 0 for x in self.excess_vector())
+        return all(x == 0 for x in self.inst.excess(self.flow))
 
 
 def circulation_value(state: SolverState, sg: ShiftedGraph) -> int:

@@ -1,7 +1,9 @@
 """Command-line front end: exact/heuristic ranking, scoring, benchmarks.
 
-Exit codes: 0 success, 2 unreadable input, unwritable output or bad flags,
-3 penalty not usable for solving, 4 ranking file does not cover the graph.
+Exit codes: 0 success, 1 internal error (a reported score that does not
+rescore from its ranking), 2 unreadable input, unwritable output or bad
+flags, 3 penalty not usable for solving, 4 ranking file does not cover the
+graph.
 """
 from __future__ import annotations
 
@@ -107,23 +109,11 @@ def _cmd_exact(args) -> int:
     penalty = _parse_penalty(args.penalty)
     if not penalty.solvable:
         raise _CliError(EXIT_PENALTY, f"penalty {penalty.describe()!r} supports scoring only")
-    k = args.k if args.k is not None else max(g.n, 1)
-    use_scc = not args.no_scc
-    if use_scc and k < g.n:
-        print(f"note: k={k} < n disables the SCC decomposition", file=sys.stderr)
-        use_scc = False
-    if use_scc and args.canonical and g.n:
-        print("note: --canonical solves the full instance (SCC decomposition off)", file=sys.stderr)
-        use_scc = False
     t0 = time.perf_counter()
-    result = min_agony(g, k, penalty, use_scc=use_scc, solver=args.solver)
-    ranks = result.ranks
-    if args.canonical and g.n:
-        comp = result.components[0]
-        if comp.state is None:  # k = 1, trivially canonical
-            pass
-        else:
-            ranks = canonical_ranking(comp.state, comp.sg, comp.local_ranks)
+    result = min_agony(
+        g, args.k, penalty, use_scc=not (args.no_scc or args.canonical), solver=args.solver
+    )
+    ranks = canonical_ranking(result) if args.canonical else result.ranks
     ms = (time.perf_counter() - t0) * 1e3
     _self_check(g, ranks, penalty, result.agony)
     _write_ranking(table, ranks, args.out)

@@ -32,10 +32,9 @@ Score = Union[int, Fraction]
 
 @dataclass
 class ComponentSolve:
-    """One solved strongly connected component (or a singleton bypass)."""
+    """One part of the graph: a solved instance, or a single tier (no solve)."""
 
     vertices: list[int]
-    offset: int
     local_ranks: list[int]
     sg: Optional[ShiftedGraph] = None
     state: Optional[SolverState] = None
@@ -92,15 +91,19 @@ def min_agony(
     k: Optional[int] = None,
     penalty: PenaltySpec = LINEAR,
     *,
-    use_scc: Optional[bool] = None,
+    use_scc: bool = True,
     solver: str = "fast",
 ) -> ExactResult:
     """Optimal ranking of g within ranks [0, k-1] under a convex penalty.
 
-    With k unset (or k >= n) the cardinality constraint is inactive and the
-    graph decomposes into strongly connected components, each solved
-    independently and stacked in topological order.  ``use_scc`` may only be
-    enabled in that unconstrained case.
+    With step = max(1, -b) for the smallest hinge breakpoint b, an upward
+    edge across a rank gap of step costs nothing, so some optimum fits in
+    the rank window cap = (n-1)*step + 1 (n ranks for linear agony).  k
+    defaults to the cap and is clamped to it.  At the cap, ``use_scc``
+    decomposes the graph into strongly connected components: a component
+    C is solved within (|C|-1)*step + 1 ranks, and the components are
+    stacked step ranks apart in topological order.  Below the cap, or
+    without ``use_scc``, one global instance is solved; k = 1 needs none.
     """
     if solver not in ("fast", "baseline"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -111,16 +114,14 @@ def min_agony(
     if not g.is_normalized():
         raise ValueError("graph must be normalized first (see agony.graph.normalize)")
     n = g.n
+    step = max(1, -min(b for _, b in penalty.terms))
+    cap = max(n - 1, 0) * step + 1
     if k is None:
-        k = max(n, 1)
+        k = cap
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    k = min(k, max(n, 1))  # more ranks than vertices never help
-    unconstrained = k >= n
-    if use_scc is None:
-        use_scc = unconstrained
-    elif use_scc and not unconstrained:
-        raise ValueError("SCC decomposition requires the unconstrained case k = n")
+    k = min(k, cap)  # a wider window never lowers the optimum
+    use_scc = use_scc and k == cap
 
     t0 = time.perf_counter()
     stats = SolveStats()
@@ -128,41 +129,30 @@ def min_agony(
     ranks = [0] * n
     scaled_total = 0
 
-    if n == 0:
-        pass
-    elif k == 1:
-        # single tier: the only assignment is all-zero
-        components.append(ComponentSolve(list(range(n)), 0, [0] * n))
-    elif use_scc:
-        comps = strongly_connected_components(g)
-        subs = split_by_part(g, [comp for comp in comps if len(comp) > 1])
+    if use_scc:
+        parts = strongly_connected_components(g)
+        subs = split_by_part(g, [part for part in parts if len(part) > 1])
         subs.reverse()  # pop() hands out each subgraph in order, then drops it
-        offset = 0
-        for comp in comps:
-            if len(comp) == 1:
-                components.append(ComponentSolve(comp, offset, [0]))
-                ranks[comp[0]] = offset
-                offset += 1
-                continue
-            sub = subs.pop()
-            sg, state, local = _solve_component(sub, len(comp), penalty, solver)
-            for v, r in zip(comp, local):
-                ranks[v] = r + offset
+    else:
+        parts = [list(range(n))] if n else []
+        subs = [g]
+    offset = 0
+    for part in parts:
+        width = min(k, (len(part) - 1) * step + 1)
+        if width == 1:  # a single tier: the only assignment is all-zero
+            local = [0] * len(part)
+            components.append(ComponentSolve(part, local))
+        else:
+            sg, state, local = _solve_component(subs.pop(), width, penalty, solver)
             scaled_total += circulation_value(state, sg)
             _merge_stats(stats, state.stats)
-            components.append(ComponentSolve(comp, offset, local, sg, state))
-            offset += len(comp)
-    else:
-        sg, state, local = _solve_component(g, k, penalty, solver)
-        ranks = local
-        scaled_total = circulation_value(state, sg)
-        _merge_stats(stats, state.stats)
-        components.append(ComponentSolve(list(range(n)), 0, local, sg, state))
+            components.append(ComponentSolve(part, local, sg, state))
+        for v, r in zip(part, local):
+            ranks[v] = r + offset
+        offset += len(part) * step
 
-    agony = _normalize_score(scaled_total, penalty.scale)
-    if k == 1 and n:
-        agony = score_ranking(g, ranks, penalty)
     recomputed = score_ranking(g, ranks, penalty)
+    agony = recomputed if k == 1 else _normalize_score(scaled_total, penalty.scale)
     if recomputed != agony:
         raise SolverError(
             f"strong duality broken: circulation says {agony}, ranking scores {recomputed}"

@@ -6,6 +6,7 @@ skip when the files are absent.
 """
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import time
@@ -130,9 +131,7 @@ def test_criterion_3_public_dataset_regression():
         res = min_agony(g)  # SCC decomposition, unconstrained
         assert res.agony == expect_agony, (path.name, res.agony, expect_agony)
         certs = certs and verify_certificate(g, res, LINEAR)
-        full = min_agony(g, use_scc=False)
-        comp = full.components[0]
-        canon = canonical_ranking(comp.state, comp.sg, comp.local_ranks)
+        canon = canonical_ranking(min_agony(g, use_scc=False))
         groups = distinct_rank_count(canon)
         soft = "==" if groups == expect_groups else f"!= expected {expect_groups} (soft)"
         details.append(f"{path.name}: agony {res.agony}, groups {groups} {soft}")
@@ -171,16 +170,16 @@ def test_criterion_6_canonicality():
         k = rng.randint(2, min(g.n, 3))
         best, optima = brute_optima(g, k)
         res = min_agony(g, k, use_scc=False)
-        comp = res.components[0]
-        canon = canonical_ranking(comp.state, comp.sg, comp.local_ranks)
+        canon = canonical_ranking(res)
         # optimal, pointwise minimal, fewest groups, idempotent
         assert score_ranking(g, canon, LINEAR) == best
         pointwise = [min(o[v] for o in optima) for v in range(g.n)]
         assert canon == pointwise
         assert distinct_rank_count(canon) == min(len(set(o)) for o in optima)
         # idempotence: shift the duals onto the canonical solution and redo
+        comp = res.components[0]
         comp.state.potentials = _shifted_duals(comp.state, comp.sg)
-        assert canonical_ranking(comp.state, comp.sg, canon) == canon
+        assert canonical_ranking(dataclasses.replace(res, ranks=canon)) == canon
         checked += 1
     _report(6, True, f"{checked} enumerable instances")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from agony.canonical import _shifted_duals, canonical_ranking, distinct_rank_count
@@ -11,10 +13,7 @@ from conftest import brute_optima, graph_from_text, random_dag, random_graph
 
 def _canonical_of(g, k=None):
     res = min_agony(g, k, use_scc=False)
-    comp = res.components[0]
-    if comp.state is None:  # single tier, already canonical
-        return res, list(res.ranks)
-    return res, canonical_ranking(comp.state, comp.sg, comp.local_ranks)
+    return res, canonical_ranking(res)
 
 
 def _peel_depths(g):
@@ -79,11 +78,11 @@ class TestCanonical:
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 7), 0.4, 2)
             res = min_agony(g, use_scc=False)
-            comp = res.components[0]
-            can = canonical_ranking(comp.state, comp.sg, comp.local_ranks)
+            can = canonical_ranking(res)
             # shift the full dual vector down by the same distances and redo
+            comp = res.components[0]
             comp.state.potentials = _shifted_duals(comp.state, comp.sg)
-            again = canonical_ranking(comp.state, comp.sg, can)
+            again = canonical_ranking(dataclasses.replace(res, ranks=can))
             assert again == can
 
     def test_min_rank_is_zero(self, rng):
@@ -99,7 +98,7 @@ class TestCanonical:
         comp = res.components[0]
         comp.state.potentials[0] += 10 * comp.sg.k
         with pytest.raises(SolverError):
-            canonical_ranking(comp.state, comp.sg, comp.local_ranks)
+            canonical_ranking(res)
 
     def test_leaves_state_and_instance_unchanged(self, rng):
         for _ in range(20):
@@ -112,7 +111,7 @@ class TestCanonical:
                 list(inst.asrc), list(inst.adst), list(inst.acost), list(inst.bias),
                 [list(a) for a in inst.out_arcs], [list(a) for a in inst.in_arcs],
             )
-            canonical_ranking(state, comp.sg, comp.local_ranks)
+            canonical_ranking(res)
             after = (
                 state.flow, state.potentials,
                 inst.asrc, inst.adst, inst.acost, inst.bias,

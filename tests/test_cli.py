@@ -49,9 +49,7 @@ class TestExact:
 
     def test_small_k_disables_scc_with_notice(self, toy, capsys):
         assert main(["exact", toy, "--k", "2"]) == 0
-        cap = capsys.readouterr()
-        assert "disables the SCC decomposition" in cap.err
-        info = _summary(cap.err)
+        info = _summary(capsys.readouterr().err)
         assert info["scc"] == "0" and info["k"] == "2" and info["score"] == "3"
 
     def test_canonical_dag_equals_peeling(self, tmp_path, capsys):
@@ -121,6 +119,17 @@ class TestExact:
         assert main(["exact", toy, "--penalty", "sum:1,-1;2,3"]) == 0
         info = _summary(capsys.readouterr().err)
         assert info["penalty"].startswith("sum:")
+
+    @pytest.mark.parametrize("flags", [[], ["--no-scc", "--k", "10"]], ids=["scc", "global"])
+    def test_steep_penalty_widens_the_rank_window(self, tmp_path, capsys, flags):
+        # breakpoint -3: the edge is free only with its head 3 ranks above
+        p = tmp_path / "edge.txt"
+        p.write_text("a b\n")
+        assert main(["exact", str(p), "--penalty", "sum:1,-3", *flags]) == 0
+        cap = capsys.readouterr()
+        info = _summary(cap.err)
+        assert info["score"] == "0" and info["k"] == "4"
+        assert cap.out == "a\t0\nb\t3\n"
 
 
 class TestHeuristic:

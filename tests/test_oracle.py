@@ -35,6 +35,8 @@ from agony.graph import WeightedDigraph
 from agony.penalties import PenaltySpec
 
 HINGES = {"linear": ((1, -1),), "convex": ((1, -1), (2, 1))}
+# a breakpoint below -1: an upward edge is free only across 3 or more ranks
+STEEP = ((1, -3), (2, 0))
 BIG = 10**6
 
 
@@ -164,10 +166,35 @@ def test_canonical_ranking_matches_least_lp_optimum(n, k, name, wmax):
     hinges = HINGES[name]
     edges = _random_graph(n * 1000 + k * 10 + wmax % 7 + 1, n, wmax)
     res = min_agony(WeightedDigraph(n, edges), k, PenaltySpec.convex_sum(hinges), use_scc=False)
-    comp = res.components[0]
-    canon = canonical_ranking(comp.state, comp.sg, comp.local_ranks)
+    canon = canonical_ranking(res)
     lp = _least_optimal_ranks(n, edges, hinges, k, res.agony)
     assert canon == [round(x) for x in lp]
     assert max(abs(x - r) for x, r in zip(lp, canon)) <= 1e-6
     if wmax == BIG:
         assert res.stats.contractions > 0
+
+
+def _sparse_graph(seed):
+    """2 to 10 vertices, at most 2n distinct edges, weights in [1, 5]."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    edges = {}
+    for _ in range(rng.randint(1, min(2 * n, n * (n - 1)))):
+        u, v = rng.sample(range(n), 2)
+        edges[(u, v)] = rng.randint(1, 5)
+    return n, [(u, v, w) for (u, v), w in edges.items()]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_steep_penalty_needs_a_wider_rank_window(seed):
+    # sparse graphs have small SCCs linked by upward edges, which must sit
+    # 3 ranks apart to cost nothing; dense ones hide a too-narrow window
+    n, edges = _sparse_graph(seed)
+    g, penalty, k = WeightedDigraph(n, edges), PenaltySpec.convex_sum(STEEP), 3 * n
+    opt = _rank_lp(n, edges, STEEP, k)
+    stacked = min_agony(g, penalty=penalty)
+    assert stacked.agony == _score(edges, stacked.ranks, STEEP) == opt
+    full = min_agony(g, k, penalty, use_scc=False)
+    assert full.agony == _score(edges, full.ranks, STEEP) == opt
+    lp = _least_optimal_ranks(n, edges, STEEP, k, opt)
+    assert canonical_ranking(full) == [round(x) for x in lp]

@@ -9,10 +9,14 @@ The budget case holds the graph and grows k 4x: one totally-monotone search
 per budget gives a ratio near 4, while a spend loop that tries every split
 of every budget grows as k^2, toward 16.  Each size keeps its best of
 several runs, and the small and large runs alternate, so a stall of the
-host slows one run of each size at most.
+host slows one run of each size at most.  Each run is timed with the
+cyclic garbage collector off, as ``timeit`` does, so a collection that
+happens to fall into one run does not count; a failure reports every
+run's time.
 """
 from __future__ import annotations
 
+import gc
 import time
 
 from agony.exact import min_agony
@@ -39,21 +43,35 @@ def _dag_chain(n: int) -> WeightedDigraph:
 
 
 def _time(fn) -> float:
-    t0 = time.process_time()
-    fn()
-    return time.process_time() - t0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.process_time()
+        fn()
+        return time.process_time() - t0
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def _best_ratio(small, large, runs: int) -> float:
-    """Best time of ``large()`` over best time of ``small()``, runs alternating."""
-    best_small = best_large = float("inf")
+def _ms(times: list[float]) -> str:
+    return ", ".join(f"{t * 1e3:.1f}" for t in times) + " ms"
+
+
+def _best_ratio(small, large, runs: int) -> tuple[float, str]:
+    """Best time of ``large()`` over best time of ``small()``, runs alternating.
+
+    Also returns every run's time, for the failure message.
+    """
+    small_times, large_times = [], []
     for _ in range(runs):
-        best_small = min(best_small, _time(small))
-        best_large = min(best_large, _time(large))
-    return best_large / best_small
+        small_times.append(_time(small))
+        large_times.append(_time(large))
+    runs_text = f"small runs {_ms(small_times)}; large runs {_ms(large_times)}"
+    return min(large_times) / min(small_times), runs_text
 
 
-def _ratio(fn, make, small: int, runs: int = 5) -> float:
+def _ratio(fn, make, small: int, runs: int = 5) -> tuple[float, str]:
     g_small, g_large = make(small), make(4 * small)
     return _best_ratio(lambda: fn(g_small), lambda: fn(g_large), runs)
 
@@ -61,20 +79,20 @@ def _ratio(fn, make, small: int, runs: int = 5) -> float:
 def test_exact_on_two_cycle_chain_scales_linearly():
     g = _two_cycle_chain(3)
     assert min_agony(g).agony == 6  # agony 2 per 2-cycle, chain edges forward
-    ratio = _ratio(min_agony, _two_cycle_chain, 500)
-    assert ratio <= MAX_RATIO, f"4x components took {ratio:.1f}x the time"
+    ratio, runs = _ratio(min_agony, _two_cycle_chain, 500)
+    assert ratio <= MAX_RATIO, f"4x components took {ratio:.1f}x the time ({runs})"
 
 
 def test_scc_heuristic_on_dag_chain_scales_linearly():
     assert scc_layer_heuristic(_dag_chain(4)) == [0, 1, 2, 3]
-    ratio = _ratio(scc_layer_heuristic, _dag_chain, 2000)
-    assert ratio <= MAX_RATIO, f"4x layers took {ratio:.1f}x the time"
+    ratio, runs = _ratio(scc_layer_heuristic, _dag_chain, 2000)
+    assert ratio <= MAX_RATIO, f"4x layers took {ratio:.1f}x the time ({runs})"
 
 
 def test_scc_heuristic_budget_scales_linearly_in_k():
     g = _two_cycle_chain(300)  # 300 layers of two leaves each
     assert len(set(scc_layer_heuristic(g, 200))) <= 200
-    ratio = _best_ratio(
+    ratio, runs = _best_ratio(
         lambda: scc_layer_heuristic(g, 50), lambda: scc_layer_heuristic(g, 200), runs=3
     )
-    assert ratio <= MAX_BUDGET_RATIO, f"4x budget took {ratio:.1f}x the time"
+    assert ratio <= MAX_BUDGET_RATIO, f"4x budget took {ratio:.1f}x the time ({runs})"
