@@ -5,18 +5,21 @@ graph (``build_agony_instance`` / ``build_convex_instance``), capacitated
 arcs are replaced by negative-bias gadget vertices (``uncapacitate``), and
 the resulting uncapacitated instance is solved by delta-scaling successive
 shortest paths.  One scaling loop (``_solve``) runs the phases for both
-solvers: ``solve_fast`` grows one multi-source shortest-path tree per phase
-and repairs it dynamically after each augmentation, while ``solve_baseline``
-is the single-source mode of the same tree code that rebuilds the tree for
-every augmentation.  Building and repairing a tree run one region-restricted
-Dijkstra loop (``_settle_region``), the only code in the package that scans
-the residual arcs leaving a vertex: a build's region is the whole instance,
-a repair's is the subtrees cut off by an augmentation, marked by an epoch
-stamp.  The canonical ranking (``agony.canonical``) reuses it through
+solvers.  ``solve_fast`` runs each phase primal-dual: a multi-source
+Dijkstra (``_build_tree``) prices the duals so that every shortest path
+from a source has reduced cost 0, then a Dinic max flow over the
+zero-reduced-cost residual arcs (``_admissible_max_flow``) pushes
+delta-units from the sources to the sinks until no such path is left, and
+the two repeat until no source or no sink is left, so a phase runs one
+Dijkstra per distinct shortest-path cost.  ``solve_baseline`` is the
+single-source mode of the same Dijkstra: one tree and one push of delta
+per augmentation.  The Dijkstra loop and the max flow's pass over the
+tight arcs are the only two scans of the residual graph in the package.
+The canonical ranking (``agony.canonical``) reuses the Dijkstra through
 ``_build_tree`` from the alpha sentinel on a copy of a solved state.  An
 arc whose flow outgrows the scale is contracted (Orlin's strongly
 polynomial device): its ends merge into one cluster and the arcs are
-rewritten to run between cluster roots, so the loop never sees a member.
+rewritten to run between cluster roots, so neither scan sees a member.
 Optimal integer duals turn back into a rank assignment via
 ``extract_ranking``.
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .graph import WeightedDigraph
@@ -199,13 +202,21 @@ def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
 
 @dataclass
 class SolveStats:
+    """Counters of one solve.
+
+    ``augmentations`` counts augmenting paths, each carrying one or more
+    delta-units (one in the baseline).  ``repairs`` counts the Dijkstra
+    rounds of the primal-dual phase, each of which re-prices the duals;
+    the baseline counts none, and the benchmark's tracer reads the field
+    under this name.  ``settles`` counts the vertices settled by every
+    Dijkstra run.
+    """
+
     outer_phases: int = 0
     augmentations: int = 0
     contractions: int = 0
     repairs: int = 0
-    settles: int = 0  # vertices settled by tree builds and repairs
-    # region_log2[b]: repairs whose region has b == len(region).bit_length()
-    region_log2: list[int] = field(default_factory=list)
+    settles: int = 0
     wall_ms: float = 0.0
 
 
@@ -275,8 +286,7 @@ def extract_ranking(state: SolverState, sg: ShiftedGraph) -> list[int]:
 # solver core
 # ---------------------------------------------------------------------------
 
-_UNSET = -2
-_ROOT = -1
+_ROOT = -1  # the arc of a source in its Dijkstra heap entry
 
 
 class _Core:
@@ -425,29 +435,6 @@ def _has_excess(core: _Core) -> bool:
 # delta-scaling loop and its two phase bodies
 # ---------------------------------------------------------------------------
 
-class _Tree:
-    """Shortest-path forest over cluster roots, lexicographic (cost, hops).
-
-    ``mark`` holds epoch stamps: a vertex stamped ``epoch`` belongs to the
-    region of the current build or repair and is not settled yet, one
-    stamped ``epoch + 1`` was settled by it.  A fresh tree stamps every
-    vertex with epoch 0, and each repair advances the epoch by two, so no
-    per-repair set or dict is needed.  ``children`` gets a set for each
-    vertex when it is settled.
-    """
-
-    __slots__ = ("par_arc", "par_dir", "par_vert", "hops", "children", "mark", "epoch")
-
-    def __init__(self, n: int):
-        self.par_arc = [_UNSET] * n
-        self.par_dir = [0] * n
-        self.par_vert = [_UNSET] * n
-        self.hops = [0] * n
-        self.children: list[Optional[set]] = [None] * n
-        self.mark = [0] * n
-        self.epoch = 0
-
-
 def _solve(
     inst: CirculationInstance, check_invariants: bool, phase: Callable[[_Core, int], None]
 ) -> SolverState:
@@ -480,11 +467,12 @@ def _solve(
 
 
 def solve_baseline(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
-    """Reference mode: one source per tree, tree rebuilt every augmentation.
+    """Reference mode: one source per Dijkstra, one Dijkstra per augmentation.
 
-    Each augmentation pairs the largest excess with the largest deficit
-    and runs a fresh single-source Dijkstra, so the result checks the tree
-    repair of ``solve_fast`` against a rebuild from scratch.
+    Each augmentation pairs the largest excess with the largest deficit,
+    runs a fresh single-source Dijkstra and pushes one delta along the
+    tree path, so it checks the primal-dual phase of ``solve_fast`` with a
+    plain successive-shortest-path algorithm.
     """
     return _solve(inst, check_invariants, _baseline_phase)
 
@@ -510,181 +498,58 @@ def _baseline_phase(core: _Core, delta: int):
 
 
 def solve_fast(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
-    """Multi-source variant: one tree per phase, repaired after each push.
+    """Primal-dual phases: one admissible max flow per Dijkstra.
 
-    Sources are all vertices with excess >= 3/4 delta; after every
-    augmentation the affected subtrees (children of deleted residual arcs
-    and of exhausted sources) are re-rooted by a bounded Dijkstra seeded
-    from the unaffected frontier.
+    Each round of a phase prices the duals with a multi-source Dijkstra
+    from every vertex with excess >= 3/4 delta, so every shortest path to
+    a sink has reduced cost 0, then pushes a maximum flow of delta-units
+    over the zero-reduced-cost residual arcs (``_admissible_max_flow``).
+    Rounds repeat until no source or no sink is left; a phase needs one
+    round per distinct shortest-path cost.
     """
     return _solve(inst, check_invariants, _fast_phase)
 
 
 def _fast_phase(core: _Core, delta: int):
     lim = _ALPHA_NUM * delta
-    sources = {v for v in core.roots if _ALPHA_DEN * core.excess[v] >= lim}
-    sinks = [v for v in core.roots if -_ALPHA_DEN * core.excess[v] >= lim]
-    if sources and sinks:
-        tree = _build_tree(core, sources)
-        sink_heap = [(core.excess[v], v) for v in sinks]
-        heapify(sink_heap)
-        sink_set = set(sinks)
-        while sources and sink_set and sink_heap:
-            ev, r = heappop(sink_heap)
-            if r not in sink_set or core.excess[r] != ev:
-                continue
-            seeds = _augment_tree(core, tree, r, delta)
-            core.stats.augmentations += 1
-            sroot = seeds.pop()  # last entry is the drained root
-            if _ALPHA_DEN * core.excess[sroot] < lim:
-                sources.discard(sroot)
-                seeds.append(sroot)
-            if -_ALPHA_DEN * core.excess[r] < lim:
-                sink_set.discard(r)
-            else:
-                heappush(sink_heap, (core.excess[r], r))
-            if not sources:
-                break
-            if seeds:
-                _repair_tree(core, tree, seeds)
-                core.stats.repairs += 1
+    excess = core.excess
+    while True:
+        sources = [v for v in core.roots if _ALPHA_DEN * excess[v] >= lim]
+        sinks = [v for v in core.roots if -_ALPHA_DEN * excess[v] >= lim]
+        if not sources or not sinks:
+            return
+        _build_tree(core, sources)
+        core.stats.repairs += 1
+        _admissible_max_flow(core, sources, sinks, delta)
 
 
-def _build_tree(core: _Core, sources: set) -> _Tree:
+def _build_tree(core: _Core, sources) -> list:
     """Lexicographic multi-source Dijkstra; subtracts distances from duals.
 
-    The region is the whole instance: a fresh tree marks every vertex with
-    epoch 0, and only cluster roots are ever reached.
-    """
-    tree = _Tree(core.inst.n)
-    heap = [(0, 0, s, _ROOT, 0, _ROOT) for s in sorted(sources)]  # sorted is a heap
-    if _settle_region(core, tree, heap) != len(core.roots):
-        raise SolverError("residual graph is not connected from the sources")
-    return tree
-
-
-def _augment_tree(core: _Core, tree: _Tree, r: int, delta: int) -> list[int]:
-    """Push delta from r's tree root down to r.
-
-    Returns the repair seeds (children whose parent arc got deleted), with
-    the drained root appended last so the caller can pop it off.
-    """
-    flow = core.flow
-    seeds: list[int] = []
-    v = r
-    while True:
-        a = tree.par_arc[v]
-        if a == _ROOT:
-            break
-        if a == _UNSET:
-            raise SolverError("sink is not attached to the shortest path tree")
-        if tree.par_dir[v] == 1:
-            flow[a] += delta
-        else:
-            f = flow[a] - delta
-            if f < 0:
-                raise SolverError("negative flow after augmentation")
-            flow[a] = f
-            if f == 0:
-                seeds.append(v)  # the residual arc feeding v vanished
-        v = tree.par_vert[v]
-    core.excess[v] -= delta
-    core.excess[r] += delta
-    seeds.append(v)
-    return seeds
-
-
-def _repair_tree(core: _Core, tree: _Tree, seeds: list[int]):
-    """Re-root the subtrees below the seeds from the unaffected frontier.
-
-    Inserted residual arcs never need repair (they run child to parent and
-    are tight); only deletions and source removals invalidate distances,
-    and those can only grow.  The region (every subtree below a seed) is
-    stamped with a fresh epoch, each residual arc entering it from a
-    settled vertex outside seeds the heap at its reduced cost, and the
-    region is re-settled by the same Dijkstra loop that builds the tree.
-    """
-    mark, children, par_vert = tree.mark, tree.children, tree.par_vert
-    ep = tree.epoch = tree.epoch + 2
-    region: list[int] = []
-    stack = list(seeds)
-    while stack:
-        x = stack.pop()
-        if mark[x] != ep:
-            mark[x] = ep
-            region.append(x)
-            stack.extend(children[x])
-    for s in seeds:
-        p = par_vert[s]
-        if p >= 0 and mark[p] != ep:
-            children[p].discard(s)
-    hist = core.stats.region_log2
-    b = len(region).bit_length()
-    while len(hist) <= b:
-        hist.append(0)
-    hist[b] += 1
-
-    src, dst, cost = core.src, core.dst, core.cost
-    flow, pot, hops = core.flow, core.pot, tree.hops
-    heap = []
-    for x in region:
-        px = pot[x]
-        for a in core.in_arcs[x]:
-            u = src[a]
-            if u == x or mark[u] == ep:
-                continue
-            rc = cost[a] + px - pot[u]
-            if rc < 0:
-                raise SolverError(f"negative reduced cost {rc} on arc {a}")
-            heap.append((rc, hops[u] + 1, x, a, 1, u))
-        for a in core.out_arcs[x]:
-            if not flow[a]:
-                continue
-            u = dst[a]
-            if u == x or mark[u] == ep:
-                continue
-            rc = px - pot[u] - cost[a]
-            if rc < 0:
-                raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
-            heap.append((rc, hops[u] + 1, x, a, -1, u))
-    heapify(heap)
-    if _settle_region(core, tree, heap) != len(region):
-        raise SolverError("affected region disconnected during tree repair")
-
-
-def _settle_region(core: _Core, tree: _Tree, heap: list) -> int:
-    """Settle every vertex stamped ``tree.epoch`` from the seeded heap.
-
-    Heap entries are (dist, hops, vertex, arc, dir, parent): the order is
-    lexicographic in (dist, hops) with ties broken by vertex, then arc.
-    Settling stamps ``tree.epoch + 1``, records the tree edge and scans the
-    residual arcs leaving the vertex; each one has its reduced cost checked
-    before the region filter decides whether it enters the heap.  Finally
-    the distances are subtracted from the duals.  Returns the number of
-    vertices settled.
+    Heap entries are (dist, hops, vertex, arc, dir), with dir 1 for a
+    forward arc and -1 for the reverse of one: the order is lexicographic
+    in (dist, hops) with ties broken by vertex, then arc.  Settling a
+    vertex records its entry and scans the residual arcs leaving it; each
+    one has its reduced cost checked before an unsettled end enters the
+    heap.  Only cluster roots are ever reached, and every one must be.
+    Finally the distances are subtracted from the duals, so every tree
+    arc, and every shortest path from a source, has reduced cost 0.
+    Returns the entry that settled each vertex (None for absorbed
+    members): the shortest-path forest.
     """
     src, dst, cost = core.src, core.dst, core.cost
     flow, pot = core.flow, core.pot
     out_arcs, in_arcs = core.out_arcs, core.in_arcs
-    mark, children = tree.mark, tree.children
-    par_arc, par_dir, par_vert, hops = tree.par_arc, tree.par_dir, tree.par_vert, tree.hops
-    ep = tree.epoch
-    done = ep + 1
-    order = []
+    tree: list = [None] * core.inst.n
+    heap = [(0, 0, s, _ROOT, 0) for s in sorted(sources)]  # sorted is a heap
+    settled = 0
     while heap:
         entry = heappop(heap)
-        d, h, x, a, adir, pv = entry
-        if mark[x] != ep:
+        d, h, x, _, _ = entry
+        if tree[x] is not None:
             continue
-        mark[x] = done
-        order.append(entry)
-        par_arc[x] = a
-        par_dir[x] = adir
-        par_vert[x] = pv
-        hops[x] = h
-        children[x] = set()
-        if pv != _ROOT:
-            children[pv].add(x)
+        tree[x] = entry
+        settled += 1
         px = pot[x]
         h += 1
         for a in out_arcs[x]:
@@ -694,8 +559,8 @@ def _settle_region(core: _Core, tree: _Tree, heap: list) -> int:
             rc = cost[a] + pot[w] - px
             if rc < 0:
                 raise SolverError(f"negative reduced cost {rc} on arc {a}")
-            if mark[w] == ep:
-                heappush(heap, (d + rc, h, w, a, 1, x))
+            if tree[w] is None:
+                heappush(heap, (d + rc, h, w, a, 1))
         for a in in_arcs[x]:
             if not flow[a]:
                 continue
@@ -705,11 +570,133 @@ def _settle_region(core: _Core, tree: _Tree, heap: list) -> int:
             rc = pot[w] - px - cost[a]
             if rc < 0:
                 raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
-            if mark[w] == ep:
-                heappush(heap, (d + rc, h, w, a, -1, x))
-    for entry in order:
-        d = entry[0]
-        if d:
-            pot[entry[2]] -= d
-    core.stats.settles += len(order)
-    return len(order)
+            if tree[w] is None:
+                heappush(heap, (d + rc, h, w, a, -1))
+    if settled != len(core.roots):
+        raise SolverError("residual graph is not connected from the sources")
+    for entry in tree:
+        if entry is not None and entry[0]:
+            pot[entry[2]] -= entry[0]
+    core.stats.settles += settled
+    return tree
+
+
+def _augment_tree(core: _Core, tree: list, r: int, delta: int):
+    """Push delta from r's tree root down to r."""
+    flow, src, dst = core.flow, core.src, core.dst
+    v = r
+    while True:
+        entry = tree[v]
+        if entry is None:
+            raise SolverError("sink is not attached to the shortest path tree")
+        a = entry[3]
+        if a == _ROOT:
+            break
+        if entry[4] == 1:
+            flow[a] += delta
+            v = src[a]
+        else:
+            f = flow[a] - delta
+            if f < 0:
+                raise SolverError("negative flow after augmentation")
+            flow[a] = f
+            v = dst[a]
+    core.excess[v] -= delta
+    core.excess[r] += delta
+
+
+def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delta: int):
+    """Dinic max flow in delta-units over the zero-reduced-cost residual arcs.
+
+    A forward arc carries any number of units, the reverse of arc a
+    carries flow[a] // delta.  A vertex with excess e may send
+    (4e + delta) // (4 delta) units, and one with deficit e may receive as
+    many: exactly the pushes that the 3/4-delta gates allow one vertex.
+
+    One pass over the arcs collects the tight ones, in both directions.
+    It is the package's second scan of the residual arcs, next to the
+    Dijkstra loop of ``_build_tree``, which leaves every arc that carries
+    flow tight, so the reverse of a tight arc is admissible while it has
+    flow.  Each iteration labels the vertices with their residual hop
+    count to the nearest sink that can still receive, by a breadth-first
+    search that stops at the first level holding a source that can still
+    send, then saturates that level graph by depth-first walks from those
+    sources, with a current-arc pointer per vertex.  A walk steps one
+    level down per arc, so it only enters vertices that reached a sink
+    when the search ran; a vertex found to lead nowhere gets level -1.
+    """
+    flow, pot, excess = core.flow, core.pot, core.excess
+    n = core.inst.n
+    unit = _ALPHA_DEN * delta
+    adm: list[list] = [[] for _ in range(n)]  # (arc, dir, other end)
+    for a, (x, w, c) in enumerate(zip(core.src, core.dst, core.cost)):
+        if c + pot[w] == pot[x] and x != w:
+            adm[x].append((a, 1, w))
+            adm[w].append((a, -1, x))
+    while True:
+        sources = [s for s in sources if _ALPHA_DEN * excess[s] + delta >= unit]
+        sinks = [t for t in sinks if delta - _ALPHA_DEN * excess[t] >= unit]
+        if not sources or not sinks:
+            return
+        level = [-1] * n
+        for t in sinks:
+            level[t] = 0
+        frontier = sinks
+        depth = 0
+        starts: list[int] = []
+        while frontier and not starts:
+            depth += 1
+            nxt = []
+            for w in frontier:
+                for a, adir, y in adm[w]:
+                    # residual y -> w: the forward arc a, or the reverse of a = (w, y)
+                    if level[y] < 0 and (adir < 0 or flow[a]):
+                        level[y] = depth
+                        nxt.append(y)
+                        if _ALPHA_DEN * excess[y] + delta >= unit:
+                            starts.append(y)
+            frontier = nxt
+        if not starts:
+            return
+        ptr = [0] * n
+        for s in starts:
+            path: list[tuple] = []  # adm entries from s to x
+            x = s
+            while True:
+                lx = level[x]
+                if lx == 0 and delta - _ALPHA_DEN * excess[x] >= unit:
+                    units = min(
+                        (_ALPHA_DEN * excess[s] + delta) // unit,
+                        (delta - _ALPHA_DEN * excess[x]) // unit,
+                        *(flow[a] // delta for a, adir, _ in path if adir < 0),
+                    )
+                    push = units * delta
+                    for a, adir, _ in path:
+                        flow[a] += adir * push
+                    excess[s] -= push
+                    excess[x] += push
+                    core.stats.augmentations += 1
+                    if _ALPHA_DEN * excess[s] + delta < unit:
+                        break
+                    path = []
+                    x = s
+                    continue
+                if lx > 0:
+                    arcs = adm[x]
+                    i = ptr[x]
+                    while i < len(arcs):
+                        a, adir, w = arcs[i]
+                        if level[w] == lx - 1 and (adir > 0 or flow[a]):
+                            break
+                        i += 1
+                    ptr[x] = i
+                    if i < len(arcs):
+                        path.append(arcs[i])
+                        x = w
+                        continue
+                level[x] = -1  # x leads to no sink that can still receive
+                if not path:
+                    break
+                path.pop()
+                x = path[-1][2] if path else s
+                ptr[x] += 1

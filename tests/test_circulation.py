@@ -1,4 +1,3 @@
-import copy
 from fractions import Fraction
 
 import pytest
@@ -249,22 +248,34 @@ class TestSolvers:
 
 
 class TestSolveStats:
-    def test_fast_counts_settles_and_repair_regions(self, rng):
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(4, 12), 0.35, 3)
-            stats = solve_fast(uncapacitate(build_agony_instance(g, g.n))).stats
-            hist = stats.region_log2
-            assert sum(hist) == stats.repairs
-            assert not hist or hist[0] == 0  # a repair region is never empty
-            # a region counted at b has at least 2**(b-1) vertices
-            assert stats.settles >= sum(c << (b - 1) for b, c in enumerate(hist) if b)
+    def test_fast_settles_every_root_per_round(self, monkeypatch, rng):
+        build = circulation._build_tree
+        roots = []
+
+        def counting_build(core, sources):
+            roots.append(len(core.roots))
+            return build(core, sources)
+
+        monkeypatch.setattr(circulation, "_build_tree", counting_build)
+        pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])
+        rounds = contractions = 0
+        for i in range(20):
+            roots.clear()
+            g = random_graph(rng, rng.randint(4, 12), 0.35, 10**6 if i % 2 else 3)
+            stats = solve_fast(uncapacitate(build_convex_instance(g, min(g.n, 5), pen))).stats
+            # one Dijkstra per round, and each one settles every cluster root
+            assert len(roots) == stats.repairs
+            assert stats.settles == sum(roots)
+            rounds += stats.repairs
+            contractions += stats.contractions
+        assert rounds > 0 and contractions > 0
 
     def test_baseline_settles_every_vertex_per_augmentation(self, rng):
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 9), 0.4)
             inst = uncapacitate(build_agony_instance(g, g.n))
             stats = solve_baseline(inst).stats
-            assert stats.contractions == 0 and stats.repairs == 0 and stats.region_log2 == []
+            assert stats.contractions == 0 and stats.repairs == 0
             assert stats.settles == stats.augmentations * inst.n
 
 
@@ -286,29 +297,31 @@ class TestStateSurface:
             extract_ranking(st, sg)
 
 
-class TestTreeRepair:
-    """Every repaired tree is a shortest-path tree: a rebuild changes nothing."""
+class TestAdmissibleMaxFlow:
+    """After every admissible max flow the duals are feasible, the flow is
+    tight and a non-negative multiple of delta, and the total excess has
+    fallen."""
 
     @pytest.fixture
-    def repairs(self, monkeypatch):
-        """Check every repair of the fast solver; returns the list of checked repairs."""
-        repair = circulation._repair_tree
+    def rounds(self, monkeypatch):
+        """Check every max flow of the fast solver; returns the deltas checked."""
+        max_flow = circulation._admissible_max_flow
         checked = []
 
-        def repair_then_rebuild(core, tree, seeds):
-            repair(core, tree, seeds)
-            sources = {r for r in core.roots if tree.par_arc[r] == circulation._ROOT}
-            # a build writes only the duals and the counters of its core
-            fresh = copy.copy(core)
-            fresh.pot = list(core.pot)
-            fresh.stats = circulation.SolveStats()
-            rebuilt = circulation._build_tree(fresh, sources)
-            # the rebuild subtracts its distances from the duals: all must be 0
-            assert fresh.pot == core.pot
-            assert all(rebuilt.hops[r] == tree.hops[r] for r in core.roots)
-            checked.append(seeds)
+        def max_flow_then_check(core, sources, sinks, delta):
+            before = sum(core.excess[r] for r in core.roots if core.excess[r] > 0)
+            max_flow(core, sources, sinks, delta)
+            inst, P = core.inst, core.potential
+            for a, f in enumerate(core.flow):
+                rc = inst.acost[a] + P(inst.adst[a]) - P(inst.asrc[a])
+                assert rc >= 0
+                assert f == 0 or rc == 0
+                assert f >= 0 and f % delta == 0
+            after = sum(core.excess[r] for r in core.roots if core.excess[r] > 0)
+            assert after < before
+            checked.append(delta)
 
-        monkeypatch.setattr(circulation, "_repair_tree", repair_then_rebuild)
+        monkeypatch.setattr(circulation, "_admissible_max_flow", max_flow_then_check)
         return checked
 
     @staticmethod
@@ -316,14 +329,14 @@ class TestTreeRepair:
         sg = build_convex_instance(g, k, penalty)
         return solve_fast(uncapacitate(sg), check_invariants=True).stats
 
-    def test_unit_weights(self, repairs, rng):
+    def test_unit_weights(self, rounds, rng):
         total = 0
         for _ in range(8):
             g = random_graph(rng, 40, 0.09)
             total += self._solve(g, g.n).repairs
-        assert len(repairs) == total > 0
+        assert len(rounds) == total > 0
 
-    def test_convex_large_weights_with_contractions(self, repairs, rng):
+    def test_convex_large_weights_with_contractions(self, rounds, rng):
         pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])
         total = 0
         for _ in range(4):
@@ -331,7 +344,8 @@ class TestTreeRepair:
             stats = self._solve(g, 5, pen)
             assert stats.contractions > 0
             total += stats.repairs
-        assert len(repairs) == total > 0
+        assert len(rounds) == total > 0
+        assert len(set(rounds)) > 1  # the checks ran at several scales
 
 
 class TestContractionRewrite:

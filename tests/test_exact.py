@@ -45,10 +45,6 @@ class TestMinAgony:
         assert len(parts) == 2
         for name in ("outer_phases", "augmentations", "contractions", "repairs", "settles"):
             assert getattr(res.stats, name) == sum(getattr(p, name) for p in parts)
-        width = max(len(p.region_log2) for p in parts)
-        assert res.stats.region_log2 == [
-            sum(p.region_log2[b] for p in parts if b < len(p.region_log2)) for b in range(width)
-        ]
         assert res.stats.settles > 0
 
     def test_scc_path_equals_plain_path(self, rng):

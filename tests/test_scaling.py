@@ -13,10 +13,18 @@ host slows one run of each size at most.  Each run is timed with the
 cyclic garbage collector off, as ``timeit`` does, so a collection that
 happens to fall into one run does not count; a failure reports every
 run's time.
+
+The exact solver's guard counts work instead of timing it: a primal-dual
+phase runs one Dijkstra per distinct shortest-path cost, and on power-law
+graphs with unit weights a whole solve sees a handful of costs at every
+size, while a solver that re-prices once per few augmentations re-prices
+a number of times that grows with n.
 """
 from __future__ import annotations
 
 import gc
+import itertools
+import random
 import time
 
 from agony.exact import min_agony
@@ -25,6 +33,7 @@ from agony.heuristic import scc_layer_heuristic
 
 MAX_RATIO = 7.0
 MAX_BUDGET_RATIO = 6.0
+MAX_DIJKSTRAS = 12
 
 
 def _two_cycle_chain(c: int) -> WeightedDigraph:
@@ -40,6 +49,22 @@ def _two_cycle_chain(c: int) -> WeightedDigraph:
 
 def _dag_chain(n: int) -> WeightedDigraph:
     return WeightedDigraph(n, [(i, i + 1, 1) for i in range(n - 1)])
+
+
+def _chung_lu(n: int, seed: int) -> WeightedDigraph:
+    """5n distinct unit edges whose ends are drawn with weight (i+1)^(-1/1.1).
+
+    Degree exponent 2.1, as in web graphs: the hubs both send and receive,
+    so the graph has one giant strongly connected component.
+    """
+    rng = random.Random(seed)
+    cum = list(itertools.accumulate((i + 1) ** (-1 / 1.1) for i in range(n)))
+    edges = set()
+    while len(edges) < 5 * n:
+        u, v = rng.choices(range(n), cum_weights=cum, k=2)
+        if u != v:
+            edges.add((u, v))
+    return WeightedDigraph(n, [(u, v, 1) for u, v in sorted(edges)])
 
 
 def _time(fn) -> float:
@@ -96,3 +121,12 @@ def test_scc_heuristic_budget_scales_linearly_in_k():
         lambda: scc_layer_heuristic(g, 50), lambda: scc_layer_heuristic(g, 200), runs=3
     )
     assert ratio <= MAX_BUDGET_RATIO, f"4x budget took {ratio:.1f}x the time ({runs})"
+
+
+def test_exact_dijkstras_per_solve_stay_flat_on_power_law_graphs():
+    counts = {}
+    for n in (500, 1000, 2000):
+        stats = min_agony(_chung_lu(n, seed=n)).stats
+        counts[n] = (stats.repairs, stats.augmentations)
+    text = ", ".join(f"n={n}: {r} Dijkstras for {a} augmentations" for n, (r, a) in counts.items())
+    assert all(r <= MAX_DIJKSTRAS for r, _ in counts.values()), text
