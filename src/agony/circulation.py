@@ -334,13 +334,14 @@ class _Core:
             thr = 1
         flow = self.flow
         for a, f in enumerate(flow):
-            if f >= thr:
+            # skip arcs whose ends already share a cluster; self.src is
+            # copied at the first contraction, so it is read afresh here
+            if f >= thr and self.src[a] != self.dst[a]:
                 self._contract_arc(a)
 
     def _contract_arc(self, a: int):
+        """Merge the two clusters at the ends of arc a (distinct roots)."""
         rs, rd = self.src[a], self.dst[a]
-        if rs == rd:
-            return
         # keep the root with the bigger adjacency to bound merge work
         size_s = len(self.out_arcs[rs]) + len(self.in_arcs[rs])
         size_d = len(self.out_arcs[rd]) + len(self.in_arcs[rd])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .penalties import PenaltySpec
 
@@ -61,7 +61,7 @@ class WeightedDigraph:
     graph has no self-loops and no parallel edges; ``normalize`` produces one.
     """
 
-    __slots__ = ("n", "edges", "_out")
+    __slots__ = ("n", "edges", "_out", "_normalized")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         self.n = n
@@ -72,12 +72,19 @@ class WeightedDigraph:
             if w < 1:
                 raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
         self._out = None
+        self._normalized = None
 
     @classmethod
-    def _adopt(cls, n: int, edges: list[tuple[int, int, int]]) -> WeightedDigraph:
-        """Wrap edges already valid for n vertices, without the copy and checks."""
+    def _adopt(
+        cls, n: int, edges: list[tuple[int, int, int]], normalized: Optional[bool] = None
+    ) -> WeightedDigraph:
+        """Wrap edges already valid for n vertices, without the copy and checks.
+
+        ``normalized`` is True when the caller knows the edges are; None
+        leaves ``is_normalized`` to scan them.
+        """
         g = cls.__new__(cls)
-        g.n, g.edges, g._out = n, edges, None
+        g.n, g.edges, g._out, g._normalized = n, edges, None, normalized
         return g
 
     @property
@@ -98,12 +105,11 @@ class WeightedDigraph:
         return self._out
 
     def is_normalized(self) -> bool:
-        seen = set()
-        for u, v, _ in self.edges:
-            if u == v or (u, v) in seen:
-                return False
-            seen.add((u, v))
-        return True
+        """No self-loops and no parallel edges; scanned once, then cached."""
+        if self._normalized is None:
+            pairs = {(u, v) for u, v, _ in self.edges}
+            self._normalized = len(pairs) == len(self.edges) and all(u != v for u, v in pairs)
+        return self._normalized
 
     def __repr__(self):
         return f"WeightedDigraph(n={self.n}, m={self.m})"
@@ -136,7 +142,7 @@ def parse_edge_list(stream: TextIO) -> tuple[WeightedDigraph, VertexTable]:
         else:
             w = 1
         edges.append((u, v, w))
-    return WeightedDigraph(len(table), edges), table
+    return WeightedDigraph._adopt(len(table), edges), table
 
 
 def normalize(g: WeightedDigraph) -> WeightedDigraph:
@@ -157,7 +163,7 @@ def normalize(g: WeightedDigraph) -> WeightedDigraph:
     dupes = g.m - loops - len(merged)
     if dupes:
         log.info("normalize: merged %d parallel edge(s)", dupes)
-    return WeightedDigraph(g.n, [(u, v, w) for (u, v), w in merged.items()])
+    return WeightedDigraph._adopt(g.n, [(u, v, w) for (u, v), w in merged.items()], True)
 
 
 def score_ranking(g: WeightedDigraph, ranks: Ranks, penalty: PenaltySpec) -> Score:
@@ -243,7 +249,8 @@ def split_by_part(g: WeightedDigraph, parts: Sequence[Sequence[int]]) -> list[We
 
     Part i's subgraph numbers its vertices by their position in parts[i]
     and keeps the edges of g with both endpoints in parts[i], in g.edges
-    order.  Parts must be disjoint; vertices in no part are dropped.
+    order.  Parts must be disjoint; vertices in no part are dropped.  The
+    subgraphs of a graph known to be normalized are known to be too.
     """
     part_of = [-1] * g.n
     local = [0] * g.n
@@ -256,7 +263,11 @@ def split_by_part(g: WeightedDigraph, parts: Sequence[Sequence[int]]) -> list[We
         pu = part_of[u]
         if pu >= 0 and pu == part_of[v]:
             buckets[pu].append((local[u], local[v], w))
-    return [WeightedDigraph._adopt(len(verts), edges) for verts, edges in zip(parts, buckets)]
+    normalized = g._normalized or None
+    return [
+        WeightedDigraph._adopt(len(verts), edges, normalized)
+        for verts, edges in zip(parts, buckets)
+    ]
 
 
 def condensation_layers(

@@ -4,11 +4,16 @@ The SCC variant packs strongly connected components into the fewest layers,
 builds one split tree per layer and stacks them so every inter-layer edge
 runs forward; a DAG therefore always scores 0.  Under a tier budget the
 layers compete for ranks through a two-term dynamic program whose layer
-merging term is minimized by an interleaved totally-monotone search with an
-incrementally maintained window weight.
+merging term is minimized by one interleaved totally-monotone search per
+budget.  The searches read the weight of a window of layers from per-layer
+prefix sums over the inter-layer edges merged by layer pair, and each one
+first looks up the weights that the previous budget's search read, since
+the window weight does not depend on the budget.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .graph import WeightedDigraph, condensation_layers, score_ranking, split_by_part
@@ -50,17 +55,31 @@ def monotone_min(ell: int, f: Callable[[int, int], object]) -> tuple[list, list]
 class _LayerWindow:
     """Incremental total weight of inter-layer edges inside layers [j, i].
 
-    An edge (lo, hi) is inside exactly when j <= lo and hi <= i.  Both
-    pointers only move right within one scan; a query behind either pointer
-    resets the window (once per interleaving level).
+    An edge (lo, hi) is inside exactly when j <= lo and hi <= i.  Edges are
+    merged by layer pair; each layer keeps its sorted partner layers with
+    running weight sums, so moving either pointer one layer costs one
+    bisect.  Both pointers only move right within one scan; a query behind
+    either pointer resets the window (once per interleaving level).
     """
 
     def __init__(self, n_layers: int, edges: list[tuple[int, int, int]]):
-        self.by_hi: list[list[tuple[int, int]]] = [[] for _ in range(n_layers + 1)]
-        self.by_lo: list[list[tuple[int, int]]] = [[] for _ in range(n_layers + 1)]
+        merged: dict[tuple[int, int], int] = {}
         for lo, hi, w in edges:
-            self.by_hi[hi].append((lo, w))
-            self.by_lo[lo].append((hi, w))
+            merged[lo, hi] = merged.get((lo, hi), 0) + w
+        up: list[list[tuple[int, int]]] = [[] for _ in range(n_layers + 1)]
+        down: list[list[tuple[int, int]]] = [[] for _ in range(n_layers + 1)]
+        for (lo, hi), w in sorted(merged.items()):
+            up[hi].append((lo, w))
+            down[lo].append((hi, w))
+        # at layer hi the edges with lo >= j weigh
+        # up_sum[hi][bisect_left(up_lo[hi], j)] (suffix sums); at layer lo
+        # those with hi <= i weigh down_sum[lo][bisect_right(down_hi[lo], i)]
+        self.up_lo = [[lo for lo, _ in pairs] for pairs in up]
+        self.up_sum = [
+            list(accumulate((w for _, w in reversed(pairs)), initial=0))[::-1] for pairs in up
+        ]
+        self.down_hi = [[hi for hi, _ in pairs] for pairs in down]
+        self.down_sum = [list(accumulate((w for _, w in pairs), initial=0)) for pairs in down]
         self._reset()
 
     def _reset(self):
@@ -71,19 +90,17 @@ class _LayerWindow:
     def value(self, j: int, i: int) -> int:
         if i < self.i or j < self.j:
             self._reset()
-        cur_j = self.j
-        while self.i < i:
-            self.i += 1
-            for lo, w in self.by_hi[self.i]:
-                if lo >= cur_j:
-                    self.total += w
-        cur_i = self.i
-        while self.j < j:
-            for hi, w in self.by_lo[self.j]:
-                if hi <= cur_i:
-                    self.total -= w
-            self.j += 1
-        return self.total
+        total, cur_i, cur_j = self.total, self.i, self.j
+        up_lo, up_sum = self.up_lo, self.up_sum
+        while cur_i < i:
+            cur_i += 1
+            total += up_sum[cur_i][bisect_left(up_lo[cur_i], cur_j)]
+        down_hi, down_sum = self.down_hi, self.down_sum
+        while cur_j < j:
+            total -= down_sum[cur_j][bisect_right(down_hi[cur_j], cur_i)]
+            cur_j += 1
+        self.total, self.i, self.j = total, cur_i, cur_j
+        return total
 
 
 def _layer_data(g: WeightedDigraph):
@@ -132,22 +149,27 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
     # lopt[i][h]: best gain of layers 1..i on h ranks; merge runs share one
     # rank.  Column 0 is read only for i = 0: every earlier layer needs a rank.
     window = _LayerWindow(n_layers, inter)
-    cum = [0] * (n_layers + 1)
-    for lo, hi, w in inter:
-        cum[hi] += w
-    for i in range(1, n_layers + 1):
-        cum[i] += cum[i - 1]
-
     lopt = [[0] * (k + 1) for _ in range(n_layers + 1)]
     choice: list[list] = [[None] * (k + 1) for _ in range(n_layers + 1)]
     for i in range(1, n_layers + 1):
-        lopt[i][1] = cum[i]
+        lopt[i][1] = window.value(1, i)
         choice[i][1] = ("merge", 1)
+    # the window weight does not depend on h, and consecutive searches ask
+    # for mostly the same (j, i) pairs: each search records the weights it
+    # read, keyed j * stride + i, and the next one looks there first
+    stride = n_layers + 1
+    seen: dict[int, int] = {}
     for h in range(2, k + 1):
         prev = [lopt[j][h - 1] for j in range(n_layers + 1)]
+        last, seen = seen, {}
 
-        def f(j, i, _prev=prev, _win=window):
-            return _win.value(j, i) + _prev[j - 1]
+        def f(j, i, _prev=prev, _last=last, _seen=seen, _win=window):
+            key = j * stride + i
+            w = _last.get(key)
+            if w is None:
+                w = _win.value(j, i)
+            _seen[key] = w
+            return w + _prev[j - 1]
 
         jarr, jvals = monotone_min(n_layers, f)
         for i in range(1, n_layers + 1):

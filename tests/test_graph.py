@@ -81,6 +81,39 @@ class TestNormalize:
         assert g.is_normalized()
 
 
+class TestNormalizedFlag:
+    """``is_normalized`` is cached; only ``normalize`` and its splits skip the scan."""
+
+    @pytest.mark.parametrize("text", ["a b\na b 2\n", "a a\n", "a b\nb b\nb a\n"])
+    def test_duplicates_and_self_loops_read_false(self, text):
+        g, _ = parse_edge_list(StringIO(text))
+        assert not g.is_normalized()
+        assert not g.is_normalized()  # the cached answer
+        assert not WeightedDigraph(g.n, g.edges).is_normalized()
+        assert normalize(g).is_normalized()
+
+    def test_split_of_unnormalized_graph_does_not_claim_normalized(self):
+        # part 0 holds a parallel pair, part 1 a self-loop, part 2 is clean
+        g = WeightedDigraph(5, [(0, 1, 1), (0, 1, 4), (2, 2, 3), (3, 4, 1), (1, 3, 2)])
+        assert not g.is_normalized()
+        a, b, c = split_by_part(g, [[0, 1], [2], [3, 4]])
+        assert not a.is_normalized() and not b.is_normalized()
+        assert c.is_normalized()
+        ng = normalize(g)
+        assert all(sub.is_normalized() for sub in split_by_part(ng, [[0, 1], [2], [3, 4]]))
+
+    def test_unnormalized_input_is_still_rejected(self):
+        from agony.exact import min_agony
+        from agony.heuristic import scc_layer_heuristic
+        from agony.splittree import build_split_tree
+
+        parsed, _ = parse_edge_list(StringIO("a b\nb a\na b\n"))
+        for g in (parsed, WeightedDigraph(2, [(0, 1, 1), (1, 0, 1), (1, 1, 2)])):
+            for call in (min_agony, scc_layer_heuristic, build_split_tree):
+                with pytest.raises(ValueError, match="normalized"):
+                    call(g)
+
+
 class TestScore:
     def test_two_cluster_example_linear(self):
         g, table = parse_edge_list(StringIO(TWO_CLUSTERS))
@@ -212,6 +245,11 @@ def _naive_split(g, verts):
     return [(local[u], local[v], w) for u, v, w in g.edges if u in local and v in local]
 
 
+def _naive_normalized(edges):
+    pairs = [(u, v) for u, v, _ in edges]
+    return all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
+
+
 @st.composite
 def _graphs(draw):
     n = draw(st.integers(0, 12))
@@ -229,6 +267,7 @@ class TestSplitByPart:
         for verts, sub in zip(parts, subs):
             assert sub.n == len(verts)
             assert sub.edges == _naive_split(g, verts)
+            assert sub.is_normalized() == _naive_normalized(sub.edges)
 
     @given(_graphs(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -242,6 +281,7 @@ class TestSplitByPart:
             if labels[v] >= 0:
                 parts[labels[v]].append(v)
         self._check(g, parts)
+        self._check(normalize(g), parts)
 
     @given(_graphs())
     @settings(max_examples=100, deadline=None)

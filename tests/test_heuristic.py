@@ -1,9 +1,16 @@
 import pytest
 
 from agony.exact import min_agony
-from agony.graph import WeightedDigraph, condensation_layers, score_ranking
-from agony.heuristic import _LayerWindow, heuristic_rank, monotone_min, scc_layer_heuristic
+from agony.graph import WeightedDigraph, condensation_layers, normalize, score_ranking
+from agony.heuristic import (
+    _layer_data,
+    _LayerWindow,
+    heuristic_rank,
+    monotone_min,
+    scc_layer_heuristic,
+)
 from agony.penalties import LINEAR
+from agony.splittree import PruneDP, build_split_tree
 
 from conftest import brute_min_linear, graph_from_text, random_dag, random_graph
 
@@ -12,6 +19,73 @@ TOY = "a b\nb c\nc a 2\nb d\n"
 
 def _naive_window(edges, j, i):
     return sum(w for lo, hi, w in edges if j <= lo and hi <= i)
+
+
+def _layered_graph(rng, n_layers, wmax):
+    """Cycles of 1-3 vertices in n_layers layers, each fed by the layer below.
+
+    Edges between layers run forward only, and most layer pairs get several
+    parallel edges between different vertices.
+    """
+    layers, edges, n = [], [], 0
+    for _ in range(n_layers):
+        verts = list(range(n, n + rng.randint(1, 3)))
+        n += len(verts)
+        if len(verts) > 1:
+            edges += [(u, v, rng.randint(1, wmax)) for u, v in zip(verts, verts[1:] + verts[:1])]
+        layers.append(verts)
+    for a in range(n_layers - 1):
+        edges.append((rng.choice(layers[a]), rng.choice(layers[a + 1]), rng.randint(1, wmax)))
+    for _ in range(rng.randint(0, 3 * n_layers)):
+        a = rng.randrange(n_layers)
+        b = rng.randrange(n_layers)
+        if a < b:
+            for _ in range(rng.randint(1, 4)):
+                edges.append((rng.choice(layers[a]), rng.choice(layers[b]), rng.randint(1, wmax)))
+    return normalize(WeightedDigraph(n, edges))
+
+
+def _reference_scc_layers(g, k):
+    """The budget DP of ``scc_layer_heuristic`` with a fresh brute-force
+    window weight for every query, nothing reused across budgets, and the
+    spend loop run over every l up to the budget."""
+    layers, trees, inter = _layer_data(g)
+    L = len(layers)
+    dps = [PruneDP(t, k) for t in trees]
+    lopt = [[0] * (k + 1) for _ in range(L + 1)]
+    choice = [[None] * (k + 1) for _ in range(L + 1)]
+    for i in range(1, L + 1):
+        lopt[i][1], choice[i][1] = _naive_window(inter, 1, i), ("merge", 1)
+    for h in range(2, k + 1):
+        prev = [lopt[j][h - 1] for j in range(L + 1)]
+        jarr, jvals = monotone_min(L, lambda j, i: _naive_window(inter, j, i) + prev[j - 1])
+        for i in range(1, L + 1):
+            l_hi = h if i == 1 else h - 1
+            spend, l = min(
+                (dps[i - 1].value(l) + lopt[i - 1][h - l], l) for l in range(1, l_hi + 1)
+            )
+            if spend <= jvals[i]:
+                lopt[i][h], choice[i][h] = spend, ("spend", l)
+            else:
+                lopt[i][h], choice[i][h] = jvals[i], ("merge", jarr[i])
+    segments, i, h = [], L, k
+    while i >= 1:
+        kind, arg = choice[i][h]
+        segments.append((kind, arg, i))
+        i, h = (arg - 1, h - 1) if kind == "merge" else (i - 1, h - arg)
+    ranks, base = [0] * g.n, 0
+    for kind, arg, i in reversed(segments):
+        if kind == "merge":
+            for v in (v for verts in layers[arg - 1 : i] for v in verts):
+                ranks[v] = base
+            base += 1
+        else:
+            groups = dps[i - 1].groups(arg)
+            for gi, group in enumerate(groups):
+                for lv in group:
+                    ranks[layers[i - 1][lv]] = base + gi
+            base += max(len(groups), 1)
+    return ranks
 
 
 class TestMonotoneMin:
@@ -88,6 +162,38 @@ class TestMonotoneMin:
                 assert win.value(j, i) == _naive_window(edges, j, i), (edges, j, i)
 
 
+class TestBudgetDpEquivalence:
+    """Prefix-sum window weights, reused across budgets, change no ranking."""
+
+    def test_window_on_pair_merged_edges_in_arbitrary_order(self, rng):
+        for _ in range(40):
+            L = rng.randint(2, 14)
+            edges = []
+            for _ in range(rng.randint(1, 12)):
+                lo = rng.randint(1, L - 1)
+                hi = rng.randint(lo + 1, L)
+                edges += [(lo, hi, rng.randint(1, 10**6)) for _ in range(rng.randint(1, 5))]
+            rng.shuffle(edges)
+            merged = {}
+            for lo, hi, w in edges:
+                merged[lo, hi] = merged.get((lo, hi), 0) + w
+            raw = _LayerWindow(L, edges)
+            pre = _LayerWindow(L, [(lo, hi, w) for (lo, hi), w in merged.items()])
+            for _ in range(60):
+                i = rng.randint(1, L)
+                j = rng.randint(1, i)
+                expect = _naive_window(edges, j, i)
+                assert raw.value(j, i) == expect == pre.value(j, i), (edges, j, i)
+
+    def test_rankings_equal_brute_force_window_without_reuse(self, rng):
+        for _ in range(40):
+            g = _layered_graph(rng, rng.randint(1, 12), 10**6)
+            leaves = sum(len(t.leaves()) for t in _layer_data(g)[1])
+            for k in sorted({1, 2, 3, max(1, leaves - 1), leaves}):
+                expect = _reference_scc_layers(g, k)
+                assert scc_layer_heuristic(g, k) == expect, (g.edges, k)
+
+
 class TestSccVariant:
     def test_random_dags_score_zero(self, rng):
         for _ in range(50):
@@ -136,8 +242,6 @@ class TestSccVariant:
     def test_constrained_score_matches_naive_layer_dp(self, rng):
         """The produced ranking realizes exactly the value of a quadratic
         reference DP over (merge runs, per-layer budgets)."""
-        from agony.splittree import PruneDP, build_split_tree
-
         INF = float("inf")
         for _ in range(50):
             g = random_graph(rng, rng.randint(2, 11), 0.35, 3)
