@@ -1,13 +1,14 @@
 """Min-cost circulation machinery behind exact agony minimization.
 
 The pipeline: a weighted digraph plus a tier budget k becomes a shifted-arc
-graph (``build_agony_instance`` / ``build_convex_instance``), capacitated
-arcs are replaced by negative-bias gadget vertices (``uncapacitate``), and
-the resulting uncapacitated instance is solved by delta-scaling successive
-shortest paths.  One scaling loop (``_solve``) runs the phases for both
-solvers.  ``solve_fast`` runs each phase primal-dual: a multi-source
-Dijkstra (``_build_tree``) prices the duals so that every shortest path
-from a source has reduced cost 0, then a Dinic max flow over the
+graph (``build_convex_instance``) whose arcs are implicit in the graph, k
+and the hinge terms; ``uncapacitate`` builds from it, in one pass, an
+uncapacitated instance with a negative-bias gadget vertex for each
+capacitated arc, which is solved by delta-scaling successive shortest
+paths.  One scaling loop (``_solve``) runs the phases for both solvers.
+``solve_fast`` runs each phase primal-dual: a multi-source Dijkstra
+(``_build_tree``) prices the duals so that every shortest path from a
+source has reduced cost 0, then a Dinic max flow over the
 zero-reduced-cost residual arcs (``_admissible_max_flow``) pushes
 delta-units from the sources to the sinks until no such path is left, and
 the two repeat until no source or no sink is left, so a phase runs one
@@ -18,10 +19,10 @@ tight arcs are the only two scans of the residual graph in the package.
 The canonical ranking (``agony.canonical``) reuses the Dijkstra through
 ``_build_tree`` from the alpha sentinel on a copy of a solved state.  An
 arc whose flow outgrows the scale is contracted (Orlin's strongly
-polynomial device): its ends merge into one cluster and the arcs are
-rewritten to run between cluster roots, so neither scan sees a member.
-Optimal integer duals turn back into a rank assignment via
-``extract_ranking``.
+polynomial device): its ends merge into one cluster, the arcs between
+clusters are rewritten to run between cluster roots, and the arcs inside
+one leave the adjacency lists, so neither scan sees a member.  Optimal
+integer duals turn back into a rank assignment via ``extract_ranking``.
 
 No floating point anywhere: distances are lexicographic (cost, hops) pairs,
 which is equivalent to perturbing every arc by an epsilon smaller than 1/n,
@@ -32,10 +33,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable
 
 from .graph import WeightedDigraph
-from .penalties import PenaltySpec, UnsupportedPenaltyError
+from .penalties import PenaltySpec
 
 # excess threshold alpha = 3/4: a vertex is a source when 4*e(v) >= 3*delta
 _ALPHA_NUM = 3
@@ -49,30 +50,33 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ShiftedArc:
-    src: int
-    dst: int
-    weight: Optional[int]  # None means uncapacitated
-    shift: int
-
-
-@dataclass(frozen=True)
 class ShiftedGraph:
     """Shifted-penalty graph: minimize sum w(e) * max(r(u) - r(v) + s(e), 0).
 
-    Contains the original vertices 0..n_original-1 plus the two sentinels
-    ``alpha`` and ``omega`` whose fan arcs pin every rank into [0, k-1].
+    Its vertices are those of ``g``, 0..n-1, plus the sentinels ``alpha`` =
+    n and ``omega`` = n + 1.  Its arcs are implicit: per edge (u, v, w) of
+    ``g`` and hinge term (a, b) of ``terms``, in that order, a capacitated
+    arc (u, v) with weight a*w and shift -b; then per vertex v the
+    uncapacitated fans (alpha, v) and (v, omega) with shift 0; last the
+    uncapacitated arc (omega, alpha) with shift 1-k.  The fans and that arc
+    pin every rank into [0, k-1].
     """
 
-    n_original: int
-    alpha: int
-    omega: int
+    g: WeightedDigraph
     k: int
-    arcs: tuple[ShiftedArc, ...]
+    terms: tuple[tuple[int, int], ...]  # integer hinge terms (slope, breakpoint)
+
+    @property
+    def alpha(self) -> int:
+        return self.g.n
+
+    @property
+    def omega(self) -> int:
+        return self.g.n + 1
 
     @property
     def n_total(self) -> int:
-        return self.n_original + 2
+        return self.g.n + 2
 
     @property
     def score_offset(self) -> int:
@@ -81,7 +85,7 @@ class ShiftedGraph:
         The optimal shifted score equals this offset minus the minimal cost
         of the uncapacitated circulation.
         """
-        return sum(a.shift * a.weight for a in self.arcs if a.weight is not None and a.shift > 0)
+        return self.g.total_weight * sum(-b * a for a, b in self.terms if b < 0)
 
 
 def build_convex_instance(g: WeightedDigraph, k: int, penalty: PenaltySpec) -> ShiftedGraph:
@@ -92,67 +96,36 @@ def build_convex_instance(g: WeightedDigraph, k: int, penalty: PenaltySpec) -> S
     sentinel fans and the (omega, alpha) arc with shift 1-k enforce the
     cardinality constraint.
     """
-    if not penalty.solvable:
-        raise UnsupportedPenaltyError(
-            f"penalty kind {penalty.kind!r} cannot be minimized, only scored"
-        )
+    terms = penalty.integer_terms()  # raises UnsupportedPenaltyError if not solvable
     if k < 2:
         raise ValueError(f"cardinality constraint k must be >= 2, got {k}")
-    terms = penalty.integer_terms()
-    n = g.n
-    alpha, omega = n, n + 1
-    arcs: list[ShiftedArc] = []
-    for u, v, w in g.edges:
-        for a_int, b in terms:
-            arcs.append(ShiftedArc(u, v, a_int * w, -b))
-    for v in range(n):
-        arcs.append(ShiftedArc(alpha, v, None, 0))
-        arcs.append(ShiftedArc(v, omega, None, 0))
-    arcs.append(ShiftedArc(omega, alpha, None, 1 - k))
-    return ShiftedGraph(n, alpha, omega, k, tuple(arcs))
-
-
-def build_agony_instance(g: WeightedDigraph, k: int) -> ShiftedGraph:
-    """Encode plain agony: one arc per edge with shift 1 and the sentinels."""
-    return build_convex_instance(g, k, PenaltySpec.linear())
+    return ShiftedGraph(g, k, terms)
 
 
 class CirculationInstance:
     """Uncapacitated min-cost circulation with vertex biases.
 
-    The first ``n_shifted`` vertices are the shifted graph's vertices; the
+    The first ``n_total`` vertices are the shifted graph's vertices; the
     rest encode one capacitated arc each (two incoming cost-split arcs, bias
-    -capacity).
+    -capacity).  ``out_arcs[x]`` and ``in_arcs[x]`` list the arcs leaving
+    and entering x in increasing order.
     """
 
     __slots__ = ("n", "asrc", "adst", "acost", "bias", "out_arcs", "in_arcs", "k")
 
-    def __init__(self, n_shifted: int, k: Optional[int] = None):
-        self.n = n_shifted
-        self.asrc: list[int] = []
-        self.adst: list[int] = []
-        self.acost: list[int] = []
-        self.bias: list[int] = [0] * n_shifted
+    def __init__(self, asrc, adst, acost, bias, out_arcs, in_arcs, k: int):
+        self.n = len(bias)
+        self.asrc: list[int] = asrc
+        self.adst: list[int] = adst
+        self.acost: list[int] = acost
+        self.bias: list[int] = bias
+        self.out_arcs: list[list[int]] = out_arcs
+        self.in_arcs: list[list[int]] = in_arcs
         self.k = k
-        self.out_arcs: list[list[int]] = []
-        self.in_arcs: list[list[int]] = []
 
     @property
     def m(self) -> int:
         return len(self.asrc)
-
-    def _add_vertex(self) -> int:
-        v = self.n
-        self.n += 1
-        self.bias.append(0)
-        return v
-
-    def _add_arc(self, src: int, dst: int, cost: int) -> int:
-        a = len(self.asrc)
-        self.asrc.append(src)
-        self.adst.append(dst)
-        self.acost.append(cost)
-        return a
 
     def excess(self, flow: list[int]) -> list[int]:
         """Bias plus inflow minus outflow of every vertex under ``flow``."""
@@ -164,15 +137,6 @@ class CirculationInstance:
                 e[asrc[a]] -= f
         return e
 
-    def _build_adjacency(self):
-        out = [[] for _ in range(self.n)]
-        inn = [[] for _ in range(self.n)]
-        for a in range(self.m):
-            out[self.asrc[a]].append(a)
-            inn[self.adst[a]].append(a)
-        self.out_arcs = out
-        self.in_arcs = inn
-
 
 def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
     """Replace each capacitated arc (v, w) by a gadget vertex u.
@@ -181,23 +145,53 @@ def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
     u with bias -c(e), while b(w) grows by c(e); uncapacitated arcs become
     plain arcs with cost -s.  Biases sum to zero and all costs are >= 0, so
     the zero flow with zero duals is dual-feasible and slack.
+
+    One pass over the edges and terms, then one over the vertices, writes
+    the arcs in ``ShiftedGraph`` order: capacitated arc i becomes gadget
+    vertex n_total + i with arcs 2i and 2i + 1.
     """
-    inst = CirculationInstance(sg.n_total, k=sg.k)
-    for arc in sg.arcs:
-        if arc.weight is None:
-            inst._add_arc(arc.src, arc.dst, -arc.shift)
-        else:
-            u = inst._add_vertex()
-            inst._add_arc(arc.src, u, max(-arc.shift, 0))
-            inst._add_arc(arc.dst, u, max(arc.shift, 0))
-            inst.bias[u] -= arc.weight
-            inst.bias[arc.dst] += arc.weight
-    if sum(inst.bias) != 0:
+    n, alpha, omega = sg.g.n, sg.alpha, sg.omega
+    # per hinge term (slope, cost of (v, u), cost of (w, u)), shift s = -b
+    splits = [(a, max(b, 0), max(-b, 0)) for a, b in sg.terms]
+    asrc, adst, acost = [], [], []
+    bias = [0] * (n + 2)
+    out_arcs: list[list[int]] = [[] for _ in range(n + 2)]
+    in_arcs: list[list[int]] = [[] for _ in range(n + 2)]
+    arc = 0
+    for v, w, weight in sg.g.edges:
+        out_v, out_w = out_arcs[v], out_arcs[w]
+        for slope, cost_v, cost_w in splits:
+            u = len(bias)
+            asrc += (v, w)
+            adst += (u, u)
+            acost += (cost_v, cost_w)
+            out_v.append(arc)
+            out_w.append(arc + 1)
+            out_arcs.append([])
+            in_arcs.append([arc, arc + 1])
+            c = slope * weight
+            bias.append(-c)
+            bias[w] += c
+            arc += 2
+    for v in range(n):
+        asrc += (alpha, v)
+        adst += (v, omega)
+        acost += (0, 0)
+        out_arcs[alpha].append(arc)
+        in_arcs[v].append(arc)
+        out_arcs[v].append(arc + 1)
+        in_arcs[omega].append(arc + 1)
+        arc += 2
+    asrc.append(omega)
+    adst.append(alpha)
+    acost.append(sg.k - 1)
+    out_arcs[omega].append(arc)
+    in_arcs[alpha].append(arc)
+    if sum(bias) != 0:
         raise SolverError("biases do not sum to zero")
-    if any(c < 0 for c in inst.acost):
+    if min(acost) < 0:
         raise SolverError("negative arc cost after uncapacitating")
-    inst._build_adjacency()
-    return inst
+    return CirculationInstance(asrc, adst, acost, bias, out_arcs, in_arcs, sg.k)
 
 
 @dataclass
@@ -261,21 +255,24 @@ def shifted_score(sg: ShiftedGraph, full_ranks: list[int]):
     ``full_ranks`` must cover the sentinels too.  Infinite-capacity arcs
     must be satisfied exactly; a violation returns None.
     """
+    r_alpha, r_omega = full_ranks[sg.alpha], full_ranks[sg.omega]
+    if r_omega - r_alpha + 1 - sg.k > 0:
+        return None
+    if any(not r_alpha <= full_ranks[v] <= r_omega for v in range(sg.g.n)):
+        return None
     total = 0
-    for arc in sg.arcs:
-        viol = full_ranks[arc.src] - full_ranks[arc.dst] + arc.shift
-        if arc.weight is None:
-            if viol > 0:
-                return None
-        elif viol > 0:
-            total += arc.weight * viol
+    for u, v, w in sg.g.edges:
+        d = full_ranks[u] - full_ranks[v]
+        for a, b in sg.terms:
+            if d > b:
+                total += a * w * (d - b)
     return total
 
 
 def extract_ranking(state: SolverState, sg: ShiftedGraph) -> list[int]:
     """Ranks r(v) = pi(v) - pi(alpha), guaranteed inside [0, k-1]."""
     base = state.potentials[sg.alpha]
-    ranks = [state.potentials[v] - base for v in range(sg.n_original)]
+    ranks = [state.potentials[v] - base for v in range(sg.g.n)]
     for v, r in enumerate(ranks):
         if not (0 <= r <= sg.k - 1):
             raise SolverError(f"rank {r} of vertex {v} outside [0, {sg.k - 1}]")
@@ -299,9 +296,11 @@ class _Core:
     and ``cost`` describe the contracted graph over cluster roots, with
     reduced cost ``cost[a] + pot[dst[a]] - pot[src[a]]``.  Arcs left on
     members would save no work here but make every residual scan map ends
-    to roots and add offsets.  The lists alias the instance's until the
-    first contraction copies them; ``check_state`` and ``finalize`` work
-    from the instance's costs and the unrolled potentials.
+    to roots and add offsets.  Arcs inside one cluster keep src == dst and
+    leave the adjacency lists, which hold only arcs between distinct roots.
+    The lists alias the instance's until the first contraction copies them;
+    ``check_state`` and ``finalize`` work from the instance's costs and the
+    unrolled potentials.
     """
 
     def __init__(self, inst: CirculationInstance):
@@ -321,6 +320,8 @@ class _Core:
         self.members: dict[int, list[int]] = {v: [v] for v in range(n)}
         # (arc, members of absorbed cluster, True if arc dst was absorbed)
         self.clog: list[tuple[int, tuple[int, ...], bool]] = []
+        # per root, the instance adjacency length summed over its members
+        self.size: list[int] = []  # filled at the first contraction
         self.stats = SolveStats()
 
     def potential(self, x: int) -> int:
@@ -341,16 +342,17 @@ class _Core:
 
     def _contract_arc(self, a: int):
         """Merge the two clusters at the ends of arc a (distinct roots)."""
+        if self.src is self.inst.asrc:  # first contraction: stop aliasing
+            self.src, self.dst, self.cost = list(self.src), list(self.dst), list(self.cost)
+            self.size = [len(o) + len(i) for o, i in zip(self.out_arcs, self.in_arcs)]
         rs, rd = self.src[a], self.dst[a]
         # keep the root with the bigger adjacency to bound merge work
-        size_s = len(self.out_arcs[rs]) + len(self.in_arcs[rs])
-        size_d = len(self.out_arcs[rd]) + len(self.in_arcs[rd])
-        if size_s >= size_d:
+        size = self.size
+        if size[rs] >= size[rd]:
             keep, absorbed, dst_in_absorbed = rs, rd, True
         else:
             keep, absorbed, dst_in_absorbed = rd, rs, False
-        if self.src is self.inst.asrc:  # first contraction: stop aliasing
-            self.src, self.dst, self.cost = list(self.src), list(self.dst), list(self.cost)
+        size[keep] += size[absorbed]
         members = self.members.pop(absorbed)
         self.clog.append((a, tuple(members), dst_in_absorbed))
         # freeze the current dual relation between the two clusters
@@ -360,17 +362,19 @@ class _Core:
             root[v] = keep
             off[v] += d
         src, dst, cost = self.src, self.dst, self.cost
-        for b in self.out_arcs[absorbed]:
+        out_arcs, in_arcs = self.out_arcs, self.in_arcs
+        for b in out_arcs[absorbed]:
             src[b] = keep
             cost[b] -= d
-        for b in self.in_arcs[absorbed]:
+        for b in in_arcs[absorbed]:
             dst[b] = keep
             cost[b] += d
         self.excess[keep] += self.excess[absorbed]
-        self.out_arcs[keep] = self.out_arcs[keep] + self.out_arcs[absorbed]
-        self.in_arcs[keep] = self.in_arcs[keep] + self.in_arcs[absorbed]
-        self.out_arcs[absorbed] = []
-        self.in_arcs[absorbed] = []
+        # arcs between the two clusters now run from keep to keep: drop them
+        out_arcs[keep] = [b for b in out_arcs[keep] + out_arcs[absorbed] if dst[b] != keep]
+        in_arcs[keep] = [b for b in in_arcs[keep] + in_arcs[absorbed] if src[b] != keep]
+        out_arcs[absorbed] = []
+        in_arcs[absorbed] = []
         self.members[keep].extend(members)
         self.roots.discard(absorbed)
         self.stats.contractions += 1
@@ -386,10 +390,9 @@ class _Core:
                 raise SolverError(f"negative reduced cost {rc} on arc {a}")
             if self.flow[a] and rc != 0:
                 raise SolverError(f"slackness violated on arc {a}")
-        if inst.k is not None and self.roots:
-            pots = [self.pot[r] for r in self.roots]
-            if max(pots) - min(pots) > inst.k:
-                raise SolverError("dual spread exceeds k")
+        pots = [self.pot[r] for r in self.roots]
+        if max(pots) - min(pots) > inst.k:
+            raise SolverError("dual spread exceeds k")
 
     # -- finish --------------------------------------------------------------
 
@@ -555,8 +558,6 @@ def _build_tree(core: _Core, sources) -> list:
         h += 1
         for a in out_arcs[x]:
             w = dst[a]
-            if w == x:
-                continue
             rc = cost[a] + pot[w] - px
             if rc < 0:
                 raise SolverError(f"negative reduced cost {rc} on arc {a}")
@@ -566,8 +567,6 @@ def _build_tree(core: _Core, sources) -> list:
             if not flow[a]:
                 continue
             w = src[a]
-            if w == x:
-                continue
             rc = pot[w] - px - cost[a]
             if rc < 0:
                 raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")

@@ -70,11 +70,11 @@ def _rebase_duals(state: SolverState, sg: ShiftedGraph):
     sentinels then forces the whole sentinel system flowless; raising
     pi(alpha) therefore keeps dual feasibility and slackness intact.
     """
-    if sg.n_original == 0:
+    if sg.g.n == 0:
         return
     pots = state.potentials
     base = pots[sg.alpha]
-    low = min(pots[v] - base for v in range(sg.n_original))
+    low = min(pots[v] - base for v in range(sg.g.n))
     if low > 0:
         pots[sg.alpha] = base + low
 
@@ -197,6 +197,6 @@ def verify_certificate(g: WeightedDigraph, result: ExactResult, penalty: Penalty
         full = [pots[v] - pots[sg.alpha] for v in range(sg.n_total)]
         if shifted_score(sg, full) != circulation_value(state, sg):
             return False
-        if full[: sg.n_original] != comp.local_ranks:
+        if full[: sg.g.n] != comp.local_ranks:
             return False
     return True

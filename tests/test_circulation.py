@@ -4,10 +4,7 @@ import pytest
 
 from agony import circulation
 from agony.circulation import (
-    ShiftedArc,
-    ShiftedGraph,
     SolverError,
-    build_agony_instance,
     build_convex_instance,
     circulation_value,
     extract_ranking,
@@ -31,65 +28,94 @@ def _solve_both(g, k, penalty=LINEAR, **kw):
     return sg, sb, sf
 
 
+def _explicit_arcs(sg):
+    """The shifted graph's arcs (src, dst, weight or None, shift), in order."""
+    arcs = [(u, v, a * w, -b) for u, v, w in sg.g.edges for a, b in sg.terms]
+    for v in range(sg.g.n):
+        arcs += [(sg.alpha, v, None, 0), (v, sg.omega, None, 0)]
+    return arcs + [(sg.omega, sg.alpha, None, 1 - sg.k)]
+
+
+def _gadgets(inst, sg):
+    """(src, dst, cost) of the two arcs into each gadget vertex, and its bias."""
+    out = []
+    for u in range(sg.n_total, inst.n):
+        a, b = inst.in_arcs[u]
+        out.append(((inst.asrc[a], u, inst.acost[a]), (inst.asrc[b], u, inst.acost[b]),
+                    inst.bias[u]))
+    return out
+
+
+def _plain_arcs(inst, sg):
+    """(src, dst, cost) of the arcs that do not enter a gadget vertex."""
+    return [(inst.asrc[a], inst.adst[a], inst.acost[a])
+            for a in range(inst.m) if inst.adst[a] < sg.n_total]
+
+
 class TestBuilders:
     def test_toy_instance_shape(self):
         g = graph_from_text(TOY)
-        sg = build_agony_instance(g, 4)
-        assert sg.n_total == 6
-        cap = [a for a in sg.arcs if a.weight is not None]
-        fans = [a for a in sg.arcs if a.weight is None and a.shift == 0]
-        loop = [a for a in sg.arcs if a.weight is None and a.shift != 0]
-        assert len(cap) == 4 and all(a.shift == 1 for a in cap)
-        assert len(fans) == 8
-        assert loop == [ShiftedArc(sg.omega, sg.alpha, None, -3)]
-        weights = sorted(a.weight for a in cap)
-        assert weights == [1, 1, 1, 2]
+        sg = build_convex_instance(g, 4, LINEAR)
+        assert sg.n_total == 6 and (sg.alpha, sg.omega) == (4, 5)
+        inst = uncapacitate(sg)
+        gadgets = _gadgets(inst, sg)
+        assert len(gadgets) == g.m == 4
+        assert sorted(bias for _, _, bias in gadgets) == [-2, -1, -1, -1]
+        # shift 1: the route from the arc's source is free, from its target costs 1
+        assert all(fwd[2] == 0 and back[2] == 1 for fwd, back, _ in gadgets)
+        plain = _plain_arcs(inst, sg)
+        fans = [(s, d) for s, d, c in plain if c == 0]
+        assert sorted(fans) == sorted([(sg.alpha, v) for v in range(4)]
+                                      + [(v, sg.omega) for v in range(4)])
+        assert [arc for arc in plain if arc[2] != 0] == [(sg.omega, sg.alpha, 3)]
 
     def test_empty_graph_instance(self):
         g = WeightedDigraph(0, [])
-        sg = build_agony_instance(g, 2)
+        sg = build_convex_instance(g, 2, LINEAR)
         assert sg.n_total == 2
-        assert list(sg.arcs) == [ShiftedArc(sg.omega, sg.alpha, None, -1)]
+        inst = uncapacitate(sg)
+        assert inst.n == 2 and inst.bias == [0, 0]
+        assert _plain_arcs(inst, sg) == [(sg.omega, sg.alpha, 1)]
 
     def test_single_edge_k2(self):
         g = WeightedDigraph(2, [(0, 1, 5)])
-        sg = build_agony_instance(g, 2)
-        cap = [a for a in sg.arcs if a.weight is not None]
-        assert cap == [ShiftedArc(0, 1, 5, 1)]
-        loop = [a for a in sg.arcs if a.shift == -1]
-        assert len(loop) == 1
+        sg = build_convex_instance(g, 2, LINEAR)
+        assert sg.terms == ((1, -1),)
+        inst = uncapacitate(sg)
+        assert _gadgets(inst, sg) == [((0, 4, 0), (1, 4, 1), -5)]
+        assert inst.bias[1] == 5
+        loop = [arc for arc in _plain_arcs(inst, sg) if arc[2] != 0]
+        assert loop == [(sg.omega, sg.alpha, 1)]
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            build_agony_instance(WeightedDigraph(2, [(0, 1, 1)]), 1)
+            build_convex_instance(WeightedDigraph(2, [(0, 1, 1)]), 1, LINEAR)
 
     def test_convex_two_term_doubles_arcs(self):
         # p(d) = max(0, d+1) + 2*max(0, d-3): shifts 1 and -3, second weight doubled
         g = graph_from_text("a b\nb c\nc a 2\n")
         pen = PenaltySpec.convex_sum([(1, -1), (2, 3)])
         sg = build_convex_instance(g, 3, pen)
-        cap = [a for a in sg.arcs if a.weight is not None]
-        assert len(cap) == 6
-        by_edge = {}
-        for a in cap:
-            by_edge.setdefault((a.src, a.dst), []).append((a.shift, a.weight))
-        for (u, v), pairs in by_edge.items():
-            w = dict((s, wt) for s, wt in pairs)
-            assert w[-3] == 2 * w[1]
-        fans = [a for a in sg.arcs if a.weight is None]
-        assert len(fans) == 2 * 3 + 1
+        inst = uncapacitate(sg)
+        gadgets = _gadgets(inst, sg)
+        assert len(gadgets) == g.m * 2 == 6
+        for (u, v, w), first, second in zip(g.edges, gadgets[::2], gadgets[1::2]):
+            assert first == ((u, first[0][1], 0), (v, first[0][1], 1), -w)
+            assert second == ((u, second[0][1], 3), (v, second[0][1], 0), -2 * w)
+        assert len(_plain_arcs(inst, sg)) == 2 * 3 + 1
 
     def test_linear_spec_equals_agony_instance(self):
         g = graph_from_text(TOY)
-        a = build_agony_instance(g, 3)
+        a = build_convex_instance(g, 3, LINEAR)
         b = build_convex_instance(g, 3, PenaltySpec.convex_sum([(1, -1)]))
         assert a == b
+        ia, ib = uncapacitate(a), uncapacitate(b)
+        assert (ia.asrc, ia.adst, ia.acost, ia.bias) == (ib.asrc, ib.adst, ib.acost, ib.bias)
 
     def test_slope_times_weight(self):
         g = WeightedDigraph(2, [(0, 1, 2)])
         sg = build_convex_instance(g, 2, PenaltySpec.convex_sum([(3, 0)]))
-        cap = [a for a in sg.arcs if a.weight is not None]
-        assert cap == [ShiftedArc(0, 1, 6, 0)]
+        assert _gadgets(uncapacitate(sg), sg) == [((0, 4, 0), (1, 4, 0), -6)]
 
     def test_scoring_only_penalties_rejected(self):
         g = graph_from_text(TOY)
@@ -98,11 +124,35 @@ class TestBuilders:
         with pytest.raises(UnsupportedPenaltyError):
             build_convex_instance(g, 2, PenaltySpec.custom(lambda d: 0))
 
+    def test_score_and_offset_match_per_arc_sums(self, rng):
+        pens = [LINEAR, PenaltySpec.convex_sum([(1, -1), (2, 3)]),
+                PenaltySpec.convex_sum([(Fraction(1, 2), -2), (3, 0), (1, 1)])]
+        for i in range(60):
+            g = random_graph(rng, rng.randint(1, 7), 0.4, 10**6 if i % 3 == 0 else 3)
+            k = rng.randint(2, 5)
+            sg = build_convex_instance(g, k, pens[i % 3])
+            arcs = _explicit_arcs(sg)
+            assert sg.score_offset == sum(
+                s * w for _, _, w, s in arcs if w is not None and s > 0
+            )
+            for _ in range(10):
+                # ranks in [-1, k]: sentinel arcs are violated now and then
+                full = [rng.randint(-1, k) for _ in range(sg.n_total)]
+                expect = 0
+                for u, v, w, s in arcs:
+                    viol = full[u] - full[v] + s
+                    if viol > 0:
+                        if w is None:
+                            expect = None
+                            break
+                        expect += w * viol
+                assert shifted_score(sg, full) == expect
+
 
 class TestUncapacitate:
     def test_single_capacitated_arc_gadget(self):
         g = WeightedDigraph(2, [(0, 1, 1)])
-        sg = build_agony_instance(g, 2)
+        sg = build_convex_instance(g, 2, LINEAR)
         inst = uncapacitate(sg)
         # vertices: 0, 1, alpha=2, omega=3, gadget u=4
         assert inst.n == 5
@@ -117,26 +167,55 @@ class TestUncapacitate:
     def test_sentinel_loop_arc_cost(self):
         g = WeightedDigraph(4, [(0, 1, 1), (2, 3, 1)])
         for k in (2, 3, 4):
-            sg = build_agony_instance(g, k)
+            sg = build_convex_instance(g, k, LINEAR)
             inst = uncapacitate(sg)
             arcs = {(inst.asrc[a], inst.adst[a]): inst.acost[a] for a in range(inst.m)}
             assert arcs[(sg.omega, sg.alpha)] == k - 1
 
     def test_negative_shift_cost_split(self):
-        sg = ShiftedGraph(2, 2, 3, 4, (ShiftedArc(0, 1, 7, -3), ShiftedArc(3, 2, None, -3)))
+        # hinge max(0, d - 3): shift -3, so the route from the arc's source pays 3
+        g = WeightedDigraph(2, [(0, 1, 7)])
+        sg = build_convex_instance(g, 4, PenaltySpec.parse("sum:1,3"))
         inst = uncapacitate(sg)
         u = 4
         arcs = {(inst.asrc[a], inst.adst[a]): inst.acost[a] for a in range(inst.m)}
         assert arcs[(0, u)] == 3 and arcs[(1, u)] == 0
+        assert inst.bias[u] == -7 and inst.bias[1] == 7
         assert arcs[(3, 2)] == 3
 
     def test_gadget_flow_patterns_cost_zero_vs_shift(self):
         # pushing the unit through (src, u) is free; through (dst, u) costs s
         g = WeightedDigraph(2, [(0, 1, 1)])
-        inst = uncapacitate(build_agony_instance(g, 2))
+        inst = uncapacitate(build_convex_instance(g, 2, LINEAR))
         free = [a for a in range(inst.m) if (inst.asrc[a], inst.adst[a]) == (0, 4)][0]
         paid = [a for a in range(inst.m) if (inst.asrc[a], inst.adst[a]) == (1, 4)][0]
         assert inst.acost[free] == 0 and inst.acost[paid] == 1
+
+    def test_matches_per_arc_construction(self, rng):
+        """Arcs, vertices and adjacency in the order of one gadget per arc."""
+        pen = PenaltySpec.convex_sum([(1, -1), (2, 3)])
+        for i in range(30):
+            g = random_graph(rng, rng.randint(0, 8), 0.4, 5)
+            sg = build_convex_instance(g, rng.randint(2, 6), pen if i % 2 else LINEAR)
+            asrc, adst, acost, bias = [], [], [], [0] * sg.n_total
+            for v, w, cap, s in _explicit_arcs(sg):
+                if cap is None:
+                    asrc.append(v)
+                    adst.append(w)
+                    acost.append(-s)
+                else:
+                    u = len(bias)
+                    bias.append(-cap)
+                    bias[w] += cap
+                    asrc += [v, w]
+                    adst += [u, u]
+                    acost += [max(-s, 0), max(s, 0)]
+            inst = uncapacitate(sg)
+            assert (inst.asrc, inst.adst, inst.acost, inst.bias) == (asrc, adst, acost, bias)
+            assert inst.n == len(bias)
+            for x in range(inst.n):
+                assert inst.out_arcs[x] == [a for a in range(inst.m) if asrc[a] == x]
+                assert inst.in_arcs[x] == [a for a in range(inst.m) if adst[a] == x]
 
 
 class TestSolvers:
@@ -185,7 +264,7 @@ class TestSolvers:
             g = random_graph(rng, rng.randint(2, 9), 0.4, 1)
             if g.m == 0:
                 continue
-            sg = build_agony_instance(g, g.n)
+            sg = build_convex_instance(g, g.n, LINEAR)
             st = solve_fast(uncapacitate(sg))
             assert st.stats.outer_phases == 1
 
@@ -242,7 +321,7 @@ class TestSolvers:
         )
 
     def test_empty_instance_solves_trivially(self):
-        sg = build_agony_instance(WeightedDigraph(0, []), 2)
+        sg = build_convex_instance(WeightedDigraph(0, []), 2, LINEAR)
         st = solve_fast(uncapacitate(sg))
         assert st.objective() == 0 and st.stats.augmentations == 0
 
@@ -273,7 +352,7 @@ class TestSolveStats:
     def test_baseline_settles_every_vertex_per_augmentation(self, rng):
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 9), 0.4)
-            inst = uncapacitate(build_agony_instance(g, g.n))
+            inst = uncapacitate(build_convex_instance(g, g.n, LINEAR))
             stats = solve_baseline(inst).stats
             assert stats.contractions == 0 and stats.repairs == 0
             assert stats.settles == stats.augmentations * inst.n
@@ -282,7 +361,7 @@ class TestSolveStats:
 class TestStateSurface:
     def test_perturbed_flow_breaks_optimality(self):
         g = graph_from_text(TOY)
-        sg = build_agony_instance(g, 4)
+        sg = build_convex_instance(g, 4, LINEAR)
         st = solve_fast(uncapacitate(sg))
         assert st.check_optimality()
         st.flow[0] += 1
@@ -290,7 +369,7 @@ class TestStateSurface:
 
     def test_extract_requires_window(self):
         g = graph_from_text(TOY)
-        sg = build_agony_instance(g, 4)
+        sg = build_convex_instance(g, 4, LINEAR)
         st = solve_fast(uncapacitate(sg))
         st.potentials[0] += sg.k + 5
         with pytest.raises(SolverError):
@@ -349,7 +428,10 @@ class TestAdmissibleMaxFlow:
 
 
 class TestContractionRewrite:
-    """After every contraction the core's arcs run between cluster roots."""
+    """After every contraction an arc between two clusters runs between their
+    roots with the offsets folded into its cost, an arc inside one cluster
+    has equal ends in the core, and the roots' adjacency lists hold exactly
+    the arcs between clusters."""
 
     def test_arcs_follow_roots_and_offsets(self, monkeypatch, rng):
         contract = circulation._Core._contract_arc
@@ -357,9 +439,19 @@ class TestContractionRewrite:
         def contract_then_check(core, a):
             contract(core, a)
             inst, root, off = core.inst, core.root, core.off
+            out_arcs = {x: [] for x in core.roots}
+            in_arcs = {x: [] for x in core.roots}
             for b, (s, d, c) in enumerate(zip(inst.asrc, inst.adst, inst.acost)):
+                if root[s] == root[d]:
+                    assert core.src[b] == core.dst[b]
+                    continue
                 assert core.src[b] == root[s] and core.dst[b] == root[d]
                 assert core.cost[b] == c + off[d] - off[s]
+                out_arcs[root[s]].append(b)
+                in_arcs[root[d]].append(b)
+            for x in core.roots:
+                assert sorted(core.out_arcs[x]) == out_arcs[x]
+                assert sorted(core.in_arcs[x]) == in_arcs[x]
 
         monkeypatch.setattr(circulation._Core, "_contract_arc", contract_then_check)
         pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])

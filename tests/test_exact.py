@@ -1,5 +1,9 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from agony import exact
 from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, score_ranking
 from agony.penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
@@ -145,3 +149,37 @@ class TestCertificate:
         res = min_agony(g, 4)
         res.agony += 1
         assert not verify_certificate(g, res, LINEAR)
+
+
+def _trace_points():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.POINTS
+
+
+class TestTracerContract:
+    """The traced benchmark wraps module attributes by name; a rename must
+    fail here, not only in the benchmark."""
+
+    def test_every_trace_point_resolves(self):
+        points = _trace_points()
+        assert points
+        for module, attr, _, _ in points:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+    def test_exact_stages_run_through_module_attributes(self, monkeypatch):
+        calls = []
+        for module, attr, _, _ in _trace_points():
+            if module == "agony.exact":
+                original = getattr(exact, attr)
+
+                def counted(*args, _attr=attr, _original=original, **kwargs):
+                    calls.append(_attr)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(exact, attr, counted)
+        min_agony(graph_from_text(TOY), 4)
+        for attr in ("build_convex_instance", "uncapacitate", "solve_fast", "extract_ranking"):
+            assert attr in calls
