@@ -12,12 +12,13 @@ source has reduced cost 0, then a Dinic max flow over the
 zero-reduced-cost residual arcs (``_admissible_max_flow``) pushes
 delta-units from the sources to the sinks until no such path is left, and
 the two repeat until no source or no sink is left, so a phase runs one
-Dijkstra per distinct shortest-path cost.  ``solve_baseline`` is the
-single-source mode of the same Dijkstra: one tree and one push of delta
-per augmentation.  The Dijkstra loop and the max flow's pass over the
-tight arcs are the only two scans of the residual graph in the package.
-The canonical ranking (``agony.canonical``) reuses the Dijkstra through
-``_build_tree`` from the alpha sentinel on a copy of a solved state.  An
+Dijkstra per distinct shortest-path cost.  ``solve_baseline``, the
+tests' reference, is the single-source mode of the same Dijkstra: one
+tree and one push of delta per augmentation.  The Dijkstra loop and the
+max flow's pass over the tight arcs are the only two scans of the
+residual graph in the package.  The canonical ranking
+(``agony.canonical``) reuses the Dijkstra through ``_build_tree`` on a
+copy of each solved state, from all its graph vertices at once.  An
 arc whose flow outgrows the scale is contracted (Orlin's strongly
 polynomial device): its ends merge into one cluster, the arcs between
 clusters are rewritten to run between cluster roots, and the arcs inside
@@ -497,7 +498,7 @@ def _baseline_phase(core: _Core, delta: int):
             break
         if not (_ALPHA_DEN * es >= lim and -_ALPHA_DEN * er >= lim):
             break
-        _augment_tree(core, _build_tree(core, {s}), r, delta)
+        _augment_tree(core, _build_tree(core, [(0, s)]), r, delta)
         core.stats.augmentations += 1
 
 
@@ -522,22 +523,23 @@ def _fast_phase(core: _Core, delta: int):
         sinks = [v for v in core.roots if -_ALPHA_DEN * excess[v] >= lim]
         if not sources or not sinks:
             return
-        _build_tree(core, sources)
+        _build_tree(core, [(0, v) for v in sources])
         core.stats.repairs += 1
         _admissible_max_flow(core, sources, sinks, delta)
 
 
-def _build_tree(core: _Core, sources) -> list:
+def _build_tree(core: _Core, starts) -> list:
     """Lexicographic multi-source Dijkstra; subtracts distances from duals.
 
-    Heap entries are (dist, hops, vertex, arc, dir), with dir 1 for a
-    forward arc and -1 for the reverse of one: the order is lexicographic
-    in (dist, hops) with ties broken by vertex, then arc.  Settling a
-    vertex records its entry and scans the residual arcs leaving it; each
-    one has its reduced cost checked before an unsettled end enters the
-    heap.  Only cluster roots are ever reached, and every one must be.
+    ``starts`` holds (initial distance, vertex) pairs.  Heap entries are
+    (dist, hops, vertex, arc, dir), with dir 1 for a forward arc and -1
+    for the reverse of one: the order is lexicographic in (dist, hops)
+    with ties broken by vertex, then arc.  Settling a vertex records its
+    entry and scans the residual arcs leaving it; each one has its
+    reduced cost checked before an unsettled end enters the heap.  Only
+    cluster roots are ever reached, and every one must be.
     Finally the distances are subtracted from the duals, so every tree
-    arc, and every shortest path from a source, has reduced cost 0.
+    arc, and every shortest path from a start, has reduced cost 0.
     Returns the entry that settled each vertex (None for absorbed
     members): the shortest-path forest.
     """
@@ -545,7 +547,7 @@ def _build_tree(core: _Core, sources) -> list:
     flow, pot = core.flow, core.pot
     out_arcs, in_arcs = core.out_arcs, core.in_arcs
     tree: list = [None] * core.inst.n
-    heap = [(0, 0, s, _ROOT, 0) for s in sorted(sources)]  # sorted is a heap
+    heap = [(d, 0, s, _ROOT, 0) for d, s in sorted(starts)]  # sorted is a heap
     settled = 0
     while heap:
         entry = heappop(heap)
@@ -573,7 +575,7 @@ def _build_tree(core: _Core, sources) -> list:
             if tree[w] is None:
                 heappush(heap, (d + rc, h, w, a, -1))
     if settled != len(core.roots):
-        raise SolverError("residual graph is not connected from the sources")
+        raise SolverError("residual graph is not connected from the starts")
     for entry in tree:
         if entry is not None and entry[0]:
             pot[entry[2]] -= entry[0]

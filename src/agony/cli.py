@@ -107,19 +107,15 @@ def _cmd_exact(args) -> int:
     g, table = _load_graph(args.input)
     _check_k(args.k)
     penalty = _parse_penalty(args.penalty)
-    if not penalty.solvable:
-        raise _CliError(EXIT_PENALTY, f"penalty {penalty.describe()!r} supports scoring only")
     t0 = time.perf_counter()
-    result = min_agony(
-        g, args.k, penalty, use_scc=not (args.no_scc or args.canonical), solver=args.solver
-    )
+    result = min_agony(g, args.k, penalty)
     ranks = canonical_ranking(result) if args.canonical else result.ranks
     ms = (time.perf_counter() - t0) * 1e3
     _self_check(g, ranks, penalty, result.agony)
     _write_ranking(table, ranks, args.out)
     _summary(
         "exact", args.input, g, result.k, penalty, result.agony, ranks, ms,
-        solver=args.solver, scc=int(result.used_scc), canonical=int(bool(args.canonical)),
+        scc=int(result.used_scc), canonical=int(bool(args.canonical)),
         augmentations=result.stats.augmentations, repairs=result.stats.repairs,
         settles=result.stats.settles,
     )
@@ -248,8 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="edge-list file: 'source target [weight]' per line")
     p.add_argument("--k", type=int, default=None, help="maximum number of tiers")
     p.add_argument("--penalty", default="linear", help="linear | const | sum:a,b;a,b;...")
-    p.add_argument("--no-scc", action="store_true", help="disable SCC decomposition")
-    p.add_argument("--solver", choices=("fast", "baseline"), default="fast")
     p.add_argument("--canonical", action="store_true", help="emit the canonical optimal ranking")
     p.add_argument("--out", default=None, help="write ranking here instead of stdout")
     p.set_defaults(func=_cmd_exact)

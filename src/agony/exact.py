@@ -15,7 +15,6 @@ from .circulation import (
     circulation_value,
     extract_ranking,
     shifted_score,
-    solve_baseline,
     solve_fast,
     uncapacitate,
 )
@@ -25,7 +24,7 @@ from .graph import (
     split_by_part,
     strongly_connected_components,
 )
-from .penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
+from .penalties import LINEAR, PenaltySpec
 
 Score = Union[int, Fraction]
 
@@ -42,21 +41,21 @@ class ComponentSolve:
 
 @dataclass
 class ExactResult:
+    g: WeightedDigraph
     ranks: list[int]
     agony: Score
     objective: int  # circulation value, scaled by the penalty's slope LCM
     k: int
     penalty: PenaltySpec
-    used_scc: bool
+    used_scc: bool  # k is at the rank window cap: one solve per SCC
     components: list[ComponentSolve] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _solve_component(g, k, penalty, solver):
+def _solve_component(g, k, penalty):
     sg = build_convex_instance(g, k, penalty)
     inst = uncapacitate(sg)
-    solve = solve_fast if solver == "fast" else solve_baseline
-    state = solve(inst)
+    state = solve_fast(inst)  # looked up per call, so a wrapped solve_fast runs
     _rebase_duals(state, sg)
     ranks = extract_ranking(state, sg)
     return sg, state, ranks
@@ -87,41 +86,32 @@ def _normalize_score(value, scale: int) -> Score:
 
 
 def min_agony(
-    g: WeightedDigraph,
-    k: Optional[int] = None,
-    penalty: PenaltySpec = LINEAR,
-    *,
-    use_scc: bool = True,
-    solver: str = "fast",
+    g: WeightedDigraph, k: Optional[int] = None, penalty: PenaltySpec = LINEAR
 ) -> ExactResult:
     """Optimal ranking of g within ranks [0, k-1] under a convex penalty.
 
     With step = max(1, -b) for the smallest hinge breakpoint b, an upward
     edge across a rank gap of step costs nothing, so some optimum fits in
     the rank window cap = (n-1)*step + 1 (n ranks for linear agony).  k
-    defaults to the cap and is clamped to it.  At the cap, ``use_scc``
-    decomposes the graph into strongly connected components: a component
-    C is solved within (|C|-1)*step + 1 ranks, and the components are
-    stacked step ranks apart in topological order.  Below the cap, or
-    without ``use_scc``, one global instance is solved; k = 1 needs none.
+    defaults to the cap and is clamped to it.  At the cap the graph is
+    decomposed into strongly connected components: a component C is
+    solved within (|C|-1)*step + 1 ranks, and the components are stacked
+    step ranks apart in topological order.  Below the cap one global
+    instance is solved; k = 1 needs none.  A penalty that can only be
+    scored raises ``UnsupportedPenaltyError``.
     """
-    if solver not in ("fast", "baseline"):
-        raise ValueError(f"unknown solver {solver!r}")
-    if not penalty.solvable:
-        raise UnsupportedPenaltyError(
-            f"penalty kind {penalty.kind!r} cannot be minimized, only scored"
-        )
+    terms = penalty.integer_terms()  # checks the penalty before the graph
     if not g.is_normalized():
         raise ValueError("graph must be normalized first (see agony.graph.normalize)")
     n = g.n
-    step = max(1, -min(b for _, b in penalty.terms))
+    step = max(1, -min(b for _, b in terms))
     cap = max(n - 1, 0) * step + 1
     if k is None:
         k = cap
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, cap)  # a wider window never lowers the optimum
-    use_scc = use_scc and k == cap
+    use_scc = k == cap
 
     t0 = time.perf_counter()
     stats = SolveStats()
@@ -143,7 +133,7 @@ def min_agony(
             local = [0] * len(part)
             components.append(ComponentSolve(part, local))
         else:
-            sg, state, local = _solve_component(subs.pop(), width, penalty, solver)
+            sg, state, local = _solve_component(subs.pop(), width, penalty)
             scaled_total += circulation_value(state, sg)
             _merge_stats(stats, state.stats)
             components.append(ComponentSolve(part, local, sg, state))
@@ -158,7 +148,7 @@ def min_agony(
             f"strong duality broken: circulation says {agony}, ranking scores {recomputed}"
         )
     stats.wall_ms = (time.perf_counter() - t0) * 1e3
-    return ExactResult(ranks, agony, scaled_total, k, penalty, use_scc, components, stats)
+    return ExactResult(g, ranks, agony, scaled_total, k, penalty, use_scc, components, stats)
 
 
 def _merge_stats(into: SolveStats, part: SolveStats):

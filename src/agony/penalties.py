@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Union
 
 Number = Union[int, Fraction]
@@ -140,8 +141,12 @@ class PenaltySpec:
         return math.lcm(*(a.denominator for a, _ in self.terms))
 
     def integer_terms(self) -> tuple[tuple[int, int], ...]:
-        """Hinge terms with slopes cleared to integers by ``scale``."""
-        if not self.solvable:
+        """Hinge terms with slopes cleared to integers by ``scale``, cached."""
+        return self._integer_terms
+
+    @cached_property
+    def _integer_terms(self) -> tuple[tuple[int, int], ...]:
+        if not self.solvable:  # the package's one solvability check
             raise UnsupportedPenaltyError(
                 f"penalty kind {self.kind!r} cannot be minimized, only scored"
             )

@@ -13,6 +13,14 @@ from io import StringIO
 import numpy as np
 import pytest
 
+from agony import exact
+from agony.circulation import (
+    build_convex_instance,
+    circulation_value,
+    extract_ranking,
+    solve_fast,
+    uncapacitate,
+)
 from agony.graph import WeightedDigraph, normalize, parse_edge_list, score_ranking
 from agony.penalties import LINEAR
 
@@ -40,6 +48,30 @@ def random_dag(rng: random.Random, n: int, p: float, wmax: int = 1) -> WeightedD
 def graph_from_text(text: str) -> WeightedDigraph:
     g, _ = parse_edge_list(StringIO(text))
     return normalize(g)
+
+
+def global_result(g: WeightedDigraph, k=None, penalty=LINEAR, solve=solve_fast):
+    """``ExactResult`` of one global instance solved by ``solve``: a reference.
+
+    ``min_agony`` solves one instance per SCC at the rank window cap; this
+    solves the whole graph as one component at any k, with ``solve_fast``
+    or ``solve_baseline``.  k defaults to the cap and is clamped to it;
+    k = 1 and the empty graph need no solve and go to ``min_agony``.
+    """
+    step = max(1, -min(b for _, b in penalty.terms))
+    cap = max(g.n - 1, 0) * step + 1
+    k = cap if k is None else min(k, cap)
+    if k == 1:
+        return exact.min_agony(g, 1, penalty)
+    sg = build_convex_instance(g, k, penalty)
+    state = solve(uncapacitate(sg))
+    exact._rebase_duals(state, sg)
+    ranks = extract_ranking(state, sg)
+    objective = circulation_value(state, sg)
+    agony = exact._normalize_score(objective, penalty.scale)
+    assert score_ranking(g, ranks, penalty) == agony
+    comp = exact.ComponentSolve(list(range(g.n)), ranks, sg, state)
+    return exact.ExactResult(g, ranks, agony, objective, k, penalty, False, [comp], state.stats)
 
 
 def brute_min_linear(g: WeightedDigraph, k: int) -> int:

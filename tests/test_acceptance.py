@@ -14,14 +14,22 @@ from pathlib import Path
 
 import pytest
 
-from agony.canonical import canonical_ranking, distinct_rank_count
+from agony.canonical import _shifted_duals, canonical_ranking, distinct_rank_count
+from agony.circulation import solve_baseline
 from agony.exact import min_agony, verify_certificate
 from agony.graph import normalize, parse_edge_list, score_ranking
 from agony.heuristic import _LayerWindow, heuristic_rank, monotone_min, scc_layer_heuristic
 from agony.penalties import LINEAR
 from agony.splittree import PruneDP, build_split_tree
 
-from conftest import brute_min_linear, brute_optima, graph_from_text, random_dag, random_graph
+from conftest import (
+    brute_min_linear,
+    brute_optima,
+    global_result,
+    graph_from_text,
+    random_dag,
+    random_graph,
+)
 from test_splittree import _all_prunings, _random_gain_tree, audit_counters
 
 TOY = "a b\nb c\nc a 2\nb d\n"
@@ -60,8 +68,8 @@ def suite1():
         per_k = {}
         for k in range(2, n + 1):
             brute = brute_min_linear(g, k)
-            fast = min_agony(g, k, use_scc=(k == n), solver="fast")
-            base = min_agony(g, k, use_scc=False, solver="baseline")
+            fast = min_agony(g, k)
+            base = global_result(g, k, solve=solve_baseline)
             per_k[k] = (brute, fast, base)
         records.append(Suite1Record(g, per_k))
     elapsed = time.perf_counter() - t0
@@ -103,7 +111,7 @@ def test_criterion_2_toy_regressions():
     toy_vals = []
     for k in (3, 4):
         expect = brute_min_linear(toy, k)
-        res = min_agony(toy, k, use_scc=(k == toy.n))
+        res = min_agony(toy, k)
         toy_vals.append((expect, res.agony))
         ok = ok and expect == res.agony == 3
         ok = ok and verify_certificate(toy, res, LINEAR)
@@ -131,7 +139,7 @@ def test_criterion_3_public_dataset_regression():
         res = min_agony(g)  # SCC decomposition, unconstrained
         assert res.agony == expect_agony, (path.name, res.agony, expect_agony)
         certs = certs and verify_certificate(g, res, LINEAR)
-        canon = canonical_ranking(min_agony(g, use_scc=False))
+        canon = canonical_ranking(res)
         groups = distinct_rank_count(canon)
         soft = "==" if groups == expect_groups else f"!= expected {expect_groups} (soft)"
         details.append(f"{path.name}: agony {res.agony}, groups {groups} {soft}")
@@ -161,15 +169,13 @@ def test_criterion_5_solver_equivalence(suite1):
 
 
 def test_criterion_6_canonicality():
-    from agony.canonical import _shifted_duals
-
     rng = random.Random(66)
     checked = 0
     while checked < 100:
         g = random_graph(rng, rng.randint(2, 6), 0.4, 2)
         k = rng.randint(2, min(g.n, 3))
         best, optima = brute_optima(g, k)
-        res = min_agony(g, k, use_scc=False)
+        res = global_result(g, k)
         canon = canonical_ranking(res)
         # optimal, pointwise minimal, fewest groups, idempotent
         assert score_ranking(g, canon, LINEAR) == best
@@ -178,7 +184,8 @@ def test_criterion_6_canonicality():
         assert distinct_rank_count(canon) == min(len(set(o)) for o in optima)
         # idempotence: shift the duals onto the canonical solution and redo
         comp = res.components[0]
-        comp.state.potentials = _shifted_duals(comp.state, comp.sg)
+        starts = [(r, v) for v, r in enumerate(res.ranks)]
+        comp.state.potentials = _shifted_duals(comp.state, starts)
         assert canonical_ranking(dataclasses.replace(res, ranks=canon)) == canon
         checked += 1
     _report(6, True, f"{checked} enumerable instances")

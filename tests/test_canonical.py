@@ -6,14 +6,37 @@ from agony.canonical import _shifted_duals, canonical_ranking, distinct_rank_cou
 from agony.circulation import SolverError
 from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, score_ranking
-from agony.penalties import LINEAR
+from agony.penalties import LINEAR, PenaltySpec
 
-from conftest import brute_optima, graph_from_text, random_dag, random_graph
+from conftest import brute_optima, global_result, graph_from_text, random_dag, random_graph
+
+# breakpoints from -3 to 2, and a slope of 1/2
+PENALTIES = [
+    PenaltySpec.parse(text)
+    for text in ("linear", "sum:1,-3", "sum:1,-2;2,0", "sum:1/2,-1;1,1",
+                 "sum:1,0", "sum:2,1", "sum:1,-3;1/2,2")
+]
 
 
 def _canonical_of(g, k=None):
-    res = min_agony(g, k, use_scc=False)
+    res = min_agony(g, k)
     return res, canonical_ranking(res)
+
+
+def _starts(res):
+    """Dijkstra starts that lower a one-component result to its canonical ranking."""
+    return [(r, v) for v, r in enumerate(res.ranks)]
+
+
+def _clustered_graph(rng, wmax):
+    """Dense clusters of 1 to 5 vertices, with edges only forward between them."""
+    sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+    first = [sum(sizes[:i]) for i in range(len(sizes))]
+    n = sum(sizes)
+    pairs = {(u, v) for s, z in zip(first, sizes) for u in range(s, s + z)
+             for v in range(s, s + z) if u != v and rng.random() < 0.6}
+    pairs |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15}
+    return WeightedDigraph(n, [(u, v, rng.randint(1, wmax)) for u, v in sorted(pairs)])
 
 
 def _peel_depths(g):
@@ -77,11 +100,11 @@ class TestCanonical:
     def test_idempotent(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 7), 0.4, 2)
-            res = min_agony(g, use_scc=False)
+            res = global_result(g)
             can = canonical_ranking(res)
             # shift the full dual vector down by the same distances and redo
             comp = res.components[0]
-            comp.state.potentials = _shifted_duals(comp.state, comp.sg)
+            comp.state.potentials = _shifted_duals(comp.state, _starts(res))
             again = canonical_ranking(dataclasses.replace(res, ranks=can))
             assert again == can
 
@@ -94,7 +117,7 @@ class TestCanonical:
 
     def test_rejects_bad_duals(self):
         g = graph_from_text("a b\nb c\n")
-        res = min_agony(g, 3, use_scc=False)
+        res = global_result(g, 3)
         comp = res.components[0]
         comp.state.potentials[0] += 10 * comp.sg.k
         with pytest.raises(SolverError):
@@ -103,22 +126,61 @@ class TestCanonical:
     def test_leaves_state_and_instance_unchanged(self, rng):
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 8), 0.4, rng.choice((3, 10**6)))
-            res = min_agony(g, rng.randint(2, g.n), use_scc=False)
-            comp = res.components[0]
-            state, inst = comp.state, comp.state.inst
-            before = (
-                list(state.flow), list(state.potentials),
-                list(inst.asrc), list(inst.adst), list(inst.acost), list(inst.bias),
-                [list(a) for a in inst.out_arcs], [list(a) for a in inst.in_arcs],
-            )
+            res = min_agony(g, rng.choice((None, rng.randint(2, g.n))))
+            states = [c.state for c in res.components if c.state is not None]
+
+            def snapshot():
+                return [
+                    (list(s.flow), list(s.potentials), list(s.inst.asrc), list(s.inst.adst),
+                     list(s.inst.acost), list(s.inst.bias),
+                     [list(a) for a in s.inst.out_arcs], [list(a) for a in s.inst.in_arcs])
+                    for s in states
+                ]
+
+            before = snapshot()
             canonical_ranking(res)
-            after = (
-                state.flow, state.potentials,
-                inst.asrc, inst.adst, inst.acost, inst.bias,
-                inst.out_arcs, inst.in_arcs,
-            )
-            assert after == before
+            assert snapshot() == before
             assert verify_certificate(g, res, LINEAR)
+
+
+class TestCanonicalPerComponent:
+    """The default result is solved per SCC at the rank window cap."""
+
+    def test_equals_canonical_of_global_solve(self, rng):
+        several_solved = 0
+        for i in range(300):
+            if i % 2:
+                g = random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.2, 0.35)),
+                                 rng.choice((3, 10**6)))
+            else:
+                g = _clustered_graph(rng, rng.choice((3, 10**6)))
+            pen = PENALTIES[i % len(PENALTIES)]
+            k = None if i % 3 else rng.randint(1, 3 * g.n)
+            res = min_agony(g, k, pen)
+            can = canonical_ranking(res)
+            ref = global_result(g, k, pen)
+            assert res.agony == ref.agony == score_ranking(g, can, pen)
+            assert can == canonical_ranking(ref)
+            several_solved += sum(c.state is not None for c in res.components) > 1
+        assert several_solved >= 50
+
+    def test_pointwise_minimum_at_the_cap(self, rng):
+        for i in range(60):
+            g = random_graph(rng, rng.randint(2, 5), 0.35, 2)
+            pen = (LINEAR, PENALTIES[4], PENALTIES[5])[i % 3]  # cap n
+            res = min_agony(g, penalty=pen)
+            can = canonical_ranking(res)
+            best, optima = brute_optima(g, res.k, pen)
+            assert res.agony == best
+            assert can == [min(o[v] for o in optima) for v in range(g.n)]
+            assert tuple(can) in set(optima)
+
+    def test_dag_needs_no_solve(self, rng):
+        for _ in range(25):
+            g = random_dag(rng, rng.randint(1, 12), 0.3, 3)
+            res = min_agony(g)
+            assert all(c.state is None for c in res.components)
+            assert canonical_ranking(res) == _peel_depths(g)
 
 
 class TestDistinctCount:

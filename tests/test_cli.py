@@ -68,10 +68,6 @@ class TestExact:
         cap = capsys.readouterr()
         assert cap.out.strip() == "3"
 
-    def test_baseline_solver_flag(self, toy, capsys):
-        assert main(["exact", toy, "--solver", "baseline"]) == 0
-        assert _summary(capsys.readouterr().err)["score"] == "3"
-
     def test_deterministic_output(self, toy, capsys):
         main(["exact", toy])
         first = capsys.readouterr().out
@@ -120,7 +116,7 @@ class TestExact:
         info = _summary(capsys.readouterr().err)
         assert info["penalty"].startswith("sum:")
 
-    @pytest.mark.parametrize("flags", [[], ["--no-scc", "--k", "10"]], ids=["scc", "global"])
+    @pytest.mark.parametrize("flags", [[], ["--k", "10"]], ids=["scc", "global"])
     def test_steep_penalty_widens_the_rank_window(self, tmp_path, capsys, flags):
         # breakpoint -3: the edge is free only with its head 3 ranks above
         p = tmp_path / "edge.txt"
@@ -300,7 +296,7 @@ def _argv(draw, paths):
     k = draw(_K)
     k_flag = [] if k is None else ["--k", str(k)]
     if command == "exact":
-        extra = [f"--penalty={draw(_PENALTY)}", "--solver", draw(st.sampled_from(["fast", "baseline"]))]
+        extra = [f"--penalty={draw(_PENALTY)}"]
         if draw(st.booleans()):
             extra.append("--canonical")
         return ["exact", paths["graph"], *k_flag, *extra]

@@ -4,11 +4,19 @@ from pathlib import Path
 import pytest
 
 from agony import exact
+from agony.circulation import solve_baseline
 from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, score_ranking
 from agony.penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
 
-from conftest import brute_min_linear, brute_optima, graph_from_text, random_dag, random_graph
+from conftest import (
+    brute_min_linear,
+    brute_optima,
+    global_result,
+    graph_from_text,
+    random_dag,
+    random_graph,
+)
 
 TOY = "a b\nb c\nc a 2\nb d\n"
 TWO_CYCLES = "a b\nb c\nc a\nc d\nd e\ne f\nf d\ne d 2\n"
@@ -31,7 +39,7 @@ class TestMinAgony:
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 7), 0.4, 3)
             for k in range(2, g.n + 1):
-                res = min_agony(g, k, use_scc=False)
+                res = min_agony(g, k)
                 assert res.agony == brute_min_linear(g, k)
                 assert score_ranking(g, res.ranks, LINEAR) == res.agony
                 assert max(res.ranks) <= k - 1 and min(res.ranks) == 0
@@ -39,7 +47,7 @@ class TestMinAgony:
     def test_monotone_in_k(self, rng):
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 8), 0.45, 3)
-            values = [min_agony(g, k, use_scc=False).agony for k in range(2, g.n + 1)]
+            values = [min_agony(g, k).agony for k in range(2, g.n + 1)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_stats_sum_over_components(self):
@@ -54,8 +62,8 @@ class TestMinAgony:
     def test_scc_path_equals_plain_path(self, rng):
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 10), 0.3, 3)
-            with_scc = min_agony(g, use_scc=True)
-            without = min_agony(g, use_scc=False)
+            with_scc = min_agony(g)
+            without = global_result(g)
             assert with_scc.agony == without.agony
             assert score_ranking(g, with_scc.ranks, LINEAR) == with_scc.agony
 
@@ -64,7 +72,7 @@ class TestMinAgony:
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 6), 0.4, 2)
             for k in range(2, min(g.n, 4) + 1):
-                res = min_agony(g, k, pen, use_scc=False)
+                res = min_agony(g, k, pen)
                 best, _ = brute_optima(g, k, pen)
                 assert res.agony == best
 
@@ -72,10 +80,10 @@ class TestMinAgony:
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 7), 0.4, 3)
             k = rng.randint(2, g.n)
-            assert (
-                min_agony(g, k, use_scc=False, solver="baseline").agony
-                == min_agony(g, k, use_scc=False, solver="fast").agony
-            )
+            base = global_result(g, k, solve=solve_baseline)
+            fast = global_result(g, k)
+            assert base.agony == fast.agony == min_agony(g, k).agony
+            assert base.objective == fast.objective
 
     def test_k_one_is_trivial(self):
         g = graph_from_text(TOY)
@@ -95,7 +103,7 @@ class TestMinAgony:
 
     def test_scc_with_small_k_rejected(self):
         g = graph_from_text(TOY)
-        assert min_agony(g, 2, use_scc=True).used_scc is False
+        assert min_agony(g, 2).used_scc is False
 
     def test_scoring_only_penalty_rejected(self):
         g = graph_from_text(TOY)
@@ -125,11 +133,10 @@ class TestCertificate:
     def test_true_on_solved_instances(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 8), 0.4, 3)
-            for use_scc in (True, False):
-                res = min_agony(g, use_scc=use_scc)
+            for res in (min_agony(g), global_result(g)):
                 assert verify_certificate(g, res, LINEAR)
             k = rng.randint(2, max(g.n, 2))
-            res = min_agony(g, k, use_scc=False)
+            res = global_result(g, k)
             assert verify_certificate(g, res, LINEAR)
 
     def test_false_when_rank_perturbed(self):
@@ -140,7 +147,7 @@ class TestCertificate:
 
     def test_false_when_flow_perturbed(self):
         g = graph_from_text(TOY)
-        res = min_agony(g, 4, use_scc=False)
+        res = global_result(g, 4)
         res.components[0].state.flow[0] += 1
         assert not verify_certificate(g, res, LINEAR)
 

@@ -230,7 +230,7 @@ class TestSccVariant:
             g = random_graph(rng, rng.randint(2, 8), 0.4, 3)
             for k in range(2, g.n + 1):
                 s = score_ranking(g, scc_layer_heuristic(g, k), LINEAR)
-                assert s >= min_agony(g, k, use_scc=False).agony
+                assert s >= min_agony(g, k).agony
 
     def test_toy_graph_unconstrained(self):
         g = graph_from_text(TOY)

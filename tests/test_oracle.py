@@ -30,9 +30,12 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, vstack
 
 from agony.canonical import canonical_ranking
+from agony.circulation import solve_baseline
 from agony.exact import min_agony
 from agony.graph import WeightedDigraph
 from agony.penalties import PenaltySpec
+
+from conftest import global_result
 
 HINGES = {"linear": ((1, -1),), "convex": ((1, -1), (2, 1))}
 # a breakpoint below -1: an upward edge is free only across 3 or more ranks
@@ -101,8 +104,10 @@ def _least_optimal_ranks(n, edges, hinges, k, opt):
     return res.x[:n]
 
 
-# (n, k, penalty, max weight, solver); the baseline rebuilds its tree for
-# every augmentation, so it runs at n <= 60 when weights are large
+# (n, k, penalty, max weight, solver); "fast" is the default ``min_agony``
+# call, "baseline" solves the global instance with ``solve_baseline``, which
+# rebuilds its tree for every augmentation, so it runs at n <= 60 when
+# weights are large
 CASES = [
     (300, 2, "linear", 10, "fast"),
     (300, 5, "linear", 10, "fast"),
@@ -126,7 +131,11 @@ def test_min_agony_matches_rank_lp(n, k, name, wmax, solver):
     hinges = HINGES[name]
     edges = _random_graph(n * 1000 + k * 10 + wmax % 7, n, wmax)
     penalty = PenaltySpec.convex_sum(hinges)
-    res = min_agony(WeightedDigraph(n, edges), k, penalty, solver=solver)
+    g = WeightedDigraph(n, edges)
+    if solver == "fast":
+        res = min_agony(g, k, penalty)
+    else:
+        res = global_result(g, k, penalty, solve_baseline)
     assert res.agony == _rank_lp(n, edges, hinges, k)
     assert all(0 <= r <= k - 1 for r in res.ranks)
     assert _score(edges, res.ranks, hinges) == res.agony
@@ -165,7 +174,7 @@ CANONICAL_CASES = [
 def test_canonical_ranking_matches_least_lp_optimum(n, k, name, wmax):
     hinges = HINGES[name]
     edges = _random_graph(n * 1000 + k * 10 + wmax % 7 + 1, n, wmax)
-    res = min_agony(WeightedDigraph(n, edges), k, PenaltySpec.convex_sum(hinges), use_scc=False)
+    res = min_agony(WeightedDigraph(n, edges), k, PenaltySpec.convex_sum(hinges))
     canon = canonical_ranking(res)
     lp = _least_optimal_ranks(n, edges, hinges, k, res.agony)
     assert canon == [round(x) for x in lp]
@@ -194,7 +203,8 @@ def test_steep_penalty_needs_a_wider_rank_window(seed):
     opt = _rank_lp(n, edges, STEEP, k)
     stacked = min_agony(g, penalty=penalty)
     assert stacked.agony == _score(edges, stacked.ranks, STEEP) == opt
-    full = min_agony(g, k, penalty, use_scc=False)
+    least = [round(x) for x in _least_optimal_ranks(n, edges, STEEP, k, opt)]
+    assert canonical_ranking(stacked) == least
+    full = global_result(g, k, penalty)
     assert full.agony == _score(edges, full.ranks, STEEP) == opt
-    lp = _least_optimal_ranks(n, edges, STEEP, k, opt)
-    assert canonical_ranking(full) == [round(x) for x in lp]
+    assert canonical_ranking(full) == least

@@ -4,11 +4,14 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agony.circulation import solve_baseline
 from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, normalize, score_ranking
 from agony.heuristic import heuristic_rank
 from agony.penalties import LINEAR
 from agony.splittree import build_split_tree, prune_tree
+
+from conftest import global_result
 
 
 @st.composite
@@ -30,7 +33,7 @@ def _brute(g, k):
 @settings(max_examples=80, deadline=None)
 def test_exact_equals_enumeration(g, k):
     k = min(k, max(g.n, 2))
-    res = min_agony(g, k, use_scc=False)
+    res = min_agony(g, k)
     assert res.agony == _brute(g, k)
     assert verify_certificate(g, res, LINEAR)
 
@@ -38,8 +41,8 @@ def test_exact_equals_enumeration(g, k):
 @given(small_graphs(max_n=7))
 @settings(max_examples=80, deadline=None)
 def test_solvers_agree_and_heuristic_dominates(g):
-    fast = min_agony(g, use_scc=False, solver="fast")
-    base = min_agony(g, use_scc=False, solver="baseline")
+    fast = global_result(g)
+    base = global_result(g, solve=solve_baseline)
     assert fast.agony == base.agony
     _, h = heuristic_rank(g, None, "best")
     assert h >= fast.agony

@@ -2,7 +2,9 @@
 SCC heuristic's budget DP stays linear in the tier budget k.
 
 The decomposition inputs have one component or layer per vertex pair or
-vertex, the worst case for a split that rescans every edge once per part.
+vertex, the worst case for a split that rescans every edge once per part;
+the canonical ranking, which lowers one component at a time, runs on the
+same chain of components.
 At the two sizes, 4x apart, linear work gives a time ratio near 4 and a
 per-part edge scan one near 16; the bound of 7 leaves room for timer noise.
 The budget case holds the graph and grows k 4x: one totally-monotone search
@@ -27,6 +29,7 @@ import itertools
 import random
 import time
 
+from agony.canonical import canonical_ranking
 from agony.exact import min_agony
 from agony.graph import WeightedDigraph
 from agony.heuristic import scc_layer_heuristic
@@ -105,6 +108,13 @@ def test_exact_on_two_cycle_chain_scales_linearly():
     g = _two_cycle_chain(3)
     assert min_agony(g).agony == 6  # agony 2 per 2-cycle, chain edges forward
     ratio, runs = _ratio(min_agony, _two_cycle_chain, 500)
+    assert ratio <= MAX_RATIO, f"4x components took {ratio:.1f}x the time ({runs})"
+
+
+def test_canonical_on_two_cycle_chain_scales_linearly():
+    g = _two_cycle_chain(3)
+    assert canonical_ranking(min_agony(g)) == [0, 0, 1, 0, 1, 0]  # each cycle leans back
+    ratio, runs = _ratio(lambda g: canonical_ranking(min_agony(g)), _two_cycle_chain, 500)
     assert ratio <= MAX_RATIO, f"4x components took {ratio:.1f}x the time ({runs})"
 
 
