@@ -25,9 +25,9 @@ clusters are rewritten to run between cluster roots, and the arcs inside
 one leave the adjacency lists, so neither scan sees a member.  Optimal
 integer duals turn back into a rank assignment via ``extract_ranking``.
 
-No floating point anywhere: distances are lexicographic (cost, hops) pairs,
-which is equivalent to perturbing every arc by an epsilon smaller than 1/n,
-and all comparisons against the 3/4 excess threshold are cross-multiplied.
+No floating point anywhere: distances are integer reduced costs, with
+equal distances settled in vertex order, and all comparisons against the
+3/4 excess threshold are cross-multiplied.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from .graph import WeightedDigraph
-from .penalties import PenaltySpec
+from .penalties import PenaltySpec, hinge_total
 
 # excess threshold alpha = 3/4: a vertex is a source when 4*e(v) >= 3*delta
 _ALPHA_NUM = 3
@@ -261,13 +261,7 @@ def shifted_score(sg: ShiftedGraph, full_ranks: list[int]):
         return None
     if any(not r_alpha <= full_ranks[v] <= r_omega for v in range(sg.g.n)):
         return None
-    total = 0
-    for u, v, w in sg.g.edges:
-        d = full_ranks[u] - full_ranks[v]
-        for a, b in sg.terms:
-            if d > b:
-                total += a * w * (d - b)
-    return total
+    return hinge_total(sg.g.edges, full_ranks, sg.terms)
 
 
 def extract_ranking(state: SolverState, sg: ShiftedGraph) -> list[int]:
@@ -299,6 +293,8 @@ class _Core:
     members would save no work here but make every residual scan map ends
     to roots and add offsets.  Arcs inside one cluster keep src == dst and
     leave the adjacency lists, which hold only arcs between distinct roots.
+    ``members`` lists the vertices of each cluster of two or more by root;
+    a solve that never contracts builds no list.
     The lists alias the instance's until the first contraction copies them;
     ``check_state`` and ``finalize`` work from the instance's costs and the
     unrolled potentials.
@@ -318,7 +314,7 @@ class _Core:
         # the kept root's lists instead of extending them
         self.out_arcs = list(inst.out_arcs)
         self.in_arcs = list(inst.in_arcs)
-        self.members: dict[int, list[int]] = {v: [v] for v in range(n)}
+        self.members: dict[int, list[int]] = {}
         # (arc, members of absorbed cluster, True if arc dst was absorbed)
         self.clog: list[tuple[int, tuple[int, ...], bool]] = []
         # per root, the instance adjacency length summed over its members
@@ -354,7 +350,7 @@ class _Core:
         else:
             keep, absorbed, dst_in_absorbed = rd, rs, False
         size[keep] += size[absorbed]
-        members = self.members.pop(absorbed)
+        members = self.members.pop(absorbed, None) or [absorbed]
         self.clog.append((a, tuple(members), dst_in_absorbed))
         # freeze the current dual relation between the two clusters
         d = self.pot[absorbed] - self.pot[keep]
@@ -376,7 +372,7 @@ class _Core:
         in_arcs[keep] = [b for b in in_arcs[keep] + in_arcs[absorbed] if src[b] != keep]
         out_arcs[absorbed] = []
         in_arcs[absorbed] = []
-        self.members[keep].extend(members)
+        self.members.setdefault(keep, [keep]).extend(members)
         self.roots.discard(absorbed)
         self.stats.contractions += 1
 
@@ -529,17 +525,16 @@ def _fast_phase(core: _Core, delta: int):
 
 
 def _build_tree(core: _Core, starts) -> list:
-    """Lexicographic multi-source Dijkstra; subtracts distances from duals.
+    """Multi-source Dijkstra; subtracts distances from duals.
 
     ``starts`` holds (initial distance, vertex) pairs.  Heap entries are
-    (dist, hops, vertex, arc, dir), with dir 1 for a forward arc and -1
-    for the reverse of one: the order is lexicographic in (dist, hops)
-    with ties broken by vertex, then arc.  Settling a vertex records its
-    entry and scans the residual arcs leaving it; each one has its
-    reduced cost checked before an unsettled end enters the heap.  Only
-    cluster roots are ever reached, and every one must be.
-    Finally the distances are subtracted from the duals, so every tree
-    arc, and every shortest path from a start, has reduced cost 0.
+    (dist, vertex, arc, dir), with dir 1 for a forward arc and -1 for the
+    reverse of one: equal distances are broken by vertex, then arc.
+    Settling a vertex records its entry and scans the residual arcs
+    leaving it; each one has its reduced cost checked before an unsettled
+    end enters the heap.  Only cluster roots are ever reached, and every
+    one must be.  Finally the distances are subtracted from the duals, so
+    every tree arc, and every shortest path from a start, has reduced cost 0.
     Returns the entry that settled each vertex (None for absorbed
     members): the shortest-path forest.
     """
@@ -547,24 +542,23 @@ def _build_tree(core: _Core, starts) -> list:
     flow, pot = core.flow, core.pot
     out_arcs, in_arcs = core.out_arcs, core.in_arcs
     tree: list = [None] * core.inst.n
-    heap = [(d, 0, s, _ROOT, 0) for d, s in sorted(starts)]  # sorted is a heap
+    heap = [(d, s, _ROOT, 0) for d, s in sorted(starts)]  # sorted is a heap
     settled = 0
     while heap:
         entry = heappop(heap)
-        d, h, x, _, _ = entry
+        d, x, _, _ = entry
         if tree[x] is not None:
             continue
         tree[x] = entry
         settled += 1
         px = pot[x]
-        h += 1
         for a in out_arcs[x]:
             w = dst[a]
             rc = cost[a] + pot[w] - px
             if rc < 0:
                 raise SolverError(f"negative reduced cost {rc} on arc {a}")
             if tree[w] is None:
-                heappush(heap, (d + rc, h, w, a, 1))
+                heappush(heap, (d + rc, w, a, 1))
         for a in in_arcs[x]:
             if not flow[a]:
                 continue
@@ -573,12 +567,12 @@ def _build_tree(core: _Core, starts) -> list:
             if rc < 0:
                 raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
             if tree[w] is None:
-                heappush(heap, (d + rc, h, w, a, -1))
+                heappush(heap, (d + rc, w, a, -1))
     if settled != len(core.roots):
         raise SolverError("residual graph is not connected from the starts")
     for entry in tree:
         if entry is not None and entry[0]:
-            pot[entry[2]] -= entry[0]
+            pot[entry[1]] -= entry[0]
     core.stats.settles += settled
     return tree
 
@@ -591,10 +585,10 @@ def _augment_tree(core: _Core, tree: list, r: int, delta: int):
         entry = tree[v]
         if entry is None:
             raise SolverError("sink is not attached to the shortest path tree")
-        a = entry[3]
+        a = entry[2]
         if a == _ROOT:
             break
-        if entry[4] == 1:
+        if entry[3] == 1:
             flow[a] += delta
             v = src[a]
         else:

@@ -1,9 +1,9 @@
 """Command-line front end: exact/heuristic ranking, scoring, benchmarks.
 
-Exit codes: 0 success, 1 internal error (a reported score that does not
-rescore from its ranking), 2 unreadable input, unwritable output or bad
-flags, 3 penalty not usable for solving, 4 ranking file does not cover the
-graph.
+Exit codes: 0 success, 1 internal error (a ``SolverError``, or a reported
+score that does not rescore from its ranking), 2 unreadable input,
+unwritable output or bad flags, 3 penalty not usable for solving, 4 ranking
+file does not cover the graph.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import time
 from typing import Optional, Sequence
 
 from .canonical import canonical_ranking, distinct_rank_count
+from .circulation import SolverError
 from .exact import min_agony
 from .graph import (
     ParseError,
@@ -26,6 +27,7 @@ from .heuristic import heuristic_rank
 from .penalties import PenaltySpec, UnsupportedPenaltyError
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_PENALTY = 3
 EXIT_RANKING = 4
@@ -95,7 +97,9 @@ def _summary(command: str, path: str, g: WeightedDigraph, k, penalty, score, ran
 def _self_check(g: WeightedDigraph, ranks: Sequence[int], penalty: PenaltySpec, score):
     recomputed = score_ranking(g, ranks, penalty)
     if recomputed != score:
-        raise _CliError(1, f"internal error: reported score {score} != recomputed {recomputed}")
+        raise _CliError(
+            EXIT_INTERNAL, f"internal error: reported score {score} != recomputed {recomputed}"
+        )
 
 
 def _check_k(k) -> None:
@@ -277,6 +281,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnsupportedPenaltyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PENALTY
+    except SolverError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -78,13 +78,6 @@ def _rebase_duals(state: SolverState, sg: ShiftedGraph):
         pots[sg.alpha] = base + low
 
 
-def _normalize_score(value, scale: int) -> Score:
-    if scale == 1:
-        return value
-    frac = Fraction(value, scale)
-    return int(frac) if frac.denominator == 1 else frac
-
-
 def min_agony(
     g: WeightedDigraph, k: Optional[int] = None, penalty: PenaltySpec = LINEAR
 ) -> ExactResult:
@@ -142,7 +135,7 @@ def min_agony(
         offset += len(part) * step
 
     recomputed = score_ranking(g, ranks, penalty)
-    agony = recomputed if k == 1 else _normalize_score(scaled_total, penalty.scale)
+    agony = recomputed if k == 1 else penalty.unscale(scaled_total)
     if recomputed != agony:
         raise SolverError(
             f"strong duality broken: circulation says {agony}, ranking scores {recomputed}"
@@ -159,21 +152,22 @@ def _merge_stats(into: SolveStats, part: SolveStats):
     into.settles += part.settles
 
 
-def verify_certificate(g: WeightedDigraph, result: ExactResult, penalty: PenaltySpec) -> bool:
+def verify_certificate(result: ExactResult) -> bool:
     """Check the optimality certificate of a min_agony result.
 
-    True iff (a) rescoring the ranking reproduces the reported agony,
-    (b) the circulation objective agrees with it, and (c) every retained
-    solver state satisfies conservation, dual feasibility, slackness and
-    the sentinel dual spread bound.  False signals a solver bug.
+    True iff, under the result's own graph and penalty, (a) rescoring the
+    ranking reproduces the reported agony, (b) the circulation objective
+    agrees with it, and (c) every retained solver state satisfies
+    conservation, dual feasibility, slackness and the sentinel dual spread
+    bound.  False signals a solver bug.
     """
-    if score_ranking(g, result.ranks, penalty) != result.agony:
+    if score_ranking(result.g, result.ranks, result.penalty) != result.agony:
         return False
     if result.k > 1:
         total = sum(
             circulation_value(c.state, c.sg) for c in result.components if c.state is not None
         )
-        if _normalize_score(total, penalty.scale) != result.agony:
+        if result.penalty.unscale(total) != result.agony:
             return False
     for comp in result.components:
         state, sg = comp.state, comp.sg

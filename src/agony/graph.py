@@ -10,7 +10,7 @@ import logging
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .penalties import PenaltySpec
+from .penalties import PenaltySpec, hinge_total
 
 log = logging.getLogger(__name__)
 
@@ -57,11 +57,13 @@ class VertexTable:
 class WeightedDigraph:
     """Immutable directed graph with positive integer edge weights.
 
-    ``edges`` is a list of (source, target, weight) triples.  A normalized
-    graph has no self-loops and no parallel edges; ``normalize`` produces one.
+    ``edges``, a list of (source, target, weight) triples, is all it stores
+    besides the ``is_normalized`` flag; an algorithm that needs adjacency
+    builds it for one call.  A normalized graph has no self-loops and no
+    parallel edges; ``normalize`` produces one.
     """
 
-    __slots__ = ("n", "edges", "_out", "_normalized")
+    __slots__ = ("n", "edges", "_normalized")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         self.n = n
@@ -71,7 +73,6 @@ class WeightedDigraph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if w < 1:
                 raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
-        self._out = None
         self._normalized = None
 
     @classmethod
@@ -84,7 +85,7 @@ class WeightedDigraph:
         leaves ``is_normalized`` to scan them.
         """
         g = cls.__new__(cls)
-        g.n, g.edges, g._out, g._normalized = n, edges, None, normalized
+        g.n, g.edges, g._normalized = n, edges, normalized
         return g
 
     @property
@@ -94,15 +95,6 @@ class WeightedDigraph:
     @property
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
-
-    def out_adj(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (target, weight), built on first use."""
-        if self._out is None:
-            out = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                out[u].append((v, w))
-            self._out = out
-        return self._out
 
     def is_normalized(self) -> bool:
         """No self-loops and no parallel edges; scanned once, then cached."""
@@ -170,14 +162,8 @@ def score_ranking(g: WeightedDigraph, ranks: Ranks, penalty: PenaltySpec) -> Sco
     """Total weighted penalty sum over edges of w(u,v) * p(r(u) - r(v))."""
     if len(ranks) != g.n:
         raise ValueError(f"ranking covers {len(ranks)} vertices, graph has {g.n}")
-    if penalty.kind == "linear":
-        # fast integer path for the common case
-        total = 0
-        for u, v, w in g.edges:
-            d = ranks[u] - ranks[v] + 1
-            if d > 0:
-                total += w * d
-        return total
+    if penalty.solvable:
+        return penalty.unscale(hinge_total(g.edges, ranks, penalty.integer_terms()))
     total = 0
     for u, v, w in g.edges:
         total += w * penalty(ranks[u] - ranks[v])
@@ -192,7 +178,9 @@ def strongly_connected_components(g: WeightedDigraph) -> list[list[int]]:
     Iterative Tarjan; safe on deep graphs with millions of edges.
     """
     n = g.n
-    adj = [[v for v, _ in lst] for lst in g.out_adj()]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
     index = [-1] * n
     low = [0] * n
     on_stack = bytearray(n)

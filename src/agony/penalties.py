@@ -4,7 +4,9 @@ A penalty maps the rank difference d = r(u) - r(v) of an edge (u, v) to a
 nonnegative cost.  Convex piecewise-linear penalties are represented as sums
 of hinge terms sum_i max(0, a_i * (d - b_i)) and are the only kind the exact
 solver accepts; the constant (feedback-arc-set) penalty and arbitrary custom
-penalties are supported for scoring only.
+penalties are supported for scoring only.  Every hinge sum over a graph is
+``hinge_total`` over the integer terms; ``PenaltySpec.unscale`` divides it
+back by the slope scale.
 """
 from __future__ import annotations
 
@@ -19,6 +21,19 @@ Number = Union[int, Fraction]
 
 class UnsupportedPenaltyError(ValueError):
     """Raised when a penalty cannot be minimized by the circulation solver."""
+
+
+def hinge_total(edges, ranks, terms) -> int:
+    """Sum of a*w*max(0, r(u) - r(v) - b) over edges (u, v, w) and terms (a, b)."""
+    total = 0
+    for a, b in terms:
+        part = 0
+        for u, v, w in edges:
+            d = ranks[u] - ranks[v] - b
+            if d > 0:
+                part += w * d
+        total += a * part
+    return total
 
 
 def _as_fraction(x) -> Fraction:
@@ -115,14 +130,8 @@ class PenaltySpec:
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, d: int) -> Number:
-        if self.kind == "linear":
-            return d + 1 if d >= -1 else 0
-        if self.kind == "convex-sum":
-            total = Fraction(0)
-            for a, b in self.terms:
-                if d > b:
-                    total += a * (d - b)
-            return int(total) if total.denominator == 1 else total
+        if self.solvable:
+            return self.unscale(sum(a * (d - b) for a, b in self.integer_terms() if d > b))
         if self.kind == "constant":
             return 1 if d >= 0 else 0
         return self.func(d)
@@ -139,6 +148,11 @@ class PenaltySpec:
         if not self.terms:
             return 1
         return math.lcm(*(a.denominator for a, _ in self.terms))
+
+    def unscale(self, value: int) -> Number:
+        """value / scale, a sum over ``integer_terms`` in penalty units: int when whole."""
+        frac = Fraction(value, self.scale)
+        return int(frac) if frac.denominator == 1 else frac
 
     def integer_terms(self) -> tuple[tuple[int, int], ...]:
         """Hinge terms with slopes cleared to integers by ``scale``, cached."""

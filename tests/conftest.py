@@ -68,7 +68,7 @@ def global_result(g: WeightedDigraph, k=None, penalty=LINEAR, solve=solve_fast):
     exact._rebase_duals(state, sg)
     ranks = extract_ranking(state, sg)
     objective = circulation_value(state, sg)
-    agony = exact._normalize_score(objective, penalty.scale)
+    agony = penalty.unscale(objective)
     assert score_ranking(g, ranks, penalty) == agony
     comp = exact.ComponentSolve(list(range(g.n)), ranks, sg, state)
     return exact.ExactResult(g, ranks, agony, objective, k, penalty, False, [comp], state.stats)

@@ -114,7 +114,7 @@ def test_criterion_2_toy_regressions():
         res = min_agony(toy, k)
         toy_vals.append((expect, res.agony))
         ok = ok and expect == res.agony == 3
-        ok = ok and verify_certificate(toy, res, LINEAR)
+        ok = ok and verify_certificate(res)
     _report(2, ok, f"toy scores (9, 7, 5) and 4-vertex optimum {toy_vals}")
 
 
@@ -138,7 +138,7 @@ def test_criterion_3_public_dataset_regression():
         g, _ = _load_snap(path)
         res = min_agony(g)  # SCC decomposition, unconstrained
         assert res.agony == expect_agony, (path.name, res.agony, expect_agony)
-        certs = certs and verify_certificate(g, res, LINEAR)
+        certs = certs and verify_certificate(res)
         canon = canonical_ranking(res)
         groups = distinct_rank_count(canon)
         soft = "==" if groups == expect_groups else f"!= expected {expect_groups} (soft)"
@@ -151,8 +151,8 @@ def test_criterion_4_duality_certificates(suite1):
     count = 0
     for rec in records:
         for k, (_, fast, base) in rec.per_k.items():
-            assert verify_certificate(rec.graph, fast, LINEAR)
-            assert verify_certificate(rec.graph, base, LINEAR)
+            assert verify_certificate(fast)
+            assert verify_certificate(base)
             count += 2
     _report(4, True, f"{count} certificates verified")
 

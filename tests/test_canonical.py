@@ -140,7 +140,7 @@ class TestCanonical:
             before = snapshot()
             canonical_ranking(res)
             assert snapshot() == before
-            assert verify_certificate(g, res, LINEAR)
+            assert verify_certificate(res)
 
 
 class TestCanonicalPerComponent:

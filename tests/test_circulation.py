@@ -430,8 +430,9 @@ class TestAdmissibleMaxFlow:
 class TestContractionRewrite:
     """After every contraction an arc between two clusters runs between their
     roots with the offsets folded into its cost, an arc inside one cluster
-    has equal ends in the core, and the roots' adjacency lists hold exactly
-    the arcs between clusters."""
+    has equal ends in the core, the roots' adjacency lists hold exactly
+    the arcs between clusters, and only clusters of two or more vertices
+    have a member list."""
 
     def test_arcs_follow_roots_and_offsets(self, monkeypatch, rng):
         contract = circulation._Core._contract_arc
@@ -452,6 +453,13 @@ class TestContractionRewrite:
             for x in core.roots:
                 assert sorted(core.out_arcs[x]) == out_arcs[x]
                 assert sorted(core.in_arcs[x]) == in_arcs[x]
+            # member lists exist exactly for the clusters of two or more
+            clusters = {}
+            for x, r in enumerate(root):
+                clusters.setdefault(r, []).append(x)
+            assert {r: sorted(ms) for r, ms in core.members.items()} == {
+                r: xs for r, xs in clusters.items() if len(xs) > 1
+            }
 
         monkeypatch.setattr(circulation._Core, "_contract_arc", contract_then_check)
         pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agony.circulation import SolverError
 from agony.cli import main
 
 TOY = "a b\nb c\nc a 2\nb d\n"
@@ -99,6 +100,16 @@ class TestExact:
     def test_nonpositive_k_exits_2(self, toy, capsys):
         assert main(["exact", toy, "--k", "0"]) == 2
         assert main(["heuristic", toy, "--k", "-3"]) == 2
+
+    @pytest.mark.parametrize("stage", ["min_agony", "canonical_ranking"])
+    def test_solver_error_exits_1(self, toy, capsys, monkeypatch, stage):
+        def broken(*args, **kwargs):
+            raise SolverError("invariant broken")
+
+        monkeypatch.setattr(f"agony.cli.{stage}", broken)
+        assert main(["exact", toy, "--canonical"]) == 1
+        err = capsys.readouterr().err
+        assert _one_line_error(err) and "invariant broken" in err
 
     def test_scoring_only_penalty_exits_3(self, toy, capsys):
         assert main(["exact", toy, "--penalty", "const"]) == 3

@@ -134,28 +134,28 @@ class TestCertificate:
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 8), 0.4, 3)
             for res in (min_agony(g), global_result(g)):
-                assert verify_certificate(g, res, LINEAR)
+                assert verify_certificate(res)
             k = rng.randint(2, max(g.n, 2))
             res = global_result(g, k)
-            assert verify_certificate(g, res, LINEAR)
+            assert verify_certificate(res)
 
     def test_false_when_rank_perturbed(self):
         g = graph_from_text(TOY)
         res = min_agony(g, 4)
         res.ranks[0] += 1
-        assert not verify_certificate(g, res, LINEAR)
+        assert not verify_certificate(res)
 
     def test_false_when_flow_perturbed(self):
         g = graph_from_text(TOY)
         res = global_result(g, 4)
         res.components[0].state.flow[0] += 1
-        assert not verify_certificate(g, res, LINEAR)
+        assert not verify_certificate(res)
 
     def test_false_when_agony_misreported(self):
         g = graph_from_text(TOY)
         res = min_agony(g, 4)
         res.agony += 1
-        assert not verify_certificate(g, res, LINEAR)
+        assert not verify_certificate(res)
 
 
 def _trace_points():

@@ -1,3 +1,7 @@
+import gc
+import random
+import tracemalloc
+from fractions import Fraction
 from io import StringIO
 
 import pytest
@@ -14,6 +18,7 @@ from agony.graph import (
     split_by_part,
     strongly_connected_components,
 )
+from agony.exact import min_agony
 from agony.penalties import LINEAR, PenaltySpec
 
 from conftest import (
@@ -103,7 +108,6 @@ class TestNormalizedFlag:
         assert all(sub.is_normalized() for sub in split_by_part(ng, [[0, 1], [2], [3, 4]]))
 
     def test_unnormalized_input_is_still_rejected(self):
-        from agony.exact import min_agony
         from agony.heuristic import scc_layer_heuristic
         from agony.splittree import build_split_tree
 
@@ -164,6 +168,31 @@ class TestScore:
             assert score_ranking(g, ranks, LINEAR) == score_ranking(
                 g1, ranks, LINEAR
             ) + score_ranking(g2, ranks, LINEAR)
+
+    @pytest.mark.parametrize(
+        "text", ["sum:1,-1;2,3", "sum:1/2,-1;3/2,2", "sum:3/2,0", "sum:1/3,-2;5/2,1;2,0"]
+    )
+    def test_hinge_sum_matches_fraction_sum(self, rng, text):
+        """Value and type: an int when the sum is whole, else a Fraction."""
+        pen = PenaltySpec.parse(text)
+        types = set()
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 8), 0.4, 5)
+            ranks = [rng.randint(0, 6) for _ in range(g.n)]
+            expect = Fraction(0)
+            for u, v, w in g.edges:
+                d = ranks[u] - ranks[v]
+                for a, b in pen.terms:
+                    if d > b:
+                        expect += w * a * (d - b)
+            if expect.denominator == 1:
+                expect = int(expect)
+            got = score_ranking(g, ranks, pen)
+            assert got == expect and type(got) is type(expect)
+            types.add(type(got))
+        assert int in types
+        if pen.scale > 1:
+            assert Fraction in types
 
 
 class TestSCC:
@@ -295,3 +324,38 @@ class TestSplitByPart:
         g = graph_from_text(TOY)
         assert split_by_part(g, []) == []
         assert split_by_part(g, [[]])[0].n == 0
+
+
+def _five_cycle_blocks(rng: random.Random) -> WeightedDigraph:
+    """5,000 vertices in 1,000 five-cycles plus forward edges, 20,000 edges.
+
+    Each edge outside the cycles runs from a lower to a higher index, so
+    the SCCs are the five-cycles and the exact solves stay small.
+    """
+    n, m = 5000, 20000
+    edges = {(v, v + 1 if v % 5 < 4 else v - 4) for v in range(n)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return normalize(WeightedDigraph(n, [(u, v, 1) for u, v in sorted(edges)]))
+
+
+class TestRetainedMemory:
+    """A call keeps nothing attached to its graph once its result is dropped."""
+
+    @pytest.mark.parametrize(
+        "call", [strongly_connected_components, condensation_layers, min_agony]
+    )
+    def test_graph_keeps_no_derived_state(self, call):
+        g = _five_cycle_blocks(random.Random(0xA60))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call(g)
+            del result
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert retained <= 16 * 1024, f"{retained} bytes retained"

@@ -35,7 +35,7 @@ def test_exact_equals_enumeration(g, k):
     k = min(k, max(g.n, 2))
     res = min_agony(g, k)
     assert res.agony == _brute(g, k)
-    assert verify_certificate(g, res, LINEAR)
+    assert verify_certificate(res)
 
 
 @given(small_graphs(max_n=7))
