@@ -2,28 +2,15 @@
 
 Among all optimal rankings there is a unique one that is pointwise <= every
 other.  The components of a ``min_agony`` result are lowered one at a time,
-in topological order, by the solver's own Dijkstra
-(``circulation._build_tree``), run on copies of the solved flow and duals.
+in topological order, by the residual distances of each solved state
+(``circulation.residual_distances``), which leave the state untouched.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from .circulation import SolverError, SolverState, _build_tree, _Core
+from .circulation import SolverError, residual_distances
 from .exact import ExactResult
-
-
-def _shifted_duals(state: SolverState, starts) -> list[int]:
-    """Duals minus the residual distances from ``starts``; ``state`` is untouched.
-
-    ``starts`` holds (initial distance, vertex) pairs.  Duals that are not
-    optimal, or a vertex that no start reaches, raise ``SolverError``.
-    """
-    core = _Core(state.inst)
-    core.flow = list(state.flow)
-    core.pot = list(state.potentials)
-    _build_tree(core, starts)
-    return core.pot
 
 
 def canonical_ranking(result: ExactResult) -> list[int]:
@@ -53,9 +40,9 @@ def canonical_ranking(result: ExactResult) -> list[int]:
             out[w] = max(out[w], out[v] - b_min)
         if comp.state is not None:
             starts = [(ranks[v] - out[v], i) for i, v in enumerate(comp.vertices)]
-            pot, shifted = comp.state.potentials, _shifted_duals(comp.state, starts)
+            dist = residual_distances(comp.state, starts)
             for i, v in enumerate(comp.vertices):
-                out[v] = ranks[v] - pot[i] + shifted[i]
+                out[v] = ranks[v] - dist[i]
     if out and (min(out) != 0 or max(out) > result.k - 1):
         raise SolverError(f"canonical ranks span {min(out)}..{max(out)}, not 0..<={result.k - 1}")
     return out

@@ -17,13 +17,17 @@ tests' reference, is the single-source mode of the same Dijkstra: one
 tree and one push of delta per augmentation.  The Dijkstra loop and the
 max flow's pass over the tight arcs are the only two scans of the
 residual graph in the package.  The canonical ranking
-(``agony.canonical``) reuses the Dijkstra through ``_build_tree`` on a
-copy of each solved state, from all its graph vertices at once.  An
-arc whose flow outgrows the scale is contracted (Orlin's strongly
-polynomial device): its ends merge into one cluster, the arcs between
-clusters are rewritten to run between cluster roots, and the arcs inside
-one leave the adjacency lists, so neither scan sees a member.  Optimal
-integer duals turn back into a rank assignment via ``extract_ranking``.
+(``agony.canonical``) reuses the Dijkstra through ``residual_distances``
+on a copy of each solved state's duals, from all its graph vertices at
+once.  An arc whose flow outgrows the scale is contracted (Orlin's
+strongly polynomial device): its ends merge into one cluster, the arcs
+between clusters are rewritten to run between cluster roots, and the
+arcs inside one leave the adjacency lists, so neither scan sees a
+member.  Optimal integer duals turn back into a rank assignment via
+``extract_ranking``.  Each solved state keeps its instance, and each
+instance its shifted graph, so a ``SolverState`` alone gives its ranks,
+its circulation value and its optimality certificate; no other module
+reads the instance layout.
 
 No floating point anywhere: distances are integer reduced costs, with
 equal distances settled in vertex order, and all comparisons against the
@@ -31,7 +35,6 @@ equal distances settled in vertex order, and all comparisons against the
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable
@@ -106,15 +109,15 @@ def build_convex_instance(g: WeightedDigraph, k: int, penalty: PenaltySpec) -> S
 class CirculationInstance:
     """Uncapacitated min-cost circulation with vertex biases.
 
-    The first ``n_total`` vertices are the shifted graph's vertices; the
-    rest encode one capacitated arc each (two incoming cost-split arcs, bias
-    -capacity).  ``out_arcs[x]`` and ``in_arcs[x]`` list the arcs leaving
-    and entering x in increasing order.
+    The first ``n_total`` vertices are those of the shifted graph ``sg``;
+    the rest encode one capacitated arc each (two incoming cost-split arcs,
+    bias -capacity).  ``out_arcs[x]`` and ``in_arcs[x]`` list the arcs
+    leaving and entering x in increasing order.
     """
 
-    __slots__ = ("n", "asrc", "adst", "acost", "bias", "out_arcs", "in_arcs", "k")
+    __slots__ = ("n", "asrc", "adst", "acost", "bias", "out_arcs", "in_arcs", "sg")
 
-    def __init__(self, asrc, adst, acost, bias, out_arcs, in_arcs, k: int):
+    def __init__(self, asrc, adst, acost, bias, out_arcs, in_arcs, sg: ShiftedGraph):
         self.n = len(bias)
         self.asrc: list[int] = asrc
         self.adst: list[int] = adst
@@ -122,7 +125,7 @@ class CirculationInstance:
         self.bias: list[int] = bias
         self.out_arcs: list[list[int]] = out_arcs
         self.in_arcs: list[list[int]] = in_arcs
-        self.k = k
+        self.sg = sg
 
     @property
     def m(self) -> int:
@@ -192,7 +195,7 @@ def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
         raise SolverError("biases do not sum to zero")
     if min(acost) < 0:
         raise SolverError("negative arc cost after uncapacitating")
-    return CirculationInstance(asrc, adst, acost, bias, out_arcs, in_arcs, sg.k)
+    return CirculationInstance(asrc, adst, acost, bias, out_arcs, in_arcs, sg)
 
 
 @dataclass
@@ -212,7 +215,6 @@ class SolveStats:
     contractions: int = 0
     repairs: int = 0
     settles: int = 0
-    wall_ms: float = 0.0
 
 
 @dataclass
@@ -224,30 +226,52 @@ class SolverState:
     potentials: list[int]
     stats: SolveStats = field(default_factory=SolveStats)
 
-    def reduced_cost(self, a: int) -> int:
-        inst = self.inst
-        return inst.acost[a] + self.potentials[inst.adst[a]] - self.potentials[inst.asrc[a]]
-
     def objective(self) -> int:
         acost = self.inst.acost
         return sum(acost[a] * f for a, f in enumerate(self.flow) if f)
 
     def check_optimality(self) -> bool:
         """Dual feasibility, complementary slackness and flow conservation."""
-        for a in range(self.inst.m):
-            rc = self.reduced_cost(a)
-            if rc < 0:
-                return False
-            if self.flow[a] and rc != 0:
-                return False
+        if _slack_violation(self.inst, self.flow, self.potentials):
+            return False
         if self.flow and min(self.flow) < 0:
             return False
         return all(x == 0 for x in self.inst.excess(self.flow))
 
+    def certifies(self, ranks: list[int]) -> bool:
+        """True iff this state is an optimality certificate for ``ranks``.
 
-def circulation_value(state: SolverState, sg: ShiftedGraph) -> int:
+        Besides ``check_optimality``: the sentinel duals are at most k - 1
+        apart, the ranking pi - pi(alpha) of the whole shifted graph scores
+        the circulation value, and its graph part is ``ranks``.
+        """
+        sg = self.inst.sg
+        base = self.potentials[sg.alpha]
+        full = [p - base for p in self.potentials[: sg.n_total]]
+        return (
+            self.check_optimality()
+            and full[sg.omega] <= sg.k - 1
+            and shifted_score(sg, full) == circulation_value(self)
+            and full[: sg.g.n] == ranks
+        )
+
+
+def _slack_violation(inst: CirculationInstance, flow: list[int], pot: list[int]) -> str:
+    """The first arc with a negative reduced cost, or a positive one under
+    flow, described; the empty string when every arc is feasible and slack.
+    """
+    for a, (x, w, c, f) in enumerate(zip(inst.asrc, inst.adst, inst.acost, flow)):
+        rc = c + pot[w] - pot[x]
+        if rc < 0:
+            return f"negative reduced cost {rc} on arc {a}"
+        if f and rc:
+            return f"slackness violated on arc {a}"
+    return ""
+
+
+def circulation_value(state: SolverState) -> int:
     """Value of the optimal capacitated circulation (max sum s(e) f(e))."""
-    return sg.score_offset - state.objective()
+    return state.inst.sg.score_offset - state.objective()
 
 
 def shifted_score(sg: ShiftedGraph, full_ranks: list[int]):
@@ -264,14 +288,41 @@ def shifted_score(sg: ShiftedGraph, full_ranks: list[int]):
     return hinge_total(sg.g.edges, full_ranks, sg.terms)
 
 
-def extract_ranking(state: SolverState, sg: ShiftedGraph) -> list[int]:
-    """Ranks r(v) = pi(v) - pi(alpha), guaranteed inside [0, k-1]."""
-    base = state.potentials[sg.alpha]
-    ranks = [state.potentials[v] - base for v in range(sg.g.n)]
+def extract_ranking(state: SolverState) -> list[int]:
+    """Ranks r(v) = pi(v) - pi(alpha), smallest 0, guaranteed inside [0, k-1].
+
+    First raises pi(alpha) to the smallest graph dual when that is higher.
+    A positive smallest rank means every alpha fan arc has positive reduced
+    cost, so by slackness no fan arc carries flow, and conservation at the
+    sentinels then forces the whole sentinel system flowless; raising
+    pi(alpha) therefore keeps dual feasibility and slackness intact.
+    """
+    sg = state.inst.sg
+    pots = state.potentials
+    graph_pots = pots[: sg.g.n]
+    if graph_pots:
+        pots[sg.alpha] = max(pots[sg.alpha], min(graph_pots))
+    base = pots[sg.alpha]
+    ranks = [p - base for p in graph_pots]
     for v, r in enumerate(ranks):
         if not (0 <= r <= sg.k - 1):
             raise SolverError(f"rank {r} of vertex {v} outside [0, {sg.k - 1}]")
     return ranks
+
+
+def residual_distances(state: SolverState, starts) -> list[int]:
+    """Residual shortest-path distance of every vertex from ``starts``.
+
+    ``starts`` holds (initial distance, vertex) pairs, and arcs are as long
+    as their reduced costs under the state's duals.  The Dijkstra of the
+    solver runs on a copy of the duals, so ``state`` is untouched; duals
+    that are not optimal, or a vertex that no start reaches, raise
+    ``SolverError``.
+    """
+    core = _Core(state.inst)
+    core.flow = state.flow  # read only
+    core.pot = list(state.potentials)
+    return [d for d, _, _, _ in _build_tree(core, starts)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +430,12 @@ class _Core:
     # -- invariants ---------------------------------------------------------
 
     def check_state(self):
-        P = self.potential
         inst = self.inst
-        for a in range(inst.m):
-            rc = inst.acost[a] + P(inst.adst[a]) - P(inst.asrc[a])
-            if rc < 0:
-                raise SolverError(f"negative reduced cost {rc} on arc {a}")
-            if self.flow[a] and rc != 0:
-                raise SolverError(f"slackness violated on arc {a}")
+        fault = _slack_violation(inst, self.flow, [self.potential(x) for x in range(inst.n)])
+        if fault:
+            raise SolverError(fault)
         pots = [self.pot[r] for r in self.roots]
-        if max(pots) - min(pots) > inst.k:
+        if max(pots) - min(pots) > inst.sg.k:
             raise SolverError("dual spread exceeds k")
 
     # -- finish --------------------------------------------------------------
@@ -446,7 +493,6 @@ def _solve(
     vertices with excess >= 3/4 delta to vertices with deficit >= 3/4
     delta, and halves delta until every excess is gone.
     """
-    t0 = time.perf_counter()
     core = _Core(inst)
     delta = _initial_delta(core)
     guard = 0
@@ -463,7 +509,6 @@ def _solve(
             if guard > 1:
                 raise SolverError("no progress at unit granularity")
         delta = max(1, delta // 2)
-    core.stats.wall_ms = (time.perf_counter() - t0) * 1e3
     return core.finalize()
 
 

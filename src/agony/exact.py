@@ -1,20 +1,17 @@
 """Exact agony minimization: orchestration, SCC fast path, certificates."""
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .circulation import (
-    ShiftedGraph,
     SolveStats,
     SolverError,
     SolverState,
     build_convex_instance,
     circulation_value,
     extract_ranking,
-    shifted_score,
     solve_fast,
     uncapacitate,
 )
@@ -35,7 +32,6 @@ class ComponentSolve:
 
     vertices: list[int]
     local_ranks: list[int]
-    sg: Optional[ShiftedGraph] = None
     state: Optional[SolverState] = None
 
 
@@ -50,32 +46,6 @@ class ExactResult:
     used_scc: bool  # k is at the rank window cap: one solve per SCC
     components: list[ComponentSolve] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
-
-
-def _solve_component(g, k, penalty):
-    sg = build_convex_instance(g, k, penalty)
-    inst = uncapacitate(sg)
-    state = solve_fast(inst)  # looked up per call, so a wrapped solve_fast runs
-    _rebase_duals(state, sg)
-    ranks = extract_ranking(state, sg)
-    return sg, state, ranks
-
-
-def _rebase_duals(state: SolverState, sg: ShiftedGraph):
-    """Raise pi(alpha) so the smallest extracted rank is 0.
-
-    A positive smallest rank means every alpha fan arc has positive reduced
-    cost, so by slackness no fan arc carries flow, and conservation at the
-    sentinels then forces the whole sentinel system flowless; raising
-    pi(alpha) therefore keeps dual feasibility and slackness intact.
-    """
-    if sg.g.n == 0:
-        return
-    pots = state.potentials
-    base = pots[sg.alpha]
-    low = min(pots[v] - base for v in range(sg.g.n))
-    if low > 0:
-        pots[sg.alpha] = base + low
 
 
 def min_agony(
@@ -106,7 +76,6 @@ def min_agony(
     k = min(k, cap)  # a wider window never lowers the optimum
     use_scc = k == cap
 
-    t0 = time.perf_counter()
     stats = SolveStats()
     components: list[ComponentSolve] = []
     ranks = [0] * n
@@ -126,10 +95,13 @@ def min_agony(
             local = [0] * len(part)
             components.append(ComponentSolve(part, local))
         else:
-            sg, state, local = _solve_component(subs.pop(), width, penalty)
-            scaled_total += circulation_value(state, sg)
+            # the stages are module attributes looked up per call, so a
+            # traced run sees wrapped ones
+            state = solve_fast(uncapacitate(build_convex_instance(subs.pop(), width, penalty)))
+            local = extract_ranking(state)
+            scaled_total += circulation_value(state)
             _merge_stats(stats, state.stats)
-            components.append(ComponentSolve(part, local, sg, state))
+            components.append(ComponentSolve(part, local, state))
         for v, r in zip(part, local):
             ranks[v] = r + offset
         offset += len(part) * step
@@ -140,7 +112,6 @@ def min_agony(
         raise SolverError(
             f"strong duality broken: circulation says {agony}, ranking scores {recomputed}"
         )
-    stats.wall_ms = (time.perf_counter() - t0) * 1e3
     return ExactResult(g, ranks, agony, scaled_total, k, penalty, use_scc, components, stats)
 
 
@@ -157,30 +128,16 @@ def verify_certificate(result: ExactResult) -> bool:
 
     True iff, under the result's own graph and penalty, (a) rescoring the
     ranking reproduces the reported agony, (b) the circulation objective
-    agrees with it, and (c) every retained solver state satisfies
-    conservation, dual feasibility, slackness and the sentinel dual spread
-    bound.  False signals a solver bug.
+    agrees with it, and (c) every retained solver state certifies its
+    component's ranks (``SolverState.certifies``: conservation, dual
+    feasibility, slackness, the sentinel dual spread bound and strong
+    duality).  False signals a solver bug.
     """
     if score_ranking(result.g, result.ranks, result.penalty) != result.agony:
         return False
+    solved = [c for c in result.components if c.state is not None]
     if result.k > 1:
-        total = sum(
-            circulation_value(c.state, c.sg) for c in result.components if c.state is not None
-        )
+        total = sum(circulation_value(c.state) for c in solved)
         if result.penalty.unscale(total) != result.agony:
             return False
-    for comp in result.components:
-        state, sg = comp.state, comp.sg
-        if state is None:
-            continue
-        if not state.check_optimality():
-            return False
-        pots = state.potentials
-        if pots[sg.omega] - pots[sg.alpha] > sg.k - 1:
-            return False
-        full = [pots[v] - pots[sg.alpha] for v in range(sg.n_total)]
-        if shifted_score(sg, full) != circulation_value(state, sg):
-            return False
-        if full[: sg.g.n] != comp.local_ranks:
-            return False
-    return True
+    return all(c.state.certifies(c.local_ranks) for c in solved)

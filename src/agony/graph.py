@@ -50,9 +50,6 @@ class VertexTable:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
 
 class WeightedDigraph:
     """Immutable directed graph with positive integer edge weights.
@@ -140,7 +137,9 @@ def parse_edge_list(stream: TextIO) -> tuple[WeightedDigraph, VertexTable]:
 def normalize(g: WeightedDigraph) -> WeightedDigraph:
     """Drop self-loops and merge parallel edges by summing weights.
 
-    Both transformations leave every ranking's score unchanged.
+    Merging keeps every ranking's score.  A self-loop of weight w costs
+    w * p(0) under every ranking, so dropping the loops lowers every score
+    by the same constant and keeps the optimal rankings.
     """
     merged: dict[tuple[int, int], int] = {}
     loops = 0

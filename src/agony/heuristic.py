@@ -233,8 +233,7 @@ def heuristic_rank(
         raise ValueError(f"unknown heuristic variant {variant!r}")
     results = []
     if variant in ("plain", "best"):
-        tree = build_split_tree(g)
-        ranks = tree.ranking() if k is None else prune_tree(tree, k)
+        ranks = prune_tree(build_split_tree(g), k)
         results.append((score_ranking(g, ranks, LINEAR), 1, ranks))
     if variant in ("scc", "best"):
         ranks = scc_layer_heuristic(g, k)

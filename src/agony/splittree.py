@@ -346,7 +346,7 @@ class PruneDP:
             raise ValueError(f"tier budget must be >= 1, got {kmax}")
         self.tree = tree
         self.kmax = kmax
-        self._nleaves: dict[int, int] = {}
+        # per node, opt[h] for h up to min(kmax, leaves of the subtree)
         self._opt: dict[int, list] = {}
         self._choice: dict[int, list] = {}
         if tree.root is not None:
@@ -354,25 +354,20 @@ class PruneDP:
 
     def _compute(self):
         kmax = self.kmax
-        nl, opt, choice = self._nleaves, self._opt, self._choice
+        opt, choice = self._opt, self._choice
         # reversed preorder: children before their parent
         for node in reversed(list(_preorder(self.tree.root))):
             key = id(node)
             if node.is_leaf:
-                nl[key] = 1
                 opt[key] = [0, 0]
                 choice[key] = [None, None]
                 continue
-            lk, rk = id(node.left), id(node.right)
-            leaves = nl[lk] + nl[rk]
-            nl[key] = leaves
-            cap = min(kmax, leaves)
-            cap_l = min(kmax, nl[lk])
-            cap_r = min(kmax, nl[rk])
+            lopt, ropt = opt[id(node.left)], opt[id(node.right)]
+            cap_l, cap_r = len(lopt) - 1, len(ropt) - 1
+            cap = min(kmax, cap_l + cap_r)
             arr = [None] * (cap + 1)
             ch = [None] * (cap + 1)
             arr[1] = 0
-            lopt, ropt = opt[lk], opt[rk]
             for h in range(2, cap + 1):
                 best = None
                 best_l = None
@@ -402,7 +397,7 @@ class PruneDP:
         stack = [(self.tree.root, h)]
         while stack:
             node, budget = stack.pop()
-            budget = min(budget, self._nleaves[id(node)], self.kmax)
+            budget = min(budget, len(self._opt[id(node)]) - 1)
             if node.is_leaf or budget <= 1:
                 out.append([v for x in _preorder(node) if x.is_leaf for v in x.vertices])
                 continue
@@ -413,10 +408,16 @@ class PruneDP:
         return out
 
 
-def prune_tree(tree: SplitTree, k: int) -> list[int]:
-    """Ranking with at most k tiers minimizing total weight plus gains."""
-    if k < 1:
+def prune_tree(tree: SplitTree, k: Optional[int]) -> list[int]:
+    """Ranking with at most k tiers minimizing total weight plus gains.
+
+    Every split gain is negative, so with k = None or at least one tier per
+    leaf the whole tree is the optimum and no pruning runs.
+    """
+    if k is not None and k < 1:
         raise ValueError(f"tier budget must be >= 1, got {k}")
+    if k is None or k >= len(tree.leaves()):
+        return tree.ranking()
     ranks = [0] * tree.n
     for i, group in enumerate(PruneDP(tree, k).groups(k)):
         for v in group:

@@ -63,14 +63,12 @@ def global_result(g: WeightedDigraph, k=None, penalty=LINEAR, solve=solve_fast):
     k = cap if k is None else min(k, cap)
     if k == 1:
         return exact.min_agony(g, 1, penalty)
-    sg = build_convex_instance(g, k, penalty)
-    state = solve(uncapacitate(sg))
-    exact._rebase_duals(state, sg)
-    ranks = extract_ranking(state, sg)
-    objective = circulation_value(state, sg)
+    state = solve(uncapacitate(build_convex_instance(g, k, penalty)))
+    ranks = extract_ranking(state)
+    objective = circulation_value(state)
     agony = penalty.unscale(objective)
     assert score_ranking(g, ranks, penalty) == agony
-    comp = exact.ComponentSolve(list(range(g.n)), ranks, sg, state)
+    comp = exact.ComponentSolve(list(range(g.n)), ranks, state)
     return exact.ExactResult(g, ranks, agony, objective, k, penalty, False, [comp], state.stats)
 
 

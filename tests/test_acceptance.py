@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from agony.canonical import _shifted_duals, canonical_ranking, distinct_rank_count
-from agony.circulation import solve_baseline
+from agony.canonical import canonical_ranking, distinct_rank_count
+from agony.circulation import residual_distances, solve_baseline
 from agony.exact import min_agony, verify_certificate
 from agony.graph import normalize, parse_edge_list, score_ranking
 from agony.heuristic import _LayerWindow, heuristic_rank, monotone_min, scc_layer_heuristic
@@ -183,9 +183,9 @@ def test_criterion_6_canonicality():
         assert canon == pointwise
         assert distinct_rank_count(canon) == min(len(set(o)) for o in optima)
         # idempotence: shift the duals onto the canonical solution and redo
-        comp = res.components[0]
-        starts = [(r, v) for v, r in enumerate(res.ranks)]
-        comp.state.potentials = _shifted_duals(comp.state, starts)
+        state = res.components[0].state
+        dist = residual_distances(state, [(r, v) for v, r in enumerate(res.ranks)])
+        state.potentials = [p - d for p, d in zip(state.potentials, dist)]
         assert canonical_ranking(dataclasses.replace(res, ranks=canon)) == canon
         checked += 1
     _report(6, True, f"{checked} enumerable instances")

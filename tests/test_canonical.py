@@ -2,8 +2,8 @@ import dataclasses
 
 import pytest
 
-from agony.canonical import _shifted_duals, canonical_ranking, distinct_rank_count
-from agony.circulation import SolverError
+from agony.canonical import canonical_ranking, distinct_rank_count
+from agony.circulation import SolverError, residual_distances
 from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, score_ranking
 from agony.penalties import LINEAR, PenaltySpec
@@ -103,8 +103,9 @@ class TestCanonical:
             res = global_result(g)
             can = canonical_ranking(res)
             # shift the full dual vector down by the same distances and redo
-            comp = res.components[0]
-            comp.state.potentials = _shifted_duals(comp.state, _starts(res))
+            state = res.components[0].state
+            dist = residual_distances(state, _starts(res))
+            state.potentials = [p - d for p, d in zip(state.potentials, dist)]
             again = canonical_ranking(dataclasses.replace(res, ranks=can))
             assert again == can
 
@@ -118,8 +119,8 @@ class TestCanonical:
     def test_rejects_bad_duals(self):
         g = graph_from_text("a b\nb c\n")
         res = global_result(g, 3)
-        comp = res.components[0]
-        comp.state.potentials[0] += 10 * comp.sg.k
+        state = res.components[0].state
+        state.potentials[0] += 10 * state.inst.sg.k
         with pytest.raises(SolverError):
             canonical_ranking(res)
 

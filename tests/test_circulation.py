@@ -224,9 +224,9 @@ class TestSolvers:
         for k in (2, 3, 4):
             sg, sb, sf = _solve_both(g, k)
             expect = brute_min_linear(g, k)
-            assert circulation_value(sb, sg) == expect
-            assert circulation_value(sf, sg) == expect
-            ranks = extract_ranking(sf, sg)
+            assert circulation_value(sb) == expect
+            assert circulation_value(sf) == expect
+            ranks = extract_ranking(sf)
             assert score_ranking(g, ranks, LINEAR) == expect
             assert 0 <= min(ranks) and max(ranks) <= k - 1
 
@@ -234,15 +234,15 @@ class TestSolvers:
         for _ in range(10):
             g = random_dag(rng, rng.randint(2, 7), 0.5, 3)
             sg, sb, sf = _solve_both(g, g.n)
-            assert circulation_value(sf, sg) == circulation_value(sb, sg) == 0
-            ranks = extract_ranking(sf, sg)
+            assert circulation_value(sf) == circulation_value(sb) == 0
+            ranks = extract_ranking(sf)
             assert score_ranking(g, ranks, LINEAR) == 0
 
     def test_two_cycle_k2(self):
         g = graph_from_text("a b\nb a\n")
         sg, sb, sf = _solve_both(g, 2)
         # both orders pay: one unit at distance one plus the return edge
-        assert circulation_value(sb, sg) == circulation_value(sf, sg) == 2
+        assert circulation_value(sb) == circulation_value(sf) == 2
         assert brute_min_linear(g, 2) == 2
 
     def test_fast_equals_baseline_on_random_graphs(self, rng):
@@ -250,14 +250,14 @@ class TestSolvers:
             g = random_graph(rng, rng.randint(2, 12), 0.35, 3)
             k = rng.randint(2, g.n)
             sg, sb, sf = _solve_both(g, k)
-            assert circulation_value(sb, sg) == circulation_value(sf, sg)
+            assert circulation_value(sb) == circulation_value(sf)
 
     def test_brute_force_equivalence(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 7), 0.4, 3)
             k = rng.randint(2, min(g.n, 4))
             sg, _, sf = _solve_both(g, k)
-            assert circulation_value(sf, sg) == brute_min_linear(g, k)
+            assert circulation_value(sf) == brute_min_linear(g, k)
 
     def test_unweighted_needs_one_outer_phase(self, rng):
         for _ in range(30):
@@ -275,7 +275,7 @@ class TestSolvers:
             sg, _, sf = _solve_both(g, k)
             pots = sf.potentials
             full = [pots[v] - pots[sg.alpha] for v in range(sg.n_total)]
-            assert shifted_score(sg, full) == circulation_value(sf, sg)
+            assert shifted_score(sg, full) == circulation_value(sf)
 
     def test_final_state_optimality_conditions(self, rng):
         for _ in range(40):
@@ -296,7 +296,7 @@ class TestSolvers:
             k = rng.randint(2, g.n)
             sg, sb, sf = _solve_both(g, k)
             fired += sb.stats.contractions + sf.stats.contractions
-            assert circulation_value(sb, sg) == circulation_value(sf, sg) == brute_min_linear(g, k)
+            assert circulation_value(sb) == circulation_value(sf) == brute_min_linear(g, k)
         assert fired > 0
 
     def test_convex_instance_solved_exactly(self, rng):
@@ -309,13 +309,13 @@ class TestSolvers:
                 score_ranking(g, r, pen)
                 for r in __import__("itertools").product(range(k), repeat=g.n)
             )
-            assert circulation_value(sf, sg) == circulation_value(sb, sg) == best
+            assert circulation_value(sf) == circulation_value(sb) == best
 
     def test_fractional_slopes_report_rescaled(self):
         g = graph_from_text("a b\nb a\n")
         pen = PenaltySpec.convex_sum([(Fraction(1, 2), -1)])
         sg, _, sf = _solve_both(g, 2, pen)
-        value = Fraction(circulation_value(sf, sg), pen.scale)
+        value = Fraction(circulation_value(sf), pen.scale)
         assert value == min(
             score_ranking(g, r, pen) for r in ((0, 0), (0, 1), (1, 0), (1, 1))
         )
@@ -373,7 +373,7 @@ class TestStateSurface:
         st = solve_fast(uncapacitate(sg))
         st.potentials[0] += sg.k + 5
         with pytest.raises(SolverError):
-            extract_ranking(st, sg)
+            extract_ranking(st)
 
 
 class TestAdmissibleMaxFlow:

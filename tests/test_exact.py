@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -190,3 +191,31 @@ class TestTracerContract:
         min_agony(graph_from_text(TOY), 4)
         for attr in ("build_convex_instance", "uncapacitate", "solve_fast", "extract_ranking"):
             assert attr in calls
+
+
+class TestSolverStateBoundary:
+    """Only ``agony.circulation`` knows the instance layout: every other
+    module reads a solved state through its public functions and methods."""
+
+    LAYOUT = {"alpha", "omega", "n_total"}
+
+    def test_no_other_module_reads_the_layout(self):
+        faults = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "agony").glob("*.py")):
+            if path.name == "circulation.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and node.module in (
+                    "circulation", "agony.circulation"
+                ):
+                    faults += [
+                        f"{path.name}:{node.lineno} imports {a.name}"
+                        for a in node.names if a.name.startswith("_")
+                    ]
+                elif isinstance(node, ast.Attribute) and (
+                    node.attr in self.LAYOUT
+                    or (isinstance(node.value, ast.Name) and node.value.id == "circulation"
+                        and node.attr.startswith("_"))
+                ):
+                    faults.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+        assert not faults, faults

@@ -1,6 +1,7 @@
 """End-to-end property tests tying the independent paths together."""
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from agony.circulation import solve_baseline
 from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, normalize, score_ranking
 from agony.heuristic import heuristic_rank
-from agony.penalties import LINEAR
+from agony.penalties import LINEAR, PenaltySpec
 from agony.splittree import build_split_tree, prune_tree
 
 from conftest import global_result
@@ -71,3 +72,21 @@ def test_normalize_preserves_scores(g):
     ng = normalize(doubled)
     for r in itertools.product(range(2), repeat=g.n):
         assert score_ranking(ng, r, LINEAR) == 2 * score_ranking(g, r, LINEAR)
+
+
+@pytest.mark.parametrize(
+    "penalty",
+    [LINEAR, PenaltySpec.constant(), PenaltySpec.parse("sum:1/2,-1;3,1")],
+    ids=lambda p: p.describe(),
+)
+@given(small_graphs(max_n=5, max_w=4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_normalize_lowers_scores_by_self_loop_cost(penalty, g, data):
+    """Merging parallel edges keeps every score; a self-loop of weight w
+    costs w * p(0) under every ranking, which dropping it takes off."""
+    loops = [(v, v, data.draw(st.integers(1, 4))) for v in range(g.n) if data.draw(st.booleans())]
+    raw = WeightedDigraph(g.n, list(g.edges) * 2 + loops)
+    loop_cost = sum(w for _, _, w in loops) * penalty(0)
+    ng = normalize(raw)
+    for r in itertools.product(range(3), repeat=g.n):
+        assert score_ranking(ng, r, penalty) == score_ranking(raw, r, penalty) - loop_cost

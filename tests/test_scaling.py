@@ -9,7 +9,10 @@ At the two sizes, 4x apart, linear work gives a time ratio near 4 and a
 per-part edge scan one near 16; the bound of 7 leaves room for timer noise.
 The budget case holds the graph and grows k 4x: one totally-monotone search
 per budget gives a ratio near 4, while a spend loop that tries every split
-of every budget grows as k^2, toward 16.  Each size keeps its best of
+of every budget grows as k^2, toward 16.  The plain heuristic on a DAG
+chain with one tier per vertex has a budget that prunes nothing, so it
+costs what the split tree costs, while a pruning DP that runs anyway
+grows with leaves times budget, toward 16.  Each size keeps its best of
 several runs, and the small and large runs alternate, so a stall of the
 host slows one run of each size at most.  Each run is timed with the
 cyclic garbage collector off, as ``timeit`` does, so a collection that
@@ -32,7 +35,7 @@ import time
 from agony.canonical import canonical_ranking
 from agony.exact import min_agony
 from agony.graph import WeightedDigraph
-from agony.heuristic import scc_layer_heuristic
+from agony.heuristic import heuristic_rank, scc_layer_heuristic
 
 MAX_RATIO = 7.0
 MAX_BUDGET_RATIO = 6.0
@@ -122,6 +125,12 @@ def test_scc_heuristic_on_dag_chain_scales_linearly():
     assert scc_layer_heuristic(_dag_chain(4)) == [0, 1, 2, 3]
     ratio, runs = _ratio(scc_layer_heuristic, _dag_chain, 2000)
     assert ratio <= MAX_RATIO, f"4x layers took {ratio:.1f}x the time ({runs})"
+
+
+def test_plain_heuristic_with_budget_per_vertex_scales_linearly():
+    assert heuristic_rank(_dag_chain(4), 4, "plain") == ([0, 1, 2, 3], 0)
+    ratio, runs = _ratio(lambda g: heuristic_rank(g, g.n, "plain"), _dag_chain, 1000)
+    assert ratio <= MAX_RATIO, f"4x vertices took {ratio:.1f}x the time ({runs})"
 
 
 def test_scc_heuristic_budget_scales_linearly_in_k():

@@ -219,6 +219,10 @@ class TestPrune:
             full = tree.ranking()
             assert prune_tree(tree, len(tree.leaves())) == full
             assert prune_tree(tree, g.n + 5) == full
+            assert prune_tree(tree, None) == full
+            # the pruning DP that such budgets skip keeps every leaf too
+            leaves = tree.leaves()
+            assert PruneDP(tree, len(leaves)).groups(len(leaves)) == [x.vertices for x in leaves]
 
     def test_budget_one_collapses_everything(self, rng):
         g = random_graph(rng, 8, 0.4, 3)
