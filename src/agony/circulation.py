@@ -18,20 +18,22 @@ tree and one push of delta per augmentation.  The Dijkstra loop and the
 max flow's pass over the tight arcs are the only two scans of the
 residual graph in the package.  The canonical ranking
 (``agony.canonical``) reuses the Dijkstra through ``residual_distances``
-on a copy of each solved state's duals, from all its graph vertices at
-once.  An arc whose flow outgrows the scale is contracted (Orlin's
-strongly polynomial device): its ends merge into one cluster, the arcs
-between clusters are rewritten to run between cluster roots, and the
-arcs inside one leave the adjacency lists, so neither scan sees a
-member.  Optimal integer duals turn back into a rank assignment via
-``extract_ranking``.  Each solved state keeps its instance, and each
-instance its shifted graph, so a ``SolverState`` alone gives its ranks,
-its circulation value and its optimality certificate; no other module
-reads the instance layout.
+over each solved state's instance arcs and flow and a copy of its duals,
+from all its graph vertices at once.  An arc whose flow outgrows the
+scale is contracted (Orlin's strongly polynomial device): its ends merge
+into one cluster, the arcs between clusters are rewritten to run between
+cluster roots, and the arcs inside one leave the adjacency lists, so
+neither scan sees a member.  Optimal integer duals turn back into a rank
+assignment via ``extract_ranking``.  Each solved state keeps its
+instance, and each instance its shifted graph, so a ``SolverState`` alone
+gives its ranks, its circulation value and its optimality certificate;
+no other module reads the instance layout.
 
-No floating point anywhere: distances are integer reduced costs, with
-equal distances settled in vertex order, and all comparisons against the
-3/4 excess threshold are cross-multiplied.
+No floating point anywhere: distances are sums of integer reduced costs,
+few of them distinct, so the Dijkstra files vertices in one list per
+distance and keeps only the distinct distances in a heap (Dial's bucket
+queue), and all comparisons against the 3/4 excess threshold are
+cross-multiplied.
 """
 from __future__ import annotations
 
@@ -315,21 +317,24 @@ def residual_distances(state: SolverState, starts) -> list[int]:
 
     ``starts`` holds (initial distance, vertex) pairs, and arcs are as long
     as their reduced costs under the state's duals.  The Dijkstra of the
-    solver runs on a copy of the duals, so ``state`` is untouched; duals
+    solver runs over the instance's arcs and the state's flow, with no
+    solver core, on a copy of the duals, so ``state`` is untouched; duals
     that are not optimal, or a vertex that no start reaches, raise
     ``SolverError``.
     """
-    core = _Core(state.inst)
-    core.flow = state.flow  # read only
-    core.pot = list(state.potentials)
-    return [d for d, _, _, _ in _build_tree(core, starts)]
+    inst = state.inst
+    dist, _ = _build_tree(
+        inst.asrc, inst.adst, inst.acost, inst.out_arcs, inst.in_arcs,
+        state.flow, list(state.potentials), starts, inst.n,
+    )
+    return dist
 
 
 # ---------------------------------------------------------------------------
 # solver core
 # ---------------------------------------------------------------------------
 
-_ROOT = -1  # the arc of a source in its Dijkstra heap entry
+_ROOT = -1  # the settling arc recorded for a Dijkstra start
 
 
 class _Core:
@@ -374,6 +379,15 @@ class _Core:
 
     def potential(self, x: int) -> int:
         return self.pot[self.root[x]] + self.off[x]
+
+    def dijkstra(self, starts) -> tuple[list, list[int]]:
+        """``_build_tree`` over the cluster roots; counts their settles."""
+        tree = _build_tree(
+            self.src, self.dst, self.cost, self.out_arcs, self.in_arcs,
+            self.flow, self.pot, starts, len(self.roots),
+        )
+        self.stats.settles += len(self.roots)
+        return tree
 
     # -- contraction -------------------------------------------------------
 
@@ -539,7 +553,8 @@ def _baseline_phase(core: _Core, delta: int):
             break
         if not (_ALPHA_DEN * es >= lim and -_ALPHA_DEN * er >= lim):
             break
-        _augment_tree(core, _build_tree(core, [(0, s)]), r, delta)
+        _, via = core.dijkstra([(0, s)])
+        _augment_tree(core, via, r, delta)
         core.stats.augmentations += 1
 
 
@@ -564,76 +579,99 @@ def _fast_phase(core: _Core, delta: int):
         sinks = [v for v in core.roots if -_ALPHA_DEN * excess[v] >= lim]
         if not sources or not sinks:
             return
-        _build_tree(core, [(0, v) for v in sources])
+        core.dijkstra([(0, v) for v in sources])
         core.stats.repairs += 1
         _admissible_max_flow(core, sources, sinks, delta)
 
 
-def _build_tree(core: _Core, starts) -> list:
-    """Multi-source Dijkstra; subtracts distances from duals.
+def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int):
+    """Multi-source Dijkstra over a bucket queue; subtracts distances from duals.
 
-    ``starts`` holds (initial distance, vertex) pairs.  Heap entries are
-    (dist, vertex, arc, dir), with dir 1 for a forward arc and -1 for the
-    reverse of one: equal distances are broken by vertex, then arc.
-    Settling a vertex records its entry and scans the residual arcs
-    leaving it; each one has its reduced cost checked before an unsettled
-    end enters the heap.  Only cluster roots are ever reached, and every
-    one must be.  Finally the distances are subtracted from the duals, so
-    every tree arc, and every shortest path from a start, has reduced cost 0.
-    Returns the entry that settled each vertex (None for absorbed
-    members): the shortest-path forest.
+    The residual graph is given by its arc arrays and adjacency lists, which
+    hold only arcs between distinct vertices, and by ``flow``; arcs are as
+    long as their reduced costs under ``pot``.  ``starts`` holds (initial
+    distance, vertex) pairs.  Reduced costs are small integers, so a whole
+    run sees few distinct distances: bare vertex ids wait in one list per
+    tentative distance, a heap holds the distinct distances only, and a
+    zero-cost arc appends to the list being scanned.  A vertex is filed
+    again only when its tentative distance falls, so an entry whose
+    distance is no longer the vertex's is skipped.  Settling a vertex scans
+    the residual arcs leaving it, each with its reduced cost checked.
+    Exactly ``reach`` vertices must be reached.  Finally the distances are
+    subtracted from the duals, so every shortest path from a start has
+    reduced cost 0.  Returns each vertex's distance (None where not
+    reached) and the arc that settled it (``_ROOT`` for a start): the arc
+    itself if it enters the vertex, its reverse if it leaves it.  Those
+    arcs form the shortest-path forest.
     """
-    src, dst, cost = core.src, core.dst, core.cost
-    flow, pot = core.flow, core.pot
-    out_arcs, in_arcs = core.out_arcs, core.in_arcs
-    tree: list = [None] * core.inst.n
-    heap = [(d, s, _ROOT, 0) for d, s in sorted(starts)]  # sorted is a heap
+    dist: list = [None] * len(pot)
+    via = [_ROOT] * len(pot)
+    buckets: dict[int, list[int]] = {}
+    for d, s in starts:
+        ds = dist[s]
+        if ds is None or d < ds:
+            dist[s] = d
+            buckets.setdefault(d, []).append(s)
+    keys = sorted(buckets)  # a sorted list is a heap
     settled = 0
-    while heap:
-        entry = heappop(heap)
-        d, x, _, _ = entry
-        if tree[x] is not None:
-            continue
-        tree[x] = entry
-        settled += 1
-        px = pot[x]
-        for a in out_arcs[x]:
-            w = dst[a]
-            rc = cost[a] + pot[w] - px
-            if rc < 0:
-                raise SolverError(f"negative reduced cost {rc} on arc {a}")
-            if tree[w] is None:
-                heappush(heap, (d + rc, w, a, 1))
-        for a in in_arcs[x]:
-            if not flow[a]:
-                continue
-            w = src[a]
-            rc = pot[w] - px - cost[a]
-            if rc < 0:
-                raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
-            if tree[w] is None:
-                heappush(heap, (d + rc, w, a, -1))
-    if settled != len(core.roots):
+    while keys:
+        d = heappop(keys)
+        bucket = buckets.pop(d)
+        for x in bucket:  # grows while scanned
+            if dist[x] != d:
+                continue  # settled earlier, at a smaller distance
+            settled += 1
+            px = pot[x]
+            for a in out_arcs[x]:
+                w = dst[a]
+                rc = cost[a] + pot[w] - px
+                if rc < 0:
+                    raise SolverError(f"negative reduced cost {rc} on arc {a}")
+                dw = dist[w]
+                nd = d + rc
+                if dw is None or nd < dw:
+                    dist[w] = nd
+                    via[w] = a
+                    if not rc:
+                        bucket.append(w)
+                    elif nd in buckets:
+                        buckets[nd].append(w)
+                    else:
+                        buckets[nd] = [w]
+                        heappush(keys, nd)
+            for a in in_arcs[x]:
+                if not flow[a]:
+                    continue
+                w = src[a]
+                rc = pot[w] - px - cost[a]
+                if rc < 0:
+                    raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
+                dw = dist[w]
+                nd = d + rc
+                if dw is None or nd < dw:
+                    dist[w] = nd
+                    via[w] = a
+                    if not rc:
+                        bucket.append(w)
+                    elif nd in buckets:
+                        buckets[nd].append(w)
+                    else:
+                        buckets[nd] = [w]
+                        heappush(keys, nd)
+    if settled != reach:
         raise SolverError("residual graph is not connected from the starts")
-    for entry in tree:
-        if entry is not None and entry[0]:
-            pot[entry[1]] -= entry[0]
-    core.stats.settles += settled
-    return tree
+    for x, d in enumerate(dist):
+        if d:
+            pot[x] -= d
+    return dist, via
 
 
-def _augment_tree(core: _Core, tree: list, r: int, delta: int):
-    """Push delta from r's tree root down to r."""
+def _augment_tree(core: _Core, via: list[int], r: int, delta: int):
+    """Push delta from r's tree root down to r along the settling arcs."""
     flow, src, dst = core.flow, core.src, core.dst
     v = r
-    while True:
-        entry = tree[v]
-        if entry is None:
-            raise SolverError("sink is not attached to the shortest path tree")
-        a = entry[2]
-        if a == _ROOT:
-            break
-        if entry[3] == 1:
+    while (a := via[v]) != _ROOT:
+        if dst[a] == v:
             flow[a] += delta
             v = src[a]
         else:

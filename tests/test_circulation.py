@@ -331,9 +331,12 @@ class TestSolveStats:
         build = circulation._build_tree
         roots = []
 
-        def counting_build(core, sources):
-            roots.append(len(core.roots))
-            return build(core, sources)
+        def counting_build(*args):
+            dist, via = build(*args)
+            # the vertices reached, which must be the cluster roots passed last
+            roots.append(sum(d is not None for d in dist))
+            assert roots[-1] == args[-1]
+            return dist, via
 
         monkeypatch.setattr(circulation, "_build_tree", counting_build)
         pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])
@@ -356,6 +359,142 @@ class TestSolveStats:
             stats = solve_baseline(inst).stats
             assert stats.contractions == 0 and stats.repairs == 0
             assert stats.settles == stats.augmentations * inst.n
+
+
+def _reference_distances(src, dst, cost, flow, pot, starts):
+    """Residual shortest-path distances by Bellman-Ford over every arc with
+    distinct ends, its reverse included while it carries flow; None where
+    no start reaches."""
+    dist = [None] * len(pot)
+    for d, s in starts:
+        if dist[s] is None or d < dist[s]:
+            dist[s] = d
+    arcs = []
+    for a, (x, w, c) in enumerate(zip(src, dst, cost)):
+        if x != w:
+            rc = c + pot[w] - pot[x]
+            arcs.append((x, w, rc))
+            if flow[a]:
+                arcs.append((w, x, -rc))
+    changed = True
+    while changed:
+        changed = False
+        for x, w, length in arcs:
+            if dist[x] is not None and (dist[w] is None or dist[x] + length < dist[w]):
+                dist[w] = dist[x] + length
+                changed = True
+    return dist
+
+
+def _residual(n, arcs):
+    """Arc arrays and adjacency lists of a list of (src, dst, cost) arcs."""
+    src, dst, cost = (list(t) for t in zip(*arcs))
+    out_arcs = [[] for _ in range(n)]
+    in_arcs = [[] for _ in range(n)]
+    for a, (x, w, _) in enumerate(arcs):
+        out_arcs[x].append(a)
+        in_arcs[w].append(a)
+    return src, dst, cost, out_arcs, in_arcs
+
+
+_build_tree = circulation._build_tree
+
+
+def _checked_build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach):
+    """``_build_tree``, checked against ``_reference_distances``."""
+    before = list(pot)
+    ref = _reference_distances(src, dst, cost, flow, before, starts)
+    dist, via = _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach)
+    assert dist == ref
+    assert pot == [p - (d or 0) for p, d in zip(before, dist)]
+    # every reached vertex is at its start distance or settled by a tight arc
+    start = {}
+    for d, s in starts:
+        start[s] = min(d, start.get(s, d))
+    for v, (d, a) in enumerate(zip(dist, via)):
+        if a == circulation._ROOT:
+            assert d is None or d == start[v]
+        elif dst[a] == v:
+            assert d == dist[src[a]] + cost[a] + before[v] - before[src[a]]
+        else:
+            assert src[a] == v and flow[a] > 0
+            assert d == dist[dst[a]] - cost[a] - before[dst[a]] + before[v]
+    return dist, via
+
+
+class TestBuildTree:
+    """The bucket-queue Dijkstra gives the residual shortest-path distances,
+    a tight settling arc per vertex, and the duals less the distances."""
+
+    def test_matches_reference_in_solves_and_canonical_rankings(self, monkeypatch, rng):
+        distinct = []
+
+        def checked(*args):
+            dist, via = _checked_build_tree(*args)
+            distinct.append(len({d for d in dist if d is not None}))
+            return dist, via
+
+        monkeypatch.setattr(circulation, "_build_tree", checked)
+        pen = PenaltySpec.parse("sum:1,-1;2,3")
+        contractions = 0
+        for i in range(12):
+            g = random_graph(rng, rng.randint(8, 25), 0.15, 10**6 if i % 2 else 1)
+            k = rng.choice((4, 8))
+            inst = uncapacitate(build_convex_instance(g, k, pen))
+            solver = solve_baseline if i % 4 == 3 else solve_fast
+            state = solver(inst, check_invariants=True)
+            contractions += state.stats.contractions
+            starts = [(rng.randint(0, k), v) for v in range(g.n)]
+            circulation.residual_distances(state, starts)
+        assert contractions > 0
+        assert max(distinct) >= 4  # several buckets in one run
+
+    def test_random_residual_graphs_with_zero_cost_chains(self, rng):
+        for _ in range(60):
+            n = rng.randint(2, 30)
+            pot = [rng.randint(-5, 5) for _ in range(n)]
+            arcs, flow = [], []
+            # a chain of zero-cost arcs through the vertices in random order
+            order = rng.sample(range(n), n)
+            for x, w in zip(order, order[1:]):
+                arcs.append((x, w, pot[x] - pot[w]))
+                flow.append(rng.choice((0, 2)))
+            for _ in range(rng.randint(0, 3 * n)):
+                x, w = rng.sample(range(n), 2)
+                rc = rng.choice((0, 0, 1, 2, 7))
+                arcs.append((x, w, rc + pot[x] - pot[w]))
+                flow.append(0 if rc else rng.choice((0, 1)))
+            starts = [(rng.randint(-2, 6), v) for v in rng.sample(range(n), min(n, 3))]
+            src, dst, cost, out_arcs, in_arcs = _residual(n, arcs)
+            ref = _reference_distances(src, dst, cost, flow, pot, starts)
+            reach = sum(d is not None for d in ref)
+            _checked_build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach)
+
+    def test_zero_cost_chain_beats_a_costlier_jump(self):
+        n = 200
+        # vertex ids fall along the chain; one arc of cost 1 jumps to its end
+        arcs = [(v, v - 1, 0) for v in range(n - 1, 0, -1)] + [(n - 1, 0, 1)]
+        pot = [0] * n
+        src, dst, cost, out_arcs, in_arcs = _residual(n, arcs)
+        dist, via = _build_tree(
+            src, dst, cost, out_arcs, in_arcs, [0] * len(arcs), pot, [(3, n - 1)], n
+        )
+        assert dist == [3] * n and pot == [-3] * n
+        assert via[0] == n - 2  # the last chain arc, not the costlier jump
+
+    def test_negative_reduced_cost_raises(self):
+        for flow, (x, w, c) in (([0], (0, 1, -1)), ([1], (0, 1, 1))):
+            # a forward arc of cost -1, or the reverse of a flow arc of cost 1
+            src, dst, cost, out_arcs, in_arcs = _residual(2, [(x, w, c), (1, 0, 5)])
+            with pytest.raises(SolverError, match="negative"):
+                _build_tree(
+                    src, dst, cost, out_arcs, in_arcs, flow + [0], [0, 0], [(0, 0), (0, 1)], 2
+                )
+
+    def test_unreachable_vertex_raises(self):
+        src, dst, cost, out_arcs, in_arcs = _residual(3, [(0, 1, 0), (2, 1, 0)])
+        with pytest.raises(SolverError, match="not connected"):
+            _build_tree(src, dst, cost, out_arcs, in_arcs, [0, 0], [0] * 3, [(0, 0)], 3)
 
 
 class TestStateSurface:

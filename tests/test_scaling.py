@@ -23,7 +23,10 @@ The exact solver's guard counts work instead of timing it: a primal-dual
 phase runs one Dijkstra per distinct shortest-path cost, and on power-law
 graphs with unit weights a whole solve sees a handful of costs at every
 size, while a solver that re-prices once per few augmentations re-prices
-a number of times that grows with n.
+a number of times that grows with n.  A second guard counts the
+Dijkstra's heap pushes: one Dijkstra sees a handful of distinct
+distances, so a heap of distances takes a few pushes per run, while a
+heap entry per relaxed arc gives more than one push per settled vertex.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ import itertools
 import random
 import time
 
+from agony import circulation
 from agony.canonical import canonical_ranking
 from agony.exact import min_agony
 from agony.graph import WeightedDigraph
@@ -40,6 +44,7 @@ from agony.heuristic import heuristic_rank, scc_layer_heuristic
 MAX_RATIO = 7.0
 MAX_BUDGET_RATIO = 6.0
 MAX_DIJKSTRAS = 12
+MAX_PUSHES_PER_SETTLE = 0.05
 
 
 def _two_cycle_chain(c: int) -> WeightedDigraph:
@@ -149,3 +154,22 @@ def test_exact_dijkstras_per_solve_stay_flat_on_power_law_graphs():
         counts[n] = (stats.repairs, stats.augmentations)
     text = ", ".join(f"n={n}: {r} Dijkstras for {a} augmentations" for n, (r, a) in counts.items())
     assert all(r <= MAX_DIJKSTRAS for r, _ in counts.values()), text
+
+
+def test_exact_dijkstra_heap_pushes_per_settle_stay_small(monkeypatch):
+    pushes = 0
+    push = circulation.heappush
+
+    def counting_push(heap, item):
+        nonlocal pushes
+        pushes += 1
+        push(heap, item)
+
+    monkeypatch.setattr(circulation, "heappush", counting_push)
+    ratios = {}
+    for n in (500, 1000, 2000):
+        before = pushes
+        stats = min_agony(_chung_lu(n, seed=n)).stats
+        ratios[n] = (pushes - before) / stats.settles
+    text = ", ".join(f"n={n}: {r:.3f} heap pushes per settle" for n, r in ratios.items())
+    assert all(r <= MAX_PUSHES_PER_SETTLE for r in ratios.values()), text
