@@ -5,29 +5,26 @@ graph (``build_convex_instance``) whose arcs are implicit in the graph, k
 and the hinge terms; ``uncapacitate`` builds from it, in one pass, an
 uncapacitated instance with a negative-bias gadget vertex for each
 capacitated arc, which is solved by delta-scaling successive shortest
-paths.  One scaling loop (``_solve``) runs the phases for both solvers.
-``solve_fast`` runs each phase primal-dual: a multi-source Dijkstra
-(``_build_tree``) prices the duals so that every shortest path from a
-source has reduced cost 0, then a Dinic max flow over the
-zero-reduced-cost residual arcs (``_admissible_max_flow``) pushes
-delta-units from the sources to the sinks until no such path is left, and
-the two repeat until no source or no sink is left, so a phase runs one
-Dijkstra per distinct shortest-path cost.  ``solve_baseline``, the
-tests' reference, is the single-source mode of the same Dijkstra: one
-tree and one push of delta per augmentation.  The Dijkstra loop and the
-max flow's pass over the tight arcs are the only two scans of the
-residual graph in the package.  The canonical ranking
-(``agony.canonical``) reuses the Dijkstra through ``residual_distances``
-over each solved state's instance arcs and flow and a copy of its duals,
-from all its graph vertices at once.  An arc whose flow outgrows the
-scale is contracted (Orlin's strongly polynomial device): its ends merge
-into one cluster, the arcs between clusters are rewritten to run between
-cluster roots, and the arcs inside one leave the adjacency lists, so
-neither scan sees a member.  Optimal integer duals turn back into a rank
-assignment via ``extract_ranking``.  Each solved state keeps its
-instance, and each instance its shifted graph, so a ``SolverState`` alone
-gives its ranks, its circulation value and its optimality certificate;
-no other module reads the instance layout.
+paths with primal-dual phases (``solve_fast``, the one solver).  Each
+phase runs rounds: a multi-source Dijkstra (``_build_tree``) prices the
+duals so that every shortest path from a source has reduced cost 0, then
+a Dinic max flow over the zero-reduced-cost residual arcs
+(``_admissible_max_flow``) pushes delta-units from the sources to the
+sinks until no such path is left, and rounds repeat until no source or no
+sink is left, so a phase runs one Dijkstra per distinct shortest-path
+cost.  The Dijkstra loop and the max flow's pass over the tight arcs are
+the only two scans of the residual graph in the package.  The canonical
+ranking (``agony.canonical``) reuses the Dijkstra through
+``residual_distances`` over each solved state's instance arcs and flow
+and a copy of its duals, from all its graph vertices at once.  An arc
+whose flow outgrows the scale is contracted (Orlin's strongly polynomial
+device): its ends merge into one cluster, the arcs between clusters are
+rewritten to run between cluster roots, and the arcs inside one leave the
+adjacency lists, so neither scan sees a member.  Optimal integer duals
+turn back into a rank assignment via ``extract_ranking``.  Each solved
+state keeps its instance, and each instance its shifted graph, so a
+``SolverState`` alone gives its ranks, its circulation value and its
+optimality certificate; no other module reads the instance layout.
 
 No floating point anywhere: distances are sums of integer reduced costs,
 few of them distinct, so the Dijkstra files vertices in one list per
@@ -39,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable
 
 from .graph import WeightedDigraph
 from .penalties import PenaltySpec, hinge_total
@@ -205,11 +201,10 @@ class SolveStats:
     """Counters of one solve.
 
     ``augmentations`` counts augmenting paths, each carrying one or more
-    delta-units (one in the baseline).  ``repairs`` counts the Dijkstra
-    rounds of the primal-dual phase, each of which re-prices the duals;
-    the baseline counts none, and the benchmark's tracer reads the field
-    under this name.  ``settles`` counts the vertices settled by every
-    Dijkstra run.
+    delta-units.  ``repairs`` counts the Dijkstra rounds of the
+    primal-dual phases, each of which re-prices the duals; the benchmark's
+    tracer reads the field under this name.  ``settles`` counts the
+    vertices settled by every Dijkstra run.
     """
 
     outer_phases: int = 0
@@ -323,22 +318,18 @@ def residual_distances(state: SolverState, starts) -> list[int]:
     ``SolverError``.
     """
     inst = state.inst
-    dist, _ = _build_tree(
+    return _build_tree(
         inst.asrc, inst.adst, inst.acost, inst.out_arcs, inst.in_arcs,
         state.flow, list(state.potentials), starts, inst.n,
     )
-    return dist
 
 
 # ---------------------------------------------------------------------------
 # solver core
 # ---------------------------------------------------------------------------
 
-_ROOT = -1  # the settling arc recorded for a Dijkstra start
-
-
 class _Core:
-    """Shared state of both solvers: flow, duals, contraction bookkeeping.
+    """Solver state: flow, duals, contraction bookkeeping.
 
     Contracting freezes the dual difference d of the absorbed cluster to
     the kept one: absorbed members get the kept ``root`` and d added to
@@ -380,14 +371,14 @@ class _Core:
     def potential(self, x: int) -> int:
         return self.pot[self.root[x]] + self.off[x]
 
-    def dijkstra(self, starts) -> tuple[list, list[int]]:
+    def dijkstra(self, starts) -> list:
         """``_build_tree`` over the cluster roots; counts their settles."""
-        tree = _build_tree(
+        dist = _build_tree(
             self.src, self.dst, self.cost, self.out_arcs, self.in_arcs,
             self.flow, self.pot, starts, len(self.roots),
         )
         self.stats.settles += len(self.roots)
-        return tree
+        return dist
 
     # -- contraction -------------------------------------------------------
 
@@ -494,94 +485,45 @@ def _has_excess(core: _Core) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# delta-scaling loop and its two phase bodies
+# delta-scaling loop
 # ---------------------------------------------------------------------------
 
-def _solve(
-    inst: CirculationInstance, check_invariants: bool, phase: Callable[[_Core, int], None]
-) -> SolverState:
-    """Delta-scaling successive shortest paths around one phase body.
+def solve_fast(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
+    """Delta-scaling successive shortest paths with primal-dual phases.
 
     Each outer phase contracts the arcs whose flow reached the contraction
-    threshold, then lets ``phase(core, delta)`` push delta-units from
-    vertices with excess >= 3/4 delta to vertices with deficit >= 3/4
-    delta, and halves delta until every excess is gone.
+    threshold, then runs rounds until no source (excess >= 3/4 delta) or
+    no sink (deficit >= 3/4 delta) is left: a multi-source Dijkstra from
+    the sources prices the duals, so every shortest path to a sink has
+    reduced cost 0, then a maximum flow of delta-units crosses the
+    zero-reduced-cost residual arcs (``_admissible_max_flow``).  A phase
+    needs one round per distinct shortest-path cost; delta halves until
+    every excess is gone.
     """
     core = _Core(inst)
+    excess = core.excess
     delta = _initial_delta(core)
-    guard = 0
+    unit_phases = 0  # phases at delta 1: the second must leave no excess
     while _has_excess(core):
+        if unit_phases == 2:
+            raise SolverError("no progress at unit granularity")
         core.stats.outer_phases += 1
         core.contract_pass(delta)
-        phase(core, delta)
+        lim = _ALPHA_NUM * delta
+        while True:
+            sources = [v for v in core.roots if _ALPHA_DEN * excess[v] >= lim]
+            sinks = [v for v in core.roots if -_ALPHA_DEN * excess[v] >= lim]
+            if not sources or not sinks:
+                break
+            core.dijkstra([(0, v) for v in sources])
+            core.stats.repairs += 1
+            _admissible_max_flow(core, sources, sinks, delta)
         if check_invariants:
             core.check_state()
-        if not _has_excess(core):
-            break
         if delta == 1:
-            guard += 1
-            if guard > 1:
-                raise SolverError("no progress at unit granularity")
+            unit_phases += 1
         delta = max(1, delta // 2)
     return core.finalize()
-
-
-def solve_baseline(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
-    """Reference mode: one source per Dijkstra, one Dijkstra per augmentation.
-
-    Each augmentation pairs the largest excess with the largest deficit,
-    runs a fresh single-source Dijkstra and pushes one delta along the
-    tree path, so it checks the primal-dual phase of ``solve_fast`` with a
-    plain successive-shortest-path algorithm.
-    """
-    return _solve(inst, check_invariants, _baseline_phase)
-
-
-def _baseline_phase(core: _Core, delta: int):
-    lim = _ALPHA_NUM * delta
-    while True:
-        # highest excess first, ties broken by lowest vertex index
-        s = r = None
-        es = er = 0
-        for v in core.roots:
-            ev = core.excess[v]
-            if ev > es or (ev == es > 0 and v < s):
-                es, s = ev, v
-            elif ev < er or (ev == er < 0 and v < r):
-                er, r = ev, v
-        if s is None or r is None:
-            break
-        if not (_ALPHA_DEN * es >= lim and -_ALPHA_DEN * er >= lim):
-            break
-        _, via = core.dijkstra([(0, s)])
-        _augment_tree(core, via, r, delta)
-        core.stats.augmentations += 1
-
-
-def solve_fast(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
-    """Primal-dual phases: one admissible max flow per Dijkstra.
-
-    Each round of a phase prices the duals with a multi-source Dijkstra
-    from every vertex with excess >= 3/4 delta, so every shortest path to
-    a sink has reduced cost 0, then pushes a maximum flow of delta-units
-    over the zero-reduced-cost residual arcs (``_admissible_max_flow``).
-    Rounds repeat until no source or no sink is left; a phase needs one
-    round per distinct shortest-path cost.
-    """
-    return _solve(inst, check_invariants, _fast_phase)
-
-
-def _fast_phase(core: _Core, delta: int):
-    lim = _ALPHA_NUM * delta
-    excess = core.excess
-    while True:
-        sources = [v for v in core.roots if _ALPHA_DEN * excess[v] >= lim]
-        sinks = [v for v in core.roots if -_ALPHA_DEN * excess[v] >= lim]
-        if not sources or not sinks:
-            return
-        core.dijkstra([(0, v) for v in sources])
-        core.stats.repairs += 1
-        _admissible_max_flow(core, sources, sinks, delta)
 
 
 def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int):
@@ -599,13 +541,10 @@ def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int
     the residual arcs leaving it, each with its reduced cost checked.
     Exactly ``reach`` vertices must be reached.  Finally the distances are
     subtracted from the duals, so every shortest path from a start has
-    reduced cost 0.  Returns each vertex's distance (None where not
-    reached) and the arc that settled it (``_ROOT`` for a start): the arc
-    itself if it enters the vertex, its reverse if it leaves it.  Those
-    arcs form the shortest-path forest.
+    reduced cost 0.  Returns each vertex's distance, None where not
+    reached.
     """
     dist: list = [None] * len(pot)
-    via = [_ROOT] * len(pot)
     buckets: dict[int, list[int]] = {}
     for d, s in starts:
         ds = dist[s]
@@ -631,7 +570,6 @@ def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int
                 nd = d + rc
                 if dw is None or nd < dw:
                     dist[w] = nd
-                    via[w] = a
                     if not rc:
                         bucket.append(w)
                     elif nd in buckets:
@@ -650,7 +588,6 @@ def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int
                 nd = d + rc
                 if dw is None or nd < dw:
                     dist[w] = nd
-                    via[w] = a
                     if not rc:
                         bucket.append(w)
                     elif nd in buckets:
@@ -663,25 +600,7 @@ def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int
     for x, d in enumerate(dist):
         if d:
             pot[x] -= d
-    return dist, via
-
-
-def _augment_tree(core: _Core, via: list[int], r: int, delta: int):
-    """Push delta from r's tree root down to r along the settling arcs."""
-    flow, src, dst = core.flow, core.src, core.dst
-    v = r
-    while (a := via[v]) != _ROOT:
-        if dst[a] == v:
-            flow[a] += delta
-            v = src[a]
-        else:
-            f = flow[a] - delta
-            if f < 0:
-                raise SolverError("negative flow after augmentation")
-            flow[a] = f
-            v = dst[a]
-    core.excess[v] -= delta
-    core.excess[r] += delta
+    return dist
 
 
 def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delta: int):

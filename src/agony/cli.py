@@ -77,21 +77,29 @@ def _write_ranking(table: VertexTable, ranks: Sequence[int], out: Optional[str])
             raise _CliError(EXIT_INPUT, f"cannot write {out}: {exc}") from exc
 
 
+def _render(make_text) -> str:
+    """``make_text()``; a number with more digits than ``str`` converts is unwritable output."""
+    try:
+        return make_text()
+    except ValueError as exc:
+        raise _CliError(EXIT_INPUT, "cannot write output: a number has too many digits") from exc
+
+
 def _summary(command: str, path: str, g: WeightedDigraph, k, penalty, score, ranks, ms, **extra):
+    """The key=value lines of a run's summary, for stderr."""
     pairs = {
         "command": command,
         "input": path,
         "n": g.n,
         "m": g.m,
         "k": k,
-        "penalty": penalty.describe(),
+        "penalty": _render(penalty.describe),
         **extra,
-        "score": score,
+        "score": _render(lambda: str(score)),
         "groups": distinct_rank_count(ranks),
         "time_ms": f"{ms:.1f}",
     }
-    for key, val in pairs.items():
-        print(f"{key}={val}", file=sys.stderr)
+    return "".join(f"{key}={val}\n" for key, val in pairs.items())
 
 
 def _self_check(g: WeightedDigraph, ranks: Sequence[int], penalty: PenaltySpec, score):
@@ -116,13 +124,14 @@ def _cmd_exact(args) -> int:
     ranks = canonical_ranking(result) if args.canonical else result.ranks
     ms = (time.perf_counter() - t0) * 1e3
     _self_check(g, ranks, penalty, result.agony)
-    _write_ranking(table, ranks, args.out)
-    _summary(
+    summary = _summary(
         "exact", args.input, g, result.k, penalty, result.agony, ranks, ms,
         scc=int(result.used_scc), canonical=int(bool(args.canonical)),
         augmentations=result.stats.augmentations, repairs=result.stats.repairs,
         settles=result.stats.settles,
     )
+    _write_ranking(table, ranks, args.out)
+    sys.stderr.write(summary)
     return EXIT_OK
 
 
@@ -134,9 +143,10 @@ def _cmd_heuristic(args) -> int:
     ranks, score = heuristic_rank(g, args.k, args.variant)
     ms = (time.perf_counter() - t0) * 1e3
     _self_check(g, ranks, penalty, score)
-    _write_ranking(table, ranks, args.out)
     k = args.k if args.k is not None else max(g.n, 1)
-    _summary("heuristic", args.input, g, k, penalty, score, ranks, ms, variant=args.variant)
+    summary = _summary("heuristic", args.input, g, k, penalty, score, ranks, ms, variant=args.variant)
+    _write_ranking(table, ranks, args.out)
+    sys.stderr.write(summary)
     return EXIT_OK
 
 
@@ -169,7 +179,8 @@ def _cmd_score(args) -> int:
     g, table = _load_graph(args.input)
     penalty = _parse_penalty(args.penalty)
     ranks = _read_ranking(args.ranking, table)
-    print(score_ranking(g, ranks, penalty))
+    score = score_ranking(g, ranks, penalty)
+    print(_render(lambda: str(score)))
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ back by the slope scale.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -36,11 +37,20 @@ def hinge_total(edges, ranks, terms) -> int:
     return total
 
 
+# Fraction("1e999999999") builds a billion-digit integer: exponents are
+# held to the digit count that int() and str() convert by default
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         # floats are accepted for convenience but converted through repr so
         # that "1.5" means 3/2, not the binary expansion of the double
         x = str(x)
+    m = isinstance(x, str) and _EXPONENT.search(x)
+    if m and abs(int(m.group(1))) > _MAX_EXPONENT:
+        raise ValueError(f"exponent of {x!r} outside [-{_MAX_EXPONENT}, {_MAX_EXPONENT}]")
     try:
         return Fraction(x)
     except ZeroDivisionError:

@@ -55,8 +55,9 @@ def global_result(g: WeightedDigraph, k=None, penalty=LINEAR, solve=solve_fast):
 
     ``min_agony`` solves one instance per SCC at the rank window cap; this
     solves the whole graph as one component at any k, with ``solve_fast``
-    or ``solve_baseline``.  k defaults to the cap and is clamped to it;
-    k = 1 and the empty graph need no solve and go to ``min_agony``.
+    or the tests' reference ``baseline.solve_baseline``.  k defaults to
+    the cap and is clamped to it; k = 1 and the empty graph need no solve
+    and go to ``min_agony``.
     """
     step = max(1, -min(b for _, b in penalty.terms))
     cap = max(g.n - 1, 0) * step + 1

@@ -15,13 +15,14 @@ from pathlib import Path
 import pytest
 
 from agony.canonical import canonical_ranking, distinct_rank_count
-from agony.circulation import residual_distances, solve_baseline
+from agony.circulation import residual_distances
 from agony.exact import min_agony, verify_certificate
 from agony.graph import normalize, parse_edge_list, score_ranking
 from agony.heuristic import _LayerWindow, heuristic_rank, monotone_min, scc_layer_heuristic
 from agony.penalties import LINEAR
 from agony.splittree import PruneDP, build_split_tree
 
+from baseline import solve_baseline
 from conftest import (
     brute_min_linear,
     brute_optima,

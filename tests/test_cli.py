@@ -122,6 +122,20 @@ class TestExact:
         assert main(["score", toy, str(r), "--penalty", "sum:1/0,1"]) == 2
         assert _one_line_error(capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "slope", ["9" * 4300, "1e20000", "1e5000", "1e-5000"],
+        ids=["4300-nines", "1e20000", "1e5000", "1e-5000"],
+    )
+    def test_huge_penalty_number_exits_2(self, toy, tmp_path, capsys, slope):
+        # a score or penalty with too many digits to print, or an exponent
+        # that the parser refuses before it builds the number
+        r = tmp_path / "r.txt"
+        r.write_text("a 0\nb 1\nc 2\nd 3\n")
+        for argv in (["exact", toy], ["score", toy, str(r)]):
+            assert main([*argv, "--penalty", f"sum:{slope},-1"]) == 2
+            cap = capsys.readouterr()
+            assert _one_line_error(cap.err) and cap.out == ""
+
     def test_convex_penalty_flag(self, toy, capsys):
         assert main(["exact", toy, "--penalty", "sum:1,-1;2,3"]) == 0
         info = _summary(capsys.readouterr().err)
@@ -251,15 +265,20 @@ class TestBench:
 
 
 # CLI fuzzing: generated file contents and flag values, every call must end
-# in a documented exit code.  Numbers never use exponent notation, which
-# would let the penalty parser build integers with billions of digits.
+# in a documented exit code.
 _LABEL = st.sampled_from("abcdef")
 _NUM = st.one_of(st.integers(-3, 12), st.integers(-10**12, 10**12)).map(str)
-_JUNK = st.text(st.characters(codec="utf-8", exclude_characters="eE"), max_size=6)
+_JUNK = st.text(st.characters(codec="utf-8"), max_size=6)
 _SLOPE = st.one_of(
     _NUM,
     st.builds("{}/{}".format, st.integers(-2, 9), st.integers(0, 4)),
     st.builds("{}.{}".format, st.integers(0, 3), st.integers(0, 99)),
+    st.builds(
+        "{}{}{}".format,
+        _NUM,
+        st.sampled_from("eE"),
+        st.one_of(st.integers(-6, 6), st.integers(-10**10, 10**10)),
+    ),
 )
 _PENALTY = st.one_of(
     st.sampled_from(["linear", "const", "constant"]),

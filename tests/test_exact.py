@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 
 from agony import exact
-from agony.circulation import solve_baseline
 from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, score_ranking
 from agony.penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
 
+from baseline import solve_baseline
 from conftest import (
     brute_min_linear,
     brute_optima,

@@ -2,7 +2,8 @@
 
 The rank-LP oracle (``test_oracle.py``) checks optimal agony values and
 rankings; this one checks the flow itself, on the uncapacitated instance
-that ``uncapacitate`` builds and both solvers consume.  networkx solves
+that ``uncapacitate`` builds, as solved by ``solve_fast`` and by the
+tests' reference solver (``baseline.solve_baseline``).  networkx solves
 the same instance from its arc lists and biases alone (demand = -bias,
 weight = cost, no capacities), sharing no code with the solver, and the
 solver's flow must reach that optimal cost while being feasible: every arc
@@ -15,9 +16,10 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
-from agony.circulation import build_convex_instance, solve_baseline, solve_fast, uncapacitate
+from agony.circulation import build_convex_instance, solve_fast, uncapacitate
 from agony.penalties import PenaltySpec
 
+from baseline import solve_baseline
 from conftest import random_graph
 
 HINGES = {"linear": ((1, -1),), "convex": ((1, -1), (2, 1))}
@@ -47,7 +49,8 @@ def _feasible(inst, flow) -> bool:
 
 
 # (n, edge probability, k, penalty, max weight, solver); the baseline
-# rebuilds its tree for every augmentation, so it runs at n <= 60
+# runs a Dijkstra and a path search for every augmentation, so it runs at
+# n <= 60
 CASES = [
     (200, 0.015, 5, "linear", 10, "fast"),
     (200, 0.015, 200, "linear", 10, "fast"),

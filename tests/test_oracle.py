@@ -10,8 +10,10 @@ program straight from the edge list:
 for the hinge penalty sum_i a_i * max(0, d - b_i).  Its constraint matrix
 is a network matrix, so a basic optimum is integral: the oracle rounds
 the ranks, rescores them exactly, and compares that value with
-``min_agony``.  Sizes run well past brute force, and weights up to 10^6
-make the solver's contraction path fire.
+``min_agony``, or with the tests' reference solver
+(``baseline.solve_baseline``) on one global instance.  Sizes run well
+past brute force, and weights up to 10^6 make the solver's contraction
+path fire.
 
 Canonical rankings get a second LP stage: the same program plus the row
 sum_e sum_i a_i * w(e) * t_{e,i} <= OPT, minimizing sum_v r(v) instead.
@@ -30,11 +32,11 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix, vstack
 
 from agony.canonical import canonical_ranking
-from agony.circulation import solve_baseline
 from agony.exact import min_agony
 from agony.graph import WeightedDigraph
 from agony.penalties import PenaltySpec
 
+from baseline import solve_baseline
 from conftest import global_result
 
 HINGES = {"linear": ((1, -1),), "convex": ((1, -1), (2, 1))}
@@ -105,9 +107,9 @@ def _least_optimal_ranks(n, edges, hinges, k, opt):
 
 
 # (n, k, penalty, max weight, solver); "fast" is the default ``min_agony``
-# call, "baseline" solves the global instance with ``solve_baseline``, which
-# rebuilds its tree for every augmentation, so it runs at n <= 60 when
-# weights are large
+# call, "baseline" solves the global instance with the tests' reference
+# ``baseline.solve_baseline``, which runs a Dijkstra and a path search for
+# every augmentation, so it runs at n <= 60 when weights are large
 CASES = [
     (300, 2, "linear", 10, "fast"),
     (300, 5, "linear", 10, "fast"),

@@ -75,3 +75,21 @@ def test_nonpositive_slope_rejected():
         PenaltySpec.convex_sum([(0, 1)])
     with pytest.raises(ValueError):
         PenaltySpec.convex_sum([(-2, 1)])
+
+
+@pytest.mark.parametrize(
+    "slope", ["1e20000", "1e5000", "1e-5000", "9" * 4300 + "E+4301"],
+    ids=["1e20000", "1e5000", "1e-5000", "4300-nines-E+4301"],
+)
+def test_parse_rejects_huge_exponents(slope):
+    # refused before the number is built, so 1e999999999 costs nothing
+    with pytest.raises(ValueError, match="exponent"):
+        PenaltySpec.parse(f"sum:{slope},-1")
+
+
+def test_parse_keeps_long_numbers_within_the_limits():
+    nines = "9" * 4300
+    p = PenaltySpec.parse(f"sum:{nines},-1;1e4300,0;1e-4300,1")
+    assert p.terms == (
+        (Fraction(10**4300 - 1), -1), (Fraction(10**4300), 0), (Fraction(1, 10**4300), 1)
+    )

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agony.circulation import solve_baseline
 from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, normalize, score_ranking
 from agony.heuristic import heuristic_rank
 from agony.penalties import LINEAR, PenaltySpec
 from agony.splittree import build_split_tree, prune_tree
 
+from baseline import solve_baseline
 from conftest import global_result
 
 
