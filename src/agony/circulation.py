@@ -24,7 +24,12 @@ adjacency lists, so neither scan sees a member.  Optimal integer duals
 turn back into a rank assignment via ``extract_ranking``.  Each solved
 state keeps its instance, and each instance its shifted graph, so a
 ``SolverState`` alone gives its ranks, its circulation value and its
-optimality certificate; no other module reads the instance layout.
+optimality certificate; no other module reads the instance layout.  A
+solved state keeps flow, duals, counters and the instance's arc arrays
+and biases, and no adjacency: the two readers of per-vertex adjacency,
+a solve's core and ``residual_distances``, each build it from the arc
+arrays in one pass, in increasing arc order, and drop it when they
+return.
 
 No floating point anywhere: distances are sums of integer reduced costs,
 few of them distinct, so the Dijkstra files vertices in one list per
@@ -109,25 +114,35 @@ class CirculationInstance:
 
     The first ``n_total`` vertices are those of the shifted graph ``sg``;
     the rest encode one capacitated arc each (two incoming cost-split arcs,
-    bias -capacity).  ``out_arcs[x]`` and ``in_arcs[x]`` list the arcs
-    leaving and entering x in increasing order.
+    bias -capacity).  An instance keeps only its arc arrays, its biases and
+    ``sg``: it outlives its solve inside a ``SolverState``, while only a
+    solve or a residual Dijkstra reads per-vertex adjacency, so each of
+    them builds its own with ``adjacency`` and drops it when it returns.
     """
 
-    __slots__ = ("n", "asrc", "adst", "acost", "bias", "out_arcs", "in_arcs", "sg")
+    __slots__ = ("n", "asrc", "adst", "acost", "bias", "sg")
 
-    def __init__(self, asrc, adst, acost, bias, out_arcs, in_arcs, sg: ShiftedGraph):
+    def __init__(self, asrc, adst, acost, bias, sg: ShiftedGraph):
         self.n = len(bias)
         self.asrc: list[int] = asrc
         self.adst: list[int] = adst
         self.acost: list[int] = acost
         self.bias: list[int] = bias
-        self.out_arcs: list[list[int]] = out_arcs
-        self.in_arcs: list[list[int]] = in_arcs
         self.sg = sg
 
     @property
     def m(self) -> int:
         return len(self.asrc)
+
+    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``(out_arcs, in_arcs)``: the arcs leaving and entering each vertex,
+        in increasing order, built in one pass over the arcs."""
+        out_arcs: list[list[int]] = [[] for _ in range(self.n)]
+        in_arcs: list[list[int]] = [[] for _ in range(self.n)]
+        for a, (x, w) in enumerate(zip(self.asrc, self.adst)):
+            out_arcs[x].append(a)
+            in_arcs[w].append(a)
+        return out_arcs, in_arcs
 
     def excess(self, flow: list[int]) -> list[int]:
         """Bias plus inflow minus outflow of every vertex under ``flow``."""
@@ -150,50 +165,35 @@ def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
 
     One pass over the edges and terms, then one over the vertices, writes
     the arcs in ``ShiftedGraph`` order: capacitated arc i becomes gadget
-    vertex n_total + i with arcs 2i and 2i + 1.
+    vertex n_total + i with arcs 2i and 2i + 1.  No adjacency is written;
+    its readers build it (``CirculationInstance.adjacency``).
     """
     n, alpha, omega = sg.g.n, sg.alpha, sg.omega
     # per hinge term (slope, cost of (v, u), cost of (w, u)), shift s = -b
     splits = [(a, max(b, 0), max(-b, 0)) for a, b in sg.terms]
     asrc, adst, acost = [], [], []
     bias = [0] * (n + 2)
-    out_arcs: list[list[int]] = [[] for _ in range(n + 2)]
-    in_arcs: list[list[int]] = [[] for _ in range(n + 2)]
-    arc = 0
     for v, w, weight in sg.g.edges:
-        out_v, out_w = out_arcs[v], out_arcs[w]
         for slope, cost_v, cost_w in splits:
             u = len(bias)
             asrc += (v, w)
             adst += (u, u)
             acost += (cost_v, cost_w)
-            out_v.append(arc)
-            out_w.append(arc + 1)
-            out_arcs.append([])
-            in_arcs.append([arc, arc + 1])
             c = slope * weight
             bias.append(-c)
             bias[w] += c
-            arc += 2
     for v in range(n):
         asrc += (alpha, v)
         adst += (v, omega)
         acost += (0, 0)
-        out_arcs[alpha].append(arc)
-        in_arcs[v].append(arc)
-        out_arcs[v].append(arc + 1)
-        in_arcs[omega].append(arc + 1)
-        arc += 2
     asrc.append(omega)
     adst.append(alpha)
     acost.append(sg.k - 1)
-    out_arcs[omega].append(arc)
-    in_arcs[alpha].append(arc)
     if sum(bias) != 0:
         raise SolverError("biases do not sum to zero")
     if min(acost) < 0:
         raise SolverError("negative arc cost after uncapacitating")
-    return CirculationInstance(asrc, adst, acost, bias, out_arcs, in_arcs, sg)
+    return CirculationInstance(asrc, adst, acost, bias, sg)
 
 
 @dataclass
@@ -319,7 +319,7 @@ def residual_distances(state: SolverState, starts) -> list[int]:
     """
     inst = state.inst
     return _build_tree(
-        inst.asrc, inst.adst, inst.acost, inst.out_arcs, inst.in_arcs,
+        inst.asrc, inst.adst, inst.acost, *inst.adjacency(),
         state.flow, list(state.potentials), starts, inst.n,
     )
 
@@ -342,9 +342,11 @@ class _Core:
     leave the adjacency lists, which hold only arcs between distinct roots.
     ``members`` lists the vertices of each cluster of two or more by root;
     a solve that never contracts builds no list.
-    The lists alias the instance's until the first contraction copies them;
-    ``check_state`` and ``finalize`` work from the instance's costs and the
-    unrolled potentials.
+    The adjacency lists are the core's own, built from the instance's arcs
+    (``CirculationInstance.adjacency``) and dropped with the core, so a
+    solved state keeps none.  The arc arrays alias the instance's until
+    the first contraction copies them; ``check_state`` and ``finalize``
+    work from the instance's costs and the unrolled potentials.
     """
 
     def __init__(self, inst: CirculationInstance):
@@ -357,10 +359,7 @@ class _Core:
         self.src, self.dst, self.cost = inst.asrc, inst.adst, inst.acost
         self.roots: set[int] = set(range(n))
         self.excess = list(inst.bias)
-        # the per-vertex lists are shared with inst: a contraction replaces
-        # the kept root's lists instead of extending them
-        self.out_arcs = list(inst.out_arcs)
-        self.in_arcs = list(inst.in_arcs)
+        self.out_arcs, self.in_arcs = inst.adjacency()
         self.members: dict[int, list[int]] = {}
         # (arc, members of absorbed cluster, True if arc dst was absorbed)
         self.clog: list[tuple[int, tuple[int, ...], bool]] = []

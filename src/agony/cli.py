@@ -85,7 +85,17 @@ def _render(make_text) -> str:
         raise _CliError(EXIT_INPUT, "cannot write output: a number has too many digits") from exc
 
 
-def _summary(command: str, path: str, g: WeightedDigraph, k, penalty, score, ranks, ms, **extra):
+def _describe(penalty: PenaltySpec, text: str) -> str:
+    """The penalty's description, or ``text``, the flag it was parsed from,
+    when the description holds a number with more digits than ``str`` converts."""
+    try:
+        return penalty.describe()
+    except ValueError:
+        return text.strip()
+
+
+def _summary(command: str, path: str, g: WeightedDigraph, k, penalty: str, score, ranks, ms,
+             **extra):
     """The key=value lines of a run's summary, for stderr."""
     pairs = {
         "command": command,
@@ -93,7 +103,7 @@ def _summary(command: str, path: str, g: WeightedDigraph, k, penalty, score, ran
         "n": g.n,
         "m": g.m,
         "k": k,
-        "penalty": _render(penalty.describe),
+        "penalty": penalty,
         **extra,
         "score": _render(lambda: str(score)),
         "groups": distinct_rank_count(ranks),
@@ -125,7 +135,7 @@ def _cmd_exact(args) -> int:
     ms = (time.perf_counter() - t0) * 1e3
     _self_check(g, ranks, penalty, result.agony)
     summary = _summary(
-        "exact", args.input, g, result.k, penalty, result.agony, ranks, ms,
+        "exact", args.input, g, result.k, _describe(penalty, args.penalty), result.agony, ranks, ms,
         scc=int(result.used_scc), canonical=int(bool(args.canonical)),
         augmentations=result.stats.augmentations, repairs=result.stats.repairs,
         settles=result.stats.settles,
@@ -144,7 +154,9 @@ def _cmd_heuristic(args) -> int:
     ms = (time.perf_counter() - t0) * 1e3
     _self_check(g, ranks, penalty, score)
     k = args.k if args.k is not None else max(g.n, 1)
-    summary = _summary("heuristic", args.input, g, k, penalty, score, ranks, ms, variant=args.variant)
+    summary = _summary(
+        "heuristic", args.input, g, k, penalty.describe(), score, ranks, ms, variant=args.variant
+    )
     _write_ranking(table, ranks, args.out)
     sys.stderr.write(summary)
     return EXIT_OK

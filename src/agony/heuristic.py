@@ -150,10 +150,11 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
     # rank.  Column 0 is read only for i = 0: every earlier layer needs a rank.
     window = _LayerWindow(n_layers, inter)
     lopt = [[0] * (k + 1) for _ in range(n_layers + 1)]
-    choice: list[list] = [[None] * (k + 1) for _ in range(n_layers + 1)]
+    # choice[i][h]: the start j > 0 of the run that layer i merges into, or
+    # -l when layer i spends l ranks alone; one int per cell, not a tuple
+    choice = [[1] * (k + 1) for _ in range(n_layers + 1)]
     for i in range(1, n_layers + 1):
         lopt[i][1] = window.value(1, i)
-        choice[i][1] = ("merge", 1)
     # the window weight does not depend on h, and consecutive searches ask
     # for mostly the same (j, i) pairs: each search records the weights it
     # read, keyed j * stride + i, and the next one looks there first
@@ -184,22 +185,22 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
                     spend_best, spend_l = val, l
             if spend_best <= jvals[i]:
                 lopt[i][h] = spend_best
-                choice[i][h] = ("spend", spend_l)
+                choice[i][h] = -spend_l
             else:
                 lopt[i][h] = jvals[i]
-                choice[i][h] = ("merge", jarr[i])
+                choice[i][h] = jarr[i]
 
     # recover the budget distribution, then assign ranks bottom layer first
     segments: list[tuple] = []
     i, h = n_layers, k
     while i >= 1:
-        kind, arg = choice[i][h]
-        if kind == "merge":
+        arg = choice[i][h]
+        if arg > 0:
             segments.append(("merge", arg, i))
             i, h = arg - 1, h - 1
         else:
-            segments.append(("spend", i, arg))
-            i, h = i - 1, h - arg
+            segments.append(("spend", i, -arg))
+            i, h = i - 1, h + arg
     segments.reverse()
 
     base = 0

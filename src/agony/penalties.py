@@ -37,10 +37,28 @@ def hinge_total(edges, ranks, terms) -> int:
     return total
 
 
-# Fraction("1e999999999") builds a billion-digit integer: exponents are
-# held to the digit count that int() and str() convert by default
-_MAX_EXPONENT = 4300
+# Fraction("1e999999999") builds a billion-digit integer, and int() refuses
+# a run of more digits than it converts by default with an error that names
+# an interpreter setting: both are checked against that limit first, and
+# errors quote at most about 40 characters of what was given
+_MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_DIGIT_RUN = re.compile(r"\d+")
+
+
+def _clip(x) -> str:
+    """``str(x)`` quoted, cut to about 40 characters around an ellipsis."""
+    text = str(x)
+    return repr(text if len(text) <= 40 else f"{text[:18]}...{text[-18:]}")
+
+
+def _check_digits(text: str) -> None:
+    """Refuse a number string whose digits or exponent ``int()`` cannot take."""
+    if any(len(run) > _MAX_DIGITS for run in _DIGIT_RUN.findall(text.replace("_", ""))):
+        raise ValueError(f"number {_clip(text)} has more than {_MAX_DIGITS} digits")
+    m = _EXPONENT.search(text)
+    if m and abs(int(m.group(1))) > _MAX_DIGITS:
+        raise ValueError(f"exponent of {_clip(text)} outside [-{_MAX_DIGITS}, {_MAX_DIGITS}]")
 
 
 def _as_fraction(x) -> Fraction:
@@ -48,19 +66,20 @@ def _as_fraction(x) -> Fraction:
         # floats are accepted for convenience but converted through repr so
         # that "1.5" means 3/2, not the binary expansion of the double
         x = str(x)
-    m = isinstance(x, str) and _EXPONENT.search(x)
-    if m and abs(int(m.group(1))) > _MAX_EXPONENT:
-        raise ValueError(f"exponent of {x!r} outside [-{_MAX_EXPONENT}, {_MAX_EXPONENT}]")
+    if isinstance(x, str):
+        _check_digits(x)
     try:
         return Fraction(x)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {x!r}") from None
+        raise ValueError(f"zero denominator in {_clip(x)}") from None
+    except ValueError:
+        raise ValueError(f"invalid number {_clip(x)}") from None
 
 
 def _as_breakpoint(x) -> int:
     b = _as_fraction(x)
     if b.denominator != 1:
-        raise ValueError(f"hinge breakpoint must be an integer, got {x!r}")
+        raise ValueError(f"hinge breakpoint must be an integer, got {_clip(x)}")
     return int(b)
 
 
@@ -130,12 +149,12 @@ class PenaltySpec:
                     continue
                 parts = chunk.split(",")
                 if len(parts) != 2:
-                    raise ValueError(f"bad penalty term {chunk!r}, expected 'slope,breakpoint'")
-                terms.append((_as_fraction(parts[0]), int(parts[1])))
+                    raise ValueError(f"bad penalty term {_clip(chunk)}, expected 'slope,breakpoint'")
+                terms.append(parts)
             if not terms:
                 raise ValueError("empty term list in penalty spec")
             return PenaltySpec.convex_sum(terms)
-        raise ValueError(f"unknown penalty spec {text!r}")
+        raise ValueError(f"unknown penalty spec {_clip(text)}")
 
     # -- evaluation ------------------------------------------------------
 

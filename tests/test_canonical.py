@@ -134,7 +134,7 @@ class TestCanonical:
                 return [
                     (list(s.flow), list(s.potentials), list(s.inst.asrc), list(s.inst.adst),
                      list(s.inst.acost), list(s.inst.bias),
-                     [list(a) for a in s.inst.out_arcs], [list(a) for a in s.inst.in_arcs])
+                     s.inst.adjacency())
                     for s in states
                 ]
 

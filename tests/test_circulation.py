@@ -39,8 +39,9 @@ def _explicit_arcs(sg):
 def _gadgets(inst, sg):
     """(src, dst, cost) of the two arcs into each gadget vertex, and its bias."""
     out = []
+    _, in_arcs = inst.adjacency()
     for u in range(sg.n_total, inst.n):
-        a, b = inst.in_arcs[u]
+        a, b = in_arcs[u]
         out.append(((inst.asrc[a], u, inst.acost[a]), (inst.asrc[b], u, inst.acost[b]),
                     inst.bias[u]))
     return out
@@ -213,9 +214,10 @@ class TestUncapacitate:
             inst = uncapacitate(sg)
             assert (inst.asrc, inst.adst, inst.acost, inst.bias) == (asrc, adst, acost, bias)
             assert inst.n == len(bias)
+            out_arcs, in_arcs = inst.adjacency()
             for x in range(inst.n):
-                assert inst.out_arcs[x] == [a for a in range(inst.m) if asrc[a] == x]
-                assert inst.in_arcs[x] == [a for a in range(inst.m) if adst[a] == x]
+                assert out_arcs[x] == [a for a in range(inst.m) if asrc[a] == x]
+                assert in_arcs[x] == [a for a in range(inst.m) if adst[a] == x]
 
 
 class TestSolvers:

@@ -136,6 +136,36 @@ class TestExact:
             cap = capsys.readouterr()
             assert _one_line_error(cap.err) and cap.out == ""
 
+    @pytest.mark.parametrize(
+        "penalty", ["sum:1e" + "9" * 5000 + ",-1", "sum:1," + "9" * 5000, "sum:" + "9" * 5000 + ",-1"],
+        ids=["5000-digit-exponent", "5000-digit-breakpoint", "5000-digit-slope"],
+    )
+    def test_overlong_penalty_number_exits_2_naming_no_interpreter_setting(
+        self, toy, tmp_path, capsys, penalty
+    ):
+        r = tmp_path / "r.txt"
+        r.write_text("a 0\nb 1\nc 2\nd 3\n")
+        for argv in (["exact", toy], ["score", toy, str(r)]):
+            assert main([*argv, "--penalty", penalty]) == 2
+            cap = capsys.readouterr()
+            assert _one_line_error(cap.err) and cap.out == ""
+            assert "sys." not in cap.err and len(cap.err) < 120
+
+    @pytest.mark.parametrize(
+        "text, flags", [(TOY, ["--k", "1"]), ("a b\nb a\n", [])], ids=["toy-k1", "two-cycle"]
+    )
+    def test_penalty_too_long_to_describe_is_echoed_as_given(self, tmp_path, capsys, text, flags):
+        # 1e-4300 has a 4301-digit denominator, one more digit than str
+        # converts; both scores here have 4300-digit denominators
+        graph, ranks = tmp_path / "g.txt", tmp_path / "r.txt"
+        graph.write_text(text)
+        penalty = "sum:1e-4300,-1"
+        assert main(["exact", str(graph), *flags, "--penalty", penalty, "--out", str(ranks)]) == 0
+        info = _summary(capsys.readouterr().err)
+        assert info["penalty"] == penalty
+        assert main(["score", str(graph), str(ranks), "--penalty", penalty]) == 0
+        assert info["score"] == capsys.readouterr().out.strip()
+
     def test_convex_penalty_flag(self, toy, capsys):
         assert main(["exact", toy, "--penalty", "sum:1,-1;2,3"]) == 0
         info = _summary(capsys.readouterr().err)

@@ -50,6 +50,9 @@ def test_parse_mini_language():
     assert p.terms == ((Fraction(1), -1), (Fraction(2), 3))
     p = PenaltySpec.parse("sum:3/2,0")
     assert p.terms == ((Fraction(3, 2), 0),)
+    # breakpoints take the slopes' notations when their value is an integer
+    p = PenaltySpec.parse("sum:1,-4/2;1,-2e0")
+    assert p.terms == ((Fraction(1), -2), (Fraction(1), -2))
 
 
 @pytest.mark.parametrize("bad", ["", "quad", "sum:", "sum:1", "sum:0,1", "sum:-1,2", "sum:1/0,1"])
@@ -85,6 +88,19 @@ def test_parse_rejects_huge_exponents(slope):
     # refused before the number is built, so 1e999999999 costs nothing
     with pytest.raises(ValueError, match="exponent"):
         PenaltySpec.parse(f"sum:{slope},-1")
+
+
+@pytest.mark.parametrize(
+    "spec", ["sum:1e" + "9" * 5000 + ",-1", "sum:1," + "9" * 5000, "sum:" + "9" * 5000 + ",-1",
+             "sum:1/" + "9" * 4301 + ",-1"],
+    ids=["5000-digit-exponent", "5000-digit-breakpoint", "5000-digit-slope", "4301-digit-denominator"],
+)
+def test_parse_refuses_overlong_numbers_before_int(spec):
+    # counted before int() sees them: its own error names sys.set_int_max_str_digits
+    with pytest.raises(ValueError) as info:
+        PenaltySpec.parse(spec)
+    message = str(info.value)
+    assert "sys." not in message and len(message) < 100, message
 
 
 def test_parse_keeps_long_numbers_within_the_limits():
