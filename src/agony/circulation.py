@@ -2,40 +2,43 @@
 
 The pipeline: a weighted digraph plus a tier budget k becomes a shifted-arc
 graph (``build_convex_instance``) whose arcs are implicit in the graph, k
-and the hinge terms; ``uncapacitate`` builds from it, in one pass, an
-uncapacitated instance with a negative-bias gadget vertex for each
-capacitated arc, which is solved by delta-scaling successive shortest
-paths with primal-dual phases (``solve_fast``, the one solver).  Each
-phase runs rounds: a multi-source Dijkstra (``_build_tree``) prices the
-duals so that every shortest path from a source has reduced cost 0, then
-a Dinic max flow over the zero-reduced-cost residual arcs
-(``_admissible_max_flow``) pushes delta-units from the sources to the
-sinks until no such path is left, and rounds repeat until no source or no
-sink is left, so a phase runs one Dijkstra per distinct shortest-path
-cost.  The Dijkstra loop and the max flow's pass over the tight arcs are
-the only two scans of the residual graph in the package.  The canonical
-ranking (``agony.canonical``) reuses the Dijkstra through
-``residual_distances`` over each solved state's instance arcs and flow
-and a copy of its duals, from all its graph vertices at once.  An arc
-whose flow outgrows the scale is contracted (Orlin's strongly polynomial
-device): its ends merge into one cluster, the arcs between clusters are
-rewritten to run between cluster roots, and the arcs inside one leave the
-adjacency lists, so neither scan sees a member.  Optimal integer duals
-turn back into a rank assignment via ``extract_ranking``.  Each solved
-state keeps its instance, and each instance its shifted graph, so a
-``SolverState`` alone gives its ranks, its circulation value and its
-optimality certificate; no other module reads the instance layout.  A
-solved state keeps flow, duals, counters and the instance's arc arrays
-and biases, and no adjacency: the two readers of per-vertex adjacency,
-a solve's core and ``residual_distances``, each build it from the arc
-arrays in one pass, in increasing arc order, and drop it when they
-return.
+and the hinge terms; ``uncapacitate`` writes them out, in one pass, as the
+arc arrays of a capacitated min-cost circulation over the same n + 2
+vertices (``CirculationInstance``).  ``solve_fast``, the one solver, runs
+capacity scaling on it (Edmonds and Karp 1972; Ahuja, Magnanti and Orlin,
+*Network Flows*, section 10.2).  Every arc of negative cost starts
+saturated.  Delta runs through the powers of two from the largest one not
+above the largest capacity U down to 1, so a solve runs floor(log2 U) + 1
+delta-phases: weakly polynomial, one phase at unit weights and 21 at
+weights up to 10^6 under slopes up to 2.  A phase first saturates every
+arc whose residual capacity, forward or reverse, is at least delta and
+whose reduced cost is negative, then runs rounds over the delta-residual
+arcs until no vertex has an excess of delta or none a deficit of delta: a
+multi-source Dijkstra (``_build_tree``) prices the duals so that every
+shortest path from a source has reduced cost 0, then a Dinic max flow over
+the zero-reduced-cost residual arcs (``_admissible_max_flow``) pushes at
+least delta per path from the sources to the sinks until no such path is
+left.  So a phase runs one Dijkstra per distinct shortest-path cost.  An
+arc's residual capacity is cap - flow forward (unbounded when it has no
+capacity) and its flow in reverse.  The phase's saturating pass, the
+Dijkstra loop and the max flow's pass over the tight arcs are the only
+scans of the residual graph in the package.  The canonical ranking
+(``agony.canonical``) reuses the Dijkstra through ``residual_distances``
+over each solved state's instance arcs and flow and a copy of its duals,
+from all its graph vertices at once.  Optimal integer duals turn back into
+a rank assignment via ``extract_ranking``.  Each solved state keeps its
+instance, and each instance its shifted graph, so a ``SolverState`` alone
+gives its ranks, its circulation value and its optimality certificate; no
+other module reads the instance layout.  A solved state keeps flow, duals,
+counters and the instance's arc arrays, and no adjacency: the two readers
+of per-vertex adjacency, a solve's core and ``residual_distances``, each
+build it from the arc arrays in one pass, in increasing arc order, and
+drop it when they return.
 
-No floating point anywhere: distances are sums of integer reduced costs,
-few of them distinct, so the Dijkstra files vertices in one list per
-distance and keeps only the distinct distances in a heap (Dial's bucket
-queue), and all comparisons against the 3/4 excess threshold are
-cross-multiplied.
+No floating point anywhere: capacities are integers or None, and
+distances are sums of integer reduced costs, few of them distinct, so the
+Dijkstra files vertices in one list per distance and keeps only the
+distinct distances in a heap (Dial's bucket queue).
 """
 from __future__ import annotations
 
@@ -44,12 +47,6 @@ from heapq import heappop, heappush
 
 from .graph import WeightedDigraph
 from .penalties import PenaltySpec, hinge_total
-
-# excess threshold alpha = 3/4: a vertex is a source when 4*e(v) >= 3*delta
-_ALPHA_NUM = 3
-_ALPHA_DEN = 4
-# an arc is contracted once its flow reaches _CONTRACT_FACTOR * n * delta
-_CONTRACT_FACTOR = 3
 
 
 class SolverError(RuntimeError):
@@ -85,15 +82,6 @@ class ShiftedGraph:
     def n_total(self) -> int:
         return self.g.n + 2
 
-    @property
-    def score_offset(self) -> int:
-        """sum of s(e)*w(e) over finite arcs with positive shift.
-
-        The optimal shifted score equals this offset minus the minimal cost
-        of the uncapacitated circulation.
-        """
-        return self.g.total_weight * sum(-b * a for a, b in self.terms if b < 0)
-
 
 def build_convex_instance(g: WeightedDigraph, k: int, penalty: PenaltySpec) -> ShiftedGraph:
     """Encode constrained minimization of a convex hinge-sum penalty.
@@ -110,24 +98,25 @@ def build_convex_instance(g: WeightedDigraph, k: int, penalty: PenaltySpec) -> S
 
 
 class CirculationInstance:
-    """Uncapacitated min-cost circulation with vertex biases.
+    """Capacitated min-cost circulation over the shifted graph's vertices.
 
-    The first ``n_total`` vertices are those of the shifted graph ``sg``;
-    the rest encode one capacitated arc each (two incoming cost-split arcs,
-    bias -capacity).  An instance keeps only its arc arrays, its biases and
-    ``sg``: it outlives its solve inside a ``SolverState``, while only a
-    solve or a residual Dijkstra reads per-vertex adjacency, so each of
-    them builds its own with ``adjacency`` and drops it when it returns.
+    Arc a runs from ``asrc[a]`` to ``adst[a]`` with cost ``acost[a]``, the
+    negated shift, and capacity ``acap[a]``: an int, or None for an
+    uncapacitated arc.  No vertex has a supply or a demand.  An instance
+    keeps only its arc arrays and ``sg``: it outlives its solve inside a
+    ``SolverState``, while only a solve or a residual Dijkstra reads
+    per-vertex adjacency, so each of them builds its own with
+    ``adjacency`` and drops it when it returns.
     """
 
-    __slots__ = ("n", "asrc", "adst", "acost", "bias", "sg")
+    __slots__ = ("n", "asrc", "adst", "acost", "acap", "sg")
 
-    def __init__(self, asrc, adst, acost, bias, sg: ShiftedGraph):
-        self.n = len(bias)
+    def __init__(self, asrc, adst, acost, acap, sg: ShiftedGraph):
+        self.n = sg.n_total
         self.asrc: list[int] = asrc
         self.adst: list[int] = adst
         self.acost: list[int] = acost
-        self.bias: list[int] = bias
+        self.acap: list = acap
         self.sg = sg
 
     @property
@@ -145,8 +134,8 @@ class CirculationInstance:
         return out_arcs, in_arcs
 
     def excess(self, flow: list[int]) -> list[int]:
-        """Bias plus inflow minus outflow of every vertex under ``flow``."""
-        e = list(self.bias)
+        """Inflow minus outflow of every vertex under ``flow``."""
+        e = [0] * self.n
         asrc, adst = self.asrc, self.adst
         for a, f in enumerate(flow):
             if f:
@@ -156,55 +145,48 @@ class CirculationInstance:
 
 
 def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
-    """Replace each capacitated arc (v, w) by a gadget vertex u.
+    """Write the shifted graph's arcs out as a capacitated instance.
 
-    Arcs (v, u) with cost max(-s, 0) and (w, u) with cost max(s, 0) meet at
-    u with bias -c(e), while b(w) grows by c(e); uncapacitated arcs become
-    plain arcs with cost -s.  Biases sum to zero and all costs are >= 0, so
-    the zero flow with zero duals is dual-feasible and slack.
+    In ``ShiftedGraph`` order: per edge (v, w, weight) and hinge term
+    (a, b), the arc (v, w) with cost b and capacity a * weight; per vertex
+    v the fans (alpha, v) and (v, omega) with cost 0; last (omega, alpha)
+    with cost k - 1; the fans and that arc have no capacity.  One pass over
+    the edges and terms, then one over the vertices; no adjacency is
+    written, its readers build it (``CirculationInstance.adjacency``).
 
-    One pass over the edges and terms, then one over the vertices, writes
-    the arcs in ``ShiftedGraph`` order: capacitated arc i becomes gadget
-    vertex n_total + i with arcs 2i and 2i + 1.  No adjacency is written;
-    its readers build it (``CirculationInstance.adjacency``).
+    The name is that of the gadget construction this stage once was.  The
+    benchmark's tracer resolves the instance-build stage as
+    ``agony.exact.uncapacitate`` (``perfbench/spans.py``), so the name
+    stays until that tracer is next changed.
     """
     n, alpha, omega = sg.g.n, sg.alpha, sg.omega
-    # per hinge term (slope, cost of (v, u), cost of (w, u)), shift s = -b
-    splits = [(a, max(b, 0), max(-b, 0)) for a, b in sg.terms]
-    asrc, adst, acost = [], [], []
-    bias = [0] * (n + 2)
-    for v, w, weight in sg.g.edges:
-        for slope, cost_v, cost_w in splits:
-            u = len(bias)
-            asrc += (v, w)
-            adst += (u, u)
-            acost += (cost_v, cost_w)
-            c = slope * weight
-            bias.append(-c)
-            bias[w] += c
+    edges, terms = sg.g.edges, sg.terms
+    asrc = [v for v, _, _ in edges for _ in terms]
+    adst = [w for _, w, _ in edges for _ in terms]
+    acost = [b for _ in edges for _, b in terms]
+    acap: list = [a * weight for _, _, weight in edges for a, _ in terms]
     for v in range(n):
         asrc += (alpha, v)
         adst += (v, omega)
-        acost += (0, 0)
     asrc.append(omega)
     adst.append(alpha)
-    acost.append(sg.k - 1)
-    if sum(bias) != 0:
-        raise SolverError("biases do not sum to zero")
-    if min(acost) < 0:
-        raise SolverError("negative arc cost after uncapacitating")
-    return CirculationInstance(asrc, adst, acost, bias, sg)
+    acost += [0] * (2 * n) + [sg.k - 1]
+    acap += [None] * (2 * n + 1)
+    return CirculationInstance(asrc, adst, acost, acap, sg)
 
 
 @dataclass
 class SolveStats:
     """Counters of one solve.
 
-    ``augmentations`` counts augmenting paths, each carrying one or more
-    delta-units.  ``repairs`` counts the Dijkstra rounds of the
-    primal-dual phases, each of which re-prices the duals; the benchmark's
-    tracer reads the field under this name.  ``settles`` counts the
-    vertices settled by every Dijkstra run.
+    ``outer_phases`` counts the delta-phases.  ``augmentations`` counts
+    augmenting paths, each carrying at least delta.  ``repairs``
+    counts the Dijkstra rounds of the phases, each of which re-prices the
+    duals; the benchmark's tracer reads the field under this name.
+    ``settles`` counts the vertices settled by every Dijkstra run.
+    ``contractions`` is always 0: the solver contracts no arcs, and the
+    field stays only because the benchmark's tracer reads it, until that
+    tracer is next changed.
     """
 
     outer_phases: int = 0
@@ -216,7 +198,7 @@ class SolveStats:
 
 @dataclass
 class SolverState:
-    """Optimal flow and integer duals, with contractions fully unrolled."""
+    """Optimal flow and integer duals of an instance."""
 
     inst: CirculationInstance
     flow: list[int]
@@ -228,12 +210,14 @@ class SolverState:
         return sum(acost[a] * f for a, f in enumerate(self.flow) if f)
 
     def check_optimality(self) -> bool:
-        """Dual feasibility, complementary slackness and flow conservation."""
-        if _slack_violation(self.inst, self.flow, self.potentials):
+        """Capacities, flow conservation, and no residual arc of negative
+        reduced cost (dual feasibility and complementary slackness)."""
+        inst, flow = self.inst, self.flow
+        if any(f < 0 or (c is not None and f > c) for f, c in zip(flow, inst.acap)):
             return False
-        if self.flow and min(self.flow) < 0:
+        if _slack_violation(inst, flow, self.potentials, 1):
             return False
-        return all(x == 0 for x in self.inst.excess(self.flow))
+        return not any(inst.excess(flow))
 
     def certifies(self, ranks: list[int]) -> bool:
         """True iff this state is an optimality certificate for ``ranks``.
@@ -244,7 +228,7 @@ class SolverState:
         """
         sg = self.inst.sg
         base = self.potentials[sg.alpha]
-        full = [p - base for p in self.potentials[: sg.n_total]]
+        full = [p - base for p in self.potentials]
         return (
             self.check_optimality()
             and full[sg.omega] <= sg.k - 1
@@ -253,22 +237,22 @@ class SolverState:
         )
 
 
-def _slack_violation(inst: CirculationInstance, flow: list[int], pot: list[int]) -> str:
-    """The first arc with a negative reduced cost, or a positive one under
-    flow, described; the empty string when every arc is feasible and slack.
-    """
-    for a, (x, w, c, f) in enumerate(zip(inst.asrc, inst.adst, inst.acost, flow)):
+def _slack_violation(inst: CirculationInstance, flow: list[int], pot: list[int], delta: int) -> str:
+    """The first arc with a residual capacity of at least ``delta``, forward
+    or reverse, at a negative reduced cost, described; the empty string
+    when there is none."""
+    for a, (x, w, c, cap, f) in enumerate(zip(inst.asrc, inst.adst, inst.acost, inst.acap, flow)):
         rc = c + pot[w] - pot[x]
-        if rc < 0:
+        if rc < 0 and (cap is None or cap - f >= delta):
             return f"negative reduced cost {rc} on arc {a}"
-        if f and rc:
-            return f"slackness violated on arc {a}"
+        if rc > 0 and f >= delta:
+            return f"negative reduced cost {-rc} on the reverse of arc {a}"
     return ""
 
 
 def circulation_value(state: SolverState) -> int:
     """Value of the optimal capacitated circulation (max sum s(e) f(e))."""
-    return state.inst.sg.score_offset - state.objective()
+    return -state.objective()
 
 
 def shifted_score(sg: ShiftedGraph, full_ranks: list[int]):
@@ -319,8 +303,8 @@ def residual_distances(state: SolverState, starts) -> list[int]:
     """
     inst = state.inst
     return _build_tree(
-        inst.asrc, inst.adst, inst.acost, *inst.adjacency(),
-        state.flow, list(state.potentials), starts, inst.n,
+        inst.asrc, inst.adst, inst.acost, inst.acap, *inst.adjacency(),
+        state.flow, list(state.potentials), starts, 1,
     )
 
 
@@ -329,219 +313,124 @@ def residual_distances(state: SolverState, starts) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class _Core:
-    """Solver state: flow, duals, contraction bookkeeping.
+    """Solver state: flow, duals, excesses and the adjacency they are scanned by.
 
-    Contracting freezes the dual difference d of the absorbed cluster to
-    the kept one: absorbed members get the kept ``root`` and d added to
-    ``off``, and arcs leaving or entering the absorbed cluster get the kept
-    root as their end and d folded into their cost.  So ``src``, ``dst``
-    and ``cost`` describe the contracted graph over cluster roots, with
-    reduced cost ``cost[a] + pot[dst[a]] - pot[src[a]]``.  Arcs left on
-    members would save no work here but make every residual scan map ends
-    to roots and add offsets.  Arcs inside one cluster keep src == dst and
-    leave the adjacency lists, which hold only arcs between distinct roots.
-    ``members`` lists the vertices of each cluster of two or more by root;
-    a solve that never contracts builds no list.
-    The adjacency lists are the core's own, built from the instance's arcs
+    Every arc of negative cost starts saturated, so under the zero duals no
+    residual arc has a negative reduced cost.  The adjacency lists are the
+    core's own, built from the instance's arcs
     (``CirculationInstance.adjacency``) and dropped with the core, so a
-    solved state keeps none.  The arc arrays alias the instance's until
-    the first contraction copies them; ``check_state`` and ``finalize``
-    work from the instance's costs and the unrolled potentials.
+    solved state keeps none.
     """
 
     def __init__(self, inst: CirculationInstance):
-        n = inst.n
         self.inst = inst
-        self.flow = [0] * inst.m
-        self.pot = [0] * n
-        self.root = list(range(n))
-        self.off = [0] * n  # potential of x is pot[root[x]] + off[x]
-        self.src, self.dst, self.cost = inst.asrc, inst.adst, inst.acost
-        self.roots: set[int] = set(range(n))
-        self.excess = list(inst.bias)
+        self.flow = [cap if c < 0 else 0 for c, cap in zip(inst.acost, inst.acap)]
+        self.pot = [0] * inst.n
+        self.excess = inst.excess(self.flow)
         self.out_arcs, self.in_arcs = inst.adjacency()
-        self.members: dict[int, list[int]] = {}
-        # (arc, members of absorbed cluster, True if arc dst was absorbed)
-        self.clog: list[tuple[int, tuple[int, ...], bool]] = []
-        # per root, the instance adjacency length summed over its members
-        self.size: list[int] = []  # filled at the first contraction
         self.stats = SolveStats()
 
-    def potential(self, x: int) -> int:
-        return self.pot[self.root[x]] + self.off[x]
+    def saturate(self, delta: int):
+        """Saturate every arc, forward or reverse, whose residual capacity is
+        at least ``delta`` and whose reduced cost is negative."""
+        inst, flow, pot, excess = self.inst, self.flow, self.pot, self.excess
+        for a, (x, w, c, cap) in enumerate(zip(inst.asrc, inst.adst, inst.acost, inst.acap)):
+            rc = c + pot[w] - pot[x]
+            if rc < 0:
+                if cap is None:
+                    raise SolverError(f"negative reduced cost {rc} on uncapacitated arc {a}")
+                push = cap - flow[a]
+                if push < delta:
+                    continue
+            elif rc > 0 and flow[a] >= delta:
+                push = -flow[a]
+            else:
+                continue
+            flow[a] += push
+            excess[x] -= push
+            excess[w] += push
 
-    def dijkstra(self, starts) -> list:
-        """``_build_tree`` over the cluster roots; counts their settles."""
+    def dijkstra(self, starts, delta: int) -> list:
+        """``_build_tree`` over the delta-residual arcs; counts the settles."""
+        inst = self.inst
         dist = _build_tree(
-            self.src, self.dst, self.cost, self.out_arcs, self.in_arcs,
-            self.flow, self.pot, starts, len(self.roots),
+            inst.asrc, inst.adst, inst.acost, inst.acap, self.out_arcs, self.in_arcs,
+            self.flow, self.pot, starts, delta,
         )
-        self.stats.settles += len(self.roots)
+        self.stats.settles += inst.n
         return dist
 
-    # -- contraction -------------------------------------------------------
-
-    def contract_pass(self, delta: int):
-        thr = _CONTRACT_FACTOR * self.inst.n * delta
-        if thr < 1:
-            thr = 1
-        flow = self.flow
-        for a, f in enumerate(flow):
-            # skip arcs whose ends already share a cluster; self.src is
-            # copied at the first contraction, so it is read afresh here
-            if f >= thr and self.src[a] != self.dst[a]:
-                self._contract_arc(a)
-
-    def _contract_arc(self, a: int):
-        """Merge the two clusters at the ends of arc a (distinct roots)."""
-        if self.src is self.inst.asrc:  # first contraction: stop aliasing
-            self.src, self.dst, self.cost = list(self.src), list(self.dst), list(self.cost)
-            self.size = [len(o) + len(i) for o, i in zip(self.out_arcs, self.in_arcs)]
-        rs, rd = self.src[a], self.dst[a]
-        # keep the root with the bigger adjacency to bound merge work
-        size = self.size
-        if size[rs] >= size[rd]:
-            keep, absorbed, dst_in_absorbed = rs, rd, True
-        else:
-            keep, absorbed, dst_in_absorbed = rd, rs, False
-        size[keep] += size[absorbed]
-        members = self.members.pop(absorbed, None) or [absorbed]
-        self.clog.append((a, tuple(members), dst_in_absorbed))
-        # freeze the current dual relation between the two clusters
-        d = self.pot[absorbed] - self.pot[keep]
-        root, off = self.root, self.off
-        for v in members:
-            root[v] = keep
-            off[v] += d
-        src, dst, cost = self.src, self.dst, self.cost
-        out_arcs, in_arcs = self.out_arcs, self.in_arcs
-        for b in out_arcs[absorbed]:
-            src[b] = keep
-            cost[b] -= d
-        for b in in_arcs[absorbed]:
-            dst[b] = keep
-            cost[b] += d
-        self.excess[keep] += self.excess[absorbed]
-        # arcs between the two clusters now run from keep to keep: drop them
-        out_arcs[keep] = [b for b in out_arcs[keep] + out_arcs[absorbed] if dst[b] != keep]
-        in_arcs[keep] = [b for b in in_arcs[keep] + in_arcs[absorbed] if src[b] != keep]
-        out_arcs[absorbed] = []
-        in_arcs[absorbed] = []
-        self.members.setdefault(keep, [keep]).extend(members)
-        self.roots.discard(absorbed)
-        self.stats.contractions += 1
-
-    # -- invariants ---------------------------------------------------------
-
-    def check_state(self):
+    def check_state(self, delta: int):
         inst = self.inst
-        fault = _slack_violation(inst, self.flow, [self.potential(x) for x in range(inst.n)])
+        fault = _slack_violation(inst, self.flow, self.pot, delta)
         if fault:
             raise SolverError(fault)
-        pots = [self.pot[r] for r in self.roots]
-        if max(pots) - min(pots) > inst.sg.k:
-            raise SolverError("dual spread exceeds k")
-
-    # -- finish --------------------------------------------------------------
+        if max(self.pot) - min(self.pot) > inst.sg.k - 1:
+            raise SolverError("dual spread exceeds k - 1")
 
     def finalize(self) -> SolverState:
-        inst = self.inst
-        flow = self.flow
-        e = inst.excess(flow)
-        # re-balance contracted arcs, newest contraction first
-        for a, members, dst_in_absorbed in reversed(self.clog):
-            s_b = sum(e[v] for v in members)
-            if s_b:
-                df = -s_b if dst_in_absorbed else s_b
-                flow[a] += df
-                e[inst.adst[a]] += df
-                e[inst.asrc[a]] -= df
-                if flow[a] < 0:
-                    raise SolverError("contracted arc flow went negative while unrolling")
-        if any(e):
-            raise SolverError("flow conservation violated after unrolling")
-        potentials = [self.potential(v) for v in range(inst.n)]
-        return SolverState(inst, flow, potentials, self.stats)
-
-
-def _initial_delta(core: _Core) -> int:
-    """Largest power of two not above min(max excess, max deficit).
-
-    Power-of-two granularities make every halving exact, so all flows stay
-    multiples of the current delta and reverse residual arcs always carry
-    at least delta.
-    """
-    hi = max((core.excess[r] for r in core.roots), default=0)
-    lo = max((-core.excess[r] for r in core.roots), default=0)
-    bound = min(hi, lo)
-    if bound <= 1:
-        return max(bound, 1)
-    return 1 << (bound.bit_length() - 1)
-
-
-def _has_excess(core: _Core) -> bool:
-    return any(core.excess[r] for r in core.roots)
+        if any(self.inst.excess(self.flow)):
+            raise SolverError("flow conservation violated after the last phase")
+        return SolverState(self.inst, self.flow, self.pot, self.stats)
 
 
 # ---------------------------------------------------------------------------
-# delta-scaling loop
+# capacity-scaling loop
 # ---------------------------------------------------------------------------
 
 def solve_fast(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
-    """Delta-scaling successive shortest paths with primal-dual phases.
+    """Capacity scaling with primal-dual phases.
 
-    Each outer phase contracts the arcs whose flow reached the contraction
-    threshold, then runs rounds until no source (excess >= 3/4 delta) or
-    no sink (deficit >= 3/4 delta) is left: a multi-source Dijkstra from
-    the sources prices the duals, so every shortest path to a sink has
-    reduced cost 0, then a maximum flow of delta-units crosses the
-    zero-reduced-cost residual arcs (``_admissible_max_flow``).  A phase
-    needs one round per distinct shortest-path cost; delta halves until
-    every excess is gone.
+    Each delta-phase saturates the delta-residual arcs of negative reduced
+    cost, then runs rounds until no source (excess >= delta) or no sink
+    (deficit >= delta) is left: a multi-source Dijkstra from the sources
+    over the delta-residual arcs prices the duals, so every shortest path
+    to a sink has reduced cost 0, then a maximum flow of at least delta
+    per path crosses the zero-reduced-cost delta-residual arcs
+    (``_admissible_max_flow``).  A phase needs one round per distinct
+    shortest-path cost; delta halves down to 1, whose phase leaves no
+    excess, since excesses sum to zero.
     """
     core = _Core(inst)
-    excess = core.excess
-    delta = _initial_delta(core)
-    unit_phases = 0  # phases at delta 1: the second must leave no excess
-    while _has_excess(core):
-        if unit_phases == 2:
-            raise SolverError("no progress at unit granularity")
-        core.stats.outer_phases += 1
-        core.contract_pass(delta)
-        lim = _ALPHA_NUM * delta
+    excess, stats = core.excess, core.stats
+    vertices = range(inst.n)
+    # the largest power of two not above the largest capacity (all are >= 1)
+    delta = 1 << (max((c for c in inst.acap if c is not None), default=1).bit_length() - 1)
+    while True:
+        stats.outer_phases += 1
+        core.saturate(delta)
         while True:
-            sources = [v for v in core.roots if _ALPHA_DEN * excess[v] >= lim]
-            sinks = [v for v in core.roots if -_ALPHA_DEN * excess[v] >= lim]
+            sources = [v for v in vertices if excess[v] >= delta]
+            sinks = [v for v in vertices if excess[v] <= -delta]
             if not sources or not sinks:
                 break
-            core.dijkstra([(0, v) for v in sources])
-            core.stats.repairs += 1
+            core.dijkstra([(0, v) for v in sources], delta)
+            stats.repairs += 1
             _admissible_max_flow(core, sources, sinks, delta)
         if check_invariants:
-            core.check_state()
+            core.check_state(delta)
         if delta == 1:
-            unit_phases += 1
-        delta = max(1, delta // 2)
-    return core.finalize()
+            return core.finalize()
+        delta //= 2
 
 
-def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int):
+def _build_tree(src, dst, cost, cap, out_arcs, in_arcs, flow, pot, starts, delta: int):
     """Multi-source Dijkstra over a bucket queue; subtracts distances from duals.
 
-    The residual graph is given by its arc arrays and adjacency lists, which
-    hold only arcs between distinct vertices, and by ``flow``; arcs are as
-    long as their reduced costs under ``pot``.  ``starts`` holds (initial
-    distance, vertex) pairs.  Reduced costs are small integers, so a whole
-    run sees few distinct distances: bare vertex ids wait in one list per
-    tentative distance, a heap holds the distinct distances only, and a
-    zero-cost arc appends to the list being scanned.  A vertex is filed
-    again only when its tentative distance falls, so an entry whose
-    distance is no longer the vertex's is skipped.  Settling a vertex scans
-    the residual arcs leaving it, each with its reduced cost checked.
-    Exactly ``reach`` vertices must be reached.  Finally the distances are
+    The residual graph is given by its arc arrays, capacities (None for an
+    uncapacitated arc) and adjacency lists, and by ``flow``; it holds the
+    arcs whose residual capacity is at least ``delta``, cap - flow forward
+    and flow in reverse, each as long as its reduced cost under ``pot``.
+    ``starts`` holds (initial distance, vertex) pairs.  Reduced costs are
+    small integers, so a whole run sees few distinct distances: bare vertex
+    ids wait in one list per tentative distance, a heap holds the distinct
+    distances only, and a zero-cost arc appends to the list being scanned.
+    A vertex is filed again only when its tentative distance falls, so an
+    entry whose distance is no longer the vertex's is skipped.  Settling a
+    vertex scans the residual arcs leaving it, each with its reduced cost
+    checked.  Every vertex must be reached.  Finally the distances are
     subtracted from the duals, so every shortest path from a start has
-    reduced cost 0.  Returns each vertex's distance, None where not
-    reached.
+    reduced cost 0.  Returns each vertex's distance.
     """
     dist: list = [None] * len(pot)
     buckets: dict[int, list[int]] = {}
@@ -561,6 +450,9 @@ def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int
             settled += 1
             px = pot[x]
             for a in out_arcs[x]:
+                c = cap[a]
+                if c is not None and c - flow[a] < delta:
+                    continue
                 w = dst[a]
                 rc = cost[a] + pot[w] - px
                 if rc < 0:
@@ -577,7 +469,7 @@ def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int
                         buckets[nd] = [w]
                         heappush(keys, nd)
             for a in in_arcs[x]:
-                if not flow[a]:
+                if flow[a] < delta:
                     continue
                 w = src[a]
                 rc = pot[w] - px - cost[a]
@@ -594,7 +486,7 @@ def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int
                     else:
                         buckets[nd] = [w]
                         heappush(keys, nd)
-    if settled != reach:
+    if settled != len(pot):
         raise SolverError("residual graph is not connected from the starts")
     for x, d in enumerate(dist):
         if d:
@@ -603,36 +495,38 @@ def _build_tree(src, dst, cost, out_arcs, in_arcs, flow, pot, starts, reach: int
 
 
 def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delta: int):
-    """Dinic max flow in delta-units over the zero-reduced-cost residual arcs.
+    """Dinic max flow over the zero-reduced-cost delta-residual arcs.
 
-    A forward arc carries any number of units, the reverse of arc a
-    carries flow[a] // delta.  A vertex with excess e may send
-    (4e + delta) // (4 delta) units, and one with deficit e may receive as
-    many: exactly the pushes that the 3/4-delta gates allow one vertex.
+    An arc may carry a push while its residual capacity in that direction
+    is at least delta: cap - flow forward (always, when it has no
+    capacity), flow in reverse.  A source sends while its excess is at
+    least delta, a sink receives while its deficit is, and a push moves
+    all that the source's excess, the sink's deficit and the path's
+    residual capacities allow, so at least delta.
 
-    One pass over the arcs collects the tight ones, in both directions.
-    It is the package's second scan of the residual arcs, next to the
-    Dijkstra loop of ``_build_tree``, which leaves every arc that carries
-    flow tight, so the reverse of a tight arc is admissible while it has
-    flow.  Each iteration labels the vertices with their residual hop
-    count to the nearest sink that can still receive, by a breadth-first
-    search that stops at the first level holding a source that can still
-    send, then saturates that level graph by depth-first walks from those
-    sources, with a current-arc pointer per vertex.  A walk steps one
-    level down per arc, so it only enters vertices that reached a sink
-    when the search ran; a vertex found to lead nowhere gets level -1.
+    One pass over the arcs collects the tight ones, of reduced cost 0, in
+    both directions: each direction of a tight arc has reduced cost 0, so
+    these are all the admissible residual arcs, each usable while its
+    residual capacity in that direction is at least delta.  Each iteration
+    labels the vertices with their residual hop count to the nearest sink
+    that can still receive, by a breadth-first search that stops at the
+    first level holding a source that can still send, then saturates that
+    level graph by depth-first walks from those sources, with a
+    current-arc pointer per vertex.  A walk steps one level down per arc,
+    so it only enters vertices that reached a sink when the search ran; a
+    vertex found to lead nowhere gets level -1.
     """
     flow, pot, excess = core.flow, core.pot, core.excess
-    n = core.inst.n
-    unit = _ALPHA_DEN * delta
+    inst = core.inst
+    cap, n = inst.acap, inst.n
     adm: list[list] = [[] for _ in range(n)]  # (arc, dir, other end)
-    for a, (x, w, c) in enumerate(zip(core.src, core.dst, core.cost)):
-        if c + pot[w] == pot[x] and x != w:
+    for a, (x, w, c) in enumerate(zip(inst.asrc, inst.adst, inst.acost)):
+        if c + pot[w] == pot[x]:
             adm[x].append((a, 1, w))
             adm[w].append((a, -1, x))
     while True:
-        sources = [s for s in sources if _ALPHA_DEN * excess[s] + delta >= unit]
-        sinks = [t for t in sinks if delta - _ALPHA_DEN * excess[t] >= unit]
+        sources = [s for s in sources if excess[s] >= delta]
+        sinks = [t for t in sinks if -excess[t] >= delta]
         if not sources or not sinks:
             return
         level = [-1] * n
@@ -646,12 +540,20 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
             nxt = []
             for w in frontier:
                 for a, adir, y in adm[w]:
-                    # residual y -> w: the forward arc a, or the reverse of a = (w, y)
-                    if level[y] < 0 and (adir < 0 or flow[a]):
-                        level[y] = depth
-                        nxt.append(y)
-                        if _ALPHA_DEN * excess[y] + delta >= unit:
-                            starts.append(y)
+                    # residual y -> w: the reverse of a = (w, y), or the forward arc a
+                    if level[y] >= 0:
+                        continue
+                    if adir > 0:
+                        if flow[a] < delta:
+                            continue
+                    else:
+                        c = cap[a]
+                        if c is not None and c - flow[a] < delta:
+                            continue
+                    level[y] = depth
+                    nxt.append(y)
+                    if excess[y] >= delta:
+                        starts.append(y)
             frontier = nxt
         if not starts:
             return
@@ -661,19 +563,19 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
             x = s
             while True:
                 lx = level[x]
-                if lx == 0 and delta - _ALPHA_DEN * excess[x] >= unit:
-                    units = min(
-                        (_ALPHA_DEN * excess[s] + delta) // unit,
-                        (delta - _ALPHA_DEN * excess[x]) // unit,
-                        *(flow[a] // delta for a, adir, _ in path if adir < 0),
-                    )
-                    push = units * delta
+                if lx == 0 and -excess[x] >= delta:
+                    room = min(excess[s], -excess[x])
                     for a, adir, _ in path:
-                        flow[a] += adir * push
-                    excess[s] -= push
-                    excess[x] += push
+                        if adir < 0:
+                            room = min(room, flow[a])
+                        elif cap[a] is not None:
+                            room = min(room, cap[a] - flow[a])
+                    for a, adir, _ in path:
+                        flow[a] += adir * room
+                    excess[s] -= room
+                    excess[x] += room
                     core.stats.augmentations += 1
-                    if _ALPHA_DEN * excess[s] + delta < unit:
+                    if excess[s] < delta:
                         break
                     path = []
                     x = s
@@ -683,8 +585,14 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
                     i = ptr[x]
                     while i < len(arcs):
                         a, adir, w = arcs[i]
-                        if level[w] == lx - 1 and (adir > 0 or flow[a]):
-                            break
+                        if level[w] == lx - 1:
+                            if adir < 0:
+                                if flow[a] >= delta:
+                                    break
+                            else:
+                                c = cap[a]
+                                if c is None or c - flow[a] >= delta:
+                                    break
                         i += 1
                     ptr[x] = i
                     if i < len(arcs):

@@ -77,6 +77,22 @@ def _write_ranking(table: VertexTable, ranks: Sequence[int], out: Optional[str])
             raise _CliError(EXIT_INPUT, f"cannot write {out}: {exc}") from exc
 
 
+def _finish(table: VertexTable, ranks: Sequence[int], out: Optional[str], make_summary) -> int:
+    """Write the ranking, then the summary ``make_summary()`` to stderr.
+
+    A ranking file is written first, so it is kept when the summary cannot
+    be rendered (exit 2); ranking lines for stdout wait for the summary, so
+    a run that fails prints none.
+    """
+    if out is not None:
+        _write_ranking(table, ranks, out)
+    summary = make_summary()
+    if out is None:
+        _write_ranking(table, ranks, None)
+    sys.stderr.write(summary)
+    return EXIT_OK
+
+
 def _render(make_text) -> str:
     """``make_text()``; a number with more digits than ``str`` converts is unwritable output."""
     try:
@@ -134,15 +150,12 @@ def _cmd_exact(args) -> int:
     ranks = canonical_ranking(result) if args.canonical else result.ranks
     ms = (time.perf_counter() - t0) * 1e3
     _self_check(g, ranks, penalty, result.agony)
-    summary = _summary(
+    return _finish(table, ranks, args.out, lambda: _summary(
         "exact", args.input, g, result.k, _describe(penalty, args.penalty), result.agony, ranks, ms,
         scc=int(result.used_scc), canonical=int(bool(args.canonical)),
         augmentations=result.stats.augmentations, repairs=result.stats.repairs,
         settles=result.stats.settles,
-    )
-    _write_ranking(table, ranks, args.out)
-    sys.stderr.write(summary)
-    return EXIT_OK
+    ))
 
 
 def _cmd_heuristic(args) -> int:
@@ -154,12 +167,9 @@ def _cmd_heuristic(args) -> int:
     ms = (time.perf_counter() - t0) * 1e3
     _self_check(g, ranks, penalty, score)
     k = args.k if args.k is not None else max(g.n, 1)
-    summary = _summary(
+    return _finish(table, ranks, args.out, lambda: _summary(
         "heuristic", args.input, g, k, penalty.describe(), score, ranks, ms, variant=args.variant
-    )
-    _write_ranking(table, ranks, args.out)
-    sys.stderr.write(summary)
-    return EXIT_OK
+    ))
 
 
 def _read_ranking(path: str, table: VertexTable) -> list[int]:

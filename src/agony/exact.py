@@ -118,7 +118,6 @@ def min_agony(
 def _merge_stats(into: SolveStats, part: SolveStats):
     into.outer_phases += part.outer_phases
     into.augmentations += part.augmentations
-    into.contractions += part.contractions
     into.repairs += part.repairs
     into.settles += part.settles
 

@@ -1,104 +1,88 @@
-"""The tests' reference solver: plain single-source successive shortest paths.
+"""The tests' reference solver: cycle cancelling (Klein 1967).
 
-``solve_baseline`` runs the delta-scaling loop of ``solve_fast`` on the
-same solver core (contractions, invariant checks, unrolling) and the same
-Dijkstra, but not its primal-dual rounds or its max flow.  Each
-augmentation pairs the highest excess with the most negative one, lowest
-vertex index on ties, while both clear the 3/4-delta gate; a
-single-source Dijkstra from the excess vertex prices the duals, then a
-breadth-first search over the residual arcs of reduced cost 0 finds a
-path to the deficit vertex, and one delta is pushed along it.  So it
-checks the phases of ``solve_fast`` with a textbook algorithm.
+``solve_reference`` finds an optimal capacitated circulation of the
+shifted graph from the graph, k and the integer hinge terms alone, and
+shares no code with ``agony.circulation``.  It writes the arcs out itself,
+in the order that ``ShiftedGraph`` documents: per edge (v, w, weight) and
+term (a, b) the arc (v, w) with cost b and capacity a * weight, per
+vertex v the fans (alpha, v) and (v, omega) with cost 0, and last
+(omega, alpha) with cost k - 1; the fans and that arc have no capacity.
+It starts from the zero circulation and, while Bellman-Ford finds a cycle
+of negative cost in the residual graph, pushes the cycle's smallest
+residual capacity around it.  Once none is left, Bellman-Ford distances d
+from all vertices at once are feasible duals, and the ranks
+d(alpha) - d(v) lie in [0, k - 1] and score the circulation's value.
+Each cancellation runs a Bellman-Ford over every residual arc, so the
+tests run it on graphs of at most 60 vertices.
 """
 from __future__ import annotations
 
-from collections import deque
-
-from agony.circulation import (
-    _ALPHA_DEN,
-    _ALPHA_NUM,
-    CirculationInstance,
-    SolverError,
-    SolverState,
-    _Core,
-    _has_excess,
-    _initial_delta,
-)
+from typing import NamedTuple
 
 
-def solve_baseline(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
-    """One single-source Dijkstra and one delta pushed per augmentation."""
-    core = _Core(inst)
-    delta = _initial_delta(core)
-    unit_phases = 0  # phases at delta 1: the second must leave no excess
-    while _has_excess(core):
-        if unit_phases == 2:
-            raise SolverError("no progress at unit granularity")
-        core.stats.outer_phases += 1
-        core.contract_pass(delta)
-        _phase(core, delta)
-        if check_invariants:
-            core.check_state()
-        if delta == 1:
-            unit_phases += 1
-        delta = max(1, delta // 2)
-    return core.finalize()
+class Reference(NamedTuple):
+    value: int  # max sum of shift * flow: the minimal shifted score
+    ranks: list[int]
+    flow: list[int]  # per arc, in the order above
 
 
-def _phase(core: _Core, delta: int):
-    lim = _ALPHA_NUM * delta
+def solve_reference(g, k: int, terms) -> Reference:
+    """Optimal circulation, its value and a ranking that scores it."""
+    n = g.n
+    alpha, omega = n, n + 1
+    arcs = [(v, w, b, a * weight) for v, w, weight in g.edges for a, b in terms]
+    for v in range(n):
+        arcs += [(alpha, v, 0, None), (v, omega, 0, None)]
+    arcs.append((omega, alpha, k - 1, None))
+    flow = [0] * len(arcs)
     while True:
-        # highest excess first, ties broken by lowest vertex index
-        s = r = None
-        es = er = 0
-        for v in core.roots:
-            ev = core.excess[v]
-            if ev > es or (ev == es > 0 and v < s):
-                es, s = ev, v
-            elif ev < er or (ev == er < 0 and v < r):
-                er, r = ev, v
-        if s is None or r is None:
-            return
-        if not (_ALPHA_DEN * es >= lim and -_ALPHA_DEN * er >= lim):
-            return
-        core.dijkstra([(0, s)])
-        _augment(core, s, r, delta)
-        core.stats.augmentations += 1
+        cycle, dist = _bellman_ford(n + 2, arcs, flow)
+        if cycle is None:
+            break
+        # a negative cycle holds an arc of negative cost, so a capacity or a reverse
+        push = min(
+            flow[a] if step < 0 else arcs[a][3] - flow[a]
+            for a, step in cycle if step < 0 or arcs[a][3] is not None
+        )
+        for a, step in cycle:
+            flow[a] += step * push
+    value = -sum(c * f for (_, _, c, _), f in zip(arcs, flow))
+    return Reference(value, [dist[alpha] - dist[v] for v in range(n)], flow)
 
 
-def _augment(core: _Core, s: int, r: int, delta: int):
-    """Push delta from s to r along a zero-reduced-cost residual path.
-
-    The Dijkstra from s left every shortest path from s at reduced cost 0,
-    so a breadth-first search over those residual arcs reaches r.
-    """
-    src, dst, cost, pot, flow = core.src, core.dst, core.cost, core.pot, core.flow
-    parent = {s: None}  # the arc each vertex was reached by
-    queue = deque([s])
-    while r not in parent:
-        if not queue:
-            raise SolverError("no zero-reduced-cost path to the deficit vertex")
-        x = queue.popleft()
-        px = pot[x]
-        for a in core.out_arcs[x]:
-            w = dst[a]
-            if w not in parent and cost[a] + pot[w] == px:
-                parent[w] = a
-                queue.append(w)
-        for a in core.in_arcs[x]:
-            w = src[a]
-            if w not in parent and flow[a] and cost[a] + px == pot[w]:
-                parent[w] = a
-                queue.append(w)
-    v = r
-    while (a := parent[v]) is not None:
-        if dst[a] == v:
-            flow[a] += delta
-            v = src[a]
-        else:
-            if flow[a] < delta:
-                raise SolverError("negative flow after augmentation")
-            flow[a] -= delta
-            v = dst[a]
-    core.excess[s] -= delta
-    core.excess[r] += delta
+def _bellman_ford(n: int, arcs, flow):
+    """(cycle, None) for a negative residual cycle as (arc, +1 forward or -1
+    reverse) pairs, or (None, distances) from all vertices at distance 0."""
+    residual = []  # (tail, head, cost, arc, step)
+    for a, ((x, w, c, cap), f) in enumerate(zip(arcs, flow)):
+        if cap is None or f < cap:
+            residual.append((x, w, c, a, 1))
+        if f > 0:
+            residual.append((w, x, -c, a, -1))
+    dist = [0] * n
+    parent: list = [None] * n  # the residual arc each vertex was last lowered by
+    for _ in range(n):
+        lowered = None
+        for x, w, c, a, step in residual:
+            if dist[x] + c < dist[w]:
+                dist[w] = dist[x] + c
+                parent[w] = (x, a, step)
+                lowered = w
+        if lowered is None:
+            return None, dist
+        # a cycle of parent arcs has negative cost; look above the last vertex lowered
+        seen = set()
+        v = lowered
+        while v is not None and v not in seen:
+            seen.add(v)
+            v = parent[v][0] if parent[v] else None
+        if v is not None:
+            cycle = []
+            x = v
+            while True:
+                tail, a, step = parent[x]
+                cycle.append((a, step))
+                x = tail
+                if x == v:
+                    return cycle, None
+    raise AssertionError("Bellman-Ford kept lowering distances without a parent cycle")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from io import StringIO
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from agony.circulation import (
 )
 from agony.graph import WeightedDigraph, normalize, parse_edge_list, score_ranking
 from agony.penalties import LINEAR
+
+from baseline import solve_reference
 
 
 def random_graph(rng: random.Random, n: int, p: float, wmax: int = 1) -> WeightedDigraph:
@@ -50,27 +53,50 @@ def graph_from_text(text: str) -> WeightedDigraph:
     return normalize(g)
 
 
-def global_result(g: WeightedDigraph, k=None, penalty=LINEAR, solve=solve_fast):
-    """``ExactResult`` of one global instance solved by ``solve``: a reference.
-
-    ``min_agony`` solves one instance per SCC at the rank window cap; this
-    solves the whole graph as one component at any k, with ``solve_fast``
-    or the tests' reference ``baseline.solve_baseline``.  k defaults to
-    the cap and is clamped to it; k = 1 and the empty graph need no solve
-    and go to ``min_agony``.
-    """
+def _clamped_k(g: WeightedDigraph, k, penalty) -> int:
+    """k, defaulting to the rank window cap and clamped to it."""
     step = max(1, -min(b for _, b in penalty.terms))
     cap = max(g.n - 1, 0) * step + 1
-    k = cap if k is None else min(k, cap)
+    return cap if k is None else min(k, cap)
+
+
+def global_result(g: WeightedDigraph, k=None, penalty=LINEAR):
+    """``ExactResult`` of one global instance solved by ``solve_fast``.
+
+    ``min_agony`` solves one instance per SCC at the rank window cap; this
+    solves the whole graph as one component at any k.  k defaults to the
+    cap and is clamped to it; k = 1 and the empty graph need no solve and
+    go to ``min_agony``.
+    """
+    k = _clamped_k(g, k, penalty)
     if k == 1:
         return exact.min_agony(g, 1, penalty)
-    state = solve(uncapacitate(build_convex_instance(g, k, penalty)))
+    state = solve_fast(uncapacitate(build_convex_instance(g, k, penalty)))
     ranks = extract_ranking(state)
     objective = circulation_value(state)
     agony = penalty.unscale(objective)
     assert score_ranking(g, ranks, penalty) == agony
     comp = exact.ComponentSolve(list(range(g.n)), ranks, state)
     return exact.ExactResult(g, ranks, agony, objective, k, penalty, False, [comp], state.stats)
+
+
+class ReferenceResult(NamedTuple):
+    agony: object  # int or Fraction
+    objective: int  # circulation value, scaled by the penalty's slope LCM
+    ranks: list
+
+
+def reference_result(g: WeightedDigraph, k=None, penalty=LINEAR) -> ReferenceResult:
+    """One global instance solved by the tests' reference solver
+    (``baseline.solve_reference``), which shares no code with the package's;
+    k defaults to the rank window cap and is clamped to it.  Its ranks must
+    score the circulation value."""
+    k = _clamped_k(g, k, penalty)
+    ref = solve_reference(g, k, penalty.integer_terms())
+    agony = penalty.unscale(ref.value)
+    assert score_ranking(g, ref.ranks, penalty) == agony
+    assert all(0 <= r <= k - 1 for r in ref.ranks)
+    return ReferenceResult(agony, ref.value, ref.ranks)
 
 
 def brute_min_linear(g: WeightedDigraph, k: int) -> int:

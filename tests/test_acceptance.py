@@ -22,7 +22,6 @@ from agony.heuristic import _LayerWindow, heuristic_rank, monotone_min, scc_laye
 from agony.penalties import LINEAR
 from agony.splittree import PruneDP, build_split_tree
 
-from baseline import solve_baseline
 from conftest import (
     brute_min_linear,
     brute_optima,
@@ -30,6 +29,7 @@ from conftest import (
     graph_from_text,
     random_dag,
     random_graph,
+    reference_result,
 )
 from test_splittree import _all_prunings, _random_gain_tree, audit_counters
 
@@ -54,12 +54,13 @@ class Suite1Record:
 
     def __init__(self, graph, per_k):
         self.graph = graph
-        self.per_k = per_k  # k -> (brute, fast_result, baseline_result)
+        self.per_k = per_k  # k -> (brute, fast_result, global_result, reference_result)
 
 
 @pytest.fixture(scope="module")
 def suite1():
-    """200 random graphs, every k in [2, n], both solvers plus the oracle."""
+    """200 random graphs, every k in [2, n]: ``min_agony``, one global
+    ``solve_fast`` instance, the reference solver and the oracle."""
     rng = random.Random(2024)
     records = []
     t0 = time.perf_counter()
@@ -70,8 +71,7 @@ def suite1():
         for k in range(2, n + 1):
             brute = brute_min_linear(g, k)
             fast = min_agony(g, k)
-            base = global_result(g, k, solve=solve_baseline)
-            per_k[k] = (brute, fast, base)
+            per_k[k] = (brute, fast, global_result(g, k), reference_result(g, k))
         records.append(Suite1Record(g, per_k))
     elapsed = time.perf_counter() - t0
     print(f"\nsuite1 built in {elapsed:.1f}s")
@@ -88,7 +88,7 @@ def test_criterion_1_oracle_equivalence(suite1):
     records, elapsed = suite1
     checked = 0
     for rec in records:
-        for k, (brute, fast, base) in rec.per_k.items():
+        for k, (brute, fast, _, _) in rec.per_k.items():
             assert fast.agony == brute, (rec.graph.edges, k, fast.agony, brute)
             checked += 1
     _report(1, True, f"{checked} (graph, k) pairs match exhaustive minimum; {elapsed:.1f}s")
@@ -151,9 +151,9 @@ def test_criterion_4_duality_certificates(suite1):
     records, _ = suite1
     count = 0
     for rec in records:
-        for k, (_, fast, base) in rec.per_k.items():
+        for k, (_, fast, whole, _) in rec.per_k.items():
             assert verify_certificate(fast)
-            assert verify_certificate(base)
+            assert verify_certificate(whole)
             count += 2
     _report(4, True, f"{count} certificates verified")
 
@@ -162,11 +162,11 @@ def test_criterion_5_solver_equivalence(suite1):
     records, _ = suite1
     count = 0
     for rec in records:
-        for k, (_, fast, base) in rec.per_k.items():
-            assert fast.agony == base.agony
-            assert fast.objective == base.objective
+        for k, (_, fast, whole, ref) in rec.per_k.items():
+            assert fast.agony == whole.agony == ref.agony
+            assert fast.objective == whole.objective == ref.objective
             count += 1
-    _report(5, True, f"{count} instances, fast == baseline objective")
+    _report(5, True, f"{count} instances, fast == reference objective")
 
 
 def test_criterion_6_canonicality():
@@ -201,7 +201,7 @@ def test_criterion_7_heuristic_guarantees(suite1):
         assert tree.score() == score_ranking(g, tree.ranking(), LINEAR)
         ranks2, score2 = heuristic_rank(g, 2, "plain")
         assert score2 == rec.per_k[2][0]  # optimal at k = 2
-        for k, (brute, _, _) in rec.per_k.items():
+        for k, (brute, _, _, _) in rec.per_k.items():
             _, s = heuristic_rank(g, k, "best")
             assert s >= brute
     dags = 0

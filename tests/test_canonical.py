@@ -133,7 +133,7 @@ class TestCanonical:
             def snapshot():
                 return [
                     (list(s.flow), list(s.potentials), list(s.inst.asrc), list(s.inst.adst),
-                     list(s.inst.acost), list(s.inst.bias),
+                     list(s.inst.acost), list(s.inst.acap),
                      s.inst.adjacency())
                     for s in states
                 ]

@@ -166,6 +166,17 @@ class TestExact:
         assert main(["score", str(graph), str(ranks), "--penalty", penalty]) == 0
         assert info["score"] == capsys.readouterr().out.strip()
 
+    def test_ranking_file_kept_when_the_score_is_too_long_to_print(self, toy, tmp_path, capsys):
+        # the toy optimum under slope 1e-4300 has a denominator of more than
+        # 4300 digits, so the summary fails after the solve
+        ranks, linear = tmp_path / "r.txt", tmp_path / "linear.txt"
+        assert main(["exact", toy, "--penalty", "sum:1e-4300,-1", "--out", str(ranks)]) == 2
+        cap = capsys.readouterr()
+        assert _one_line_error(cap.err) and "too many digits" in cap.err and cap.out == ""
+        # a positive slope scales every score alike, so the optimum is the linear one
+        assert main(["exact", toy, "--out", str(linear)]) == 0
+        assert ranks.read_text() == linear.read_text() != ""
+
     def test_convex_penalty_flag(self, toy, capsys):
         assert main(["exact", toy, "--penalty", "sum:1,-1;2,3"]) == 0
         info = _summary(capsys.readouterr().err)

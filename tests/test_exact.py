@@ -9,7 +9,6 @@ from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, score_ranking
 from agony.penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
 
-from baseline import solve_baseline
 from conftest import (
     brute_min_linear,
     brute_optima,
@@ -17,6 +16,7 @@ from conftest import (
     graph_from_text,
     random_dag,
     random_graph,
+    reference_result,
 )
 
 TOY = "a b\nb c\nc a 2\nb d\n"
@@ -81,7 +81,7 @@ class TestMinAgony:
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 7), 0.4, 3)
             k = rng.randint(2, g.n)
-            base = global_result(g, k, solve=solve_baseline)
+            base = reference_result(g, k)
             fast = global_result(g, k)
             assert base.agony == fast.agony == min_agony(g, k).agony
             assert base.objective == fast.objective

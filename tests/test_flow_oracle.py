@@ -1,14 +1,16 @@
 """Circulation flows checked against networkx's network simplex.
 
 The rank-LP oracle (``test_oracle.py``) checks optimal agony values and
-rankings; this one checks the flow itself, on the uncapacitated instance
+rankings; this one checks the flow itself, on the capacitated instance
 that ``uncapacitate`` builds, as solved by ``solve_fast`` and by the
-tests' reference solver (``baseline.solve_baseline``).  networkx solves
-the same instance from its arc lists and biases alone (demand = -bias,
-weight = cost, no capacities), sharing no code with the solver, and the
-solver's flow must reach that optimal cost while being feasible: every arc
-flow non-negative and every vertex conserving flow with its bias.
-Weights up to 10^6 make the solver's contraction path fire.
+tests' reference solver (``baseline.solve_reference``, which writes the
+same arcs out in the same order itself).  networkx solves the same
+instance from its arc lists alone (every demand 0, weight = cost,
+capacity = the arc's capacity, none on an uncapacitated arc), sharing no
+code with the solver, and the solver's flow must reach that optimal cost
+while being feasible: every arc flow between 0 and its capacity and every
+vertex conserving flow.  Weights up to 10^6 make the solver run 20 or
+more capacity-scaling phases.
 """
 import random
 
@@ -19,38 +21,41 @@ nx = pytest.importorskip("networkx")
 from agony.circulation import build_convex_instance, solve_fast, uncapacitate
 from agony.penalties import PenaltySpec
 
-from baseline import solve_baseline
+from baseline import solve_reference
 from conftest import random_graph
 
 HINGES = {"linear": ((1, -1),), "convex": ((1, -1), (2, 1))}
 BIG = 10**6
-SOLVERS = {"fast": solve_fast, "baseline": solve_baseline}
+BIG_PHASES = 20  # measured: 20 phases under the linear penalty, 21 under the convex one
 
 
 def _simplex_cost(inst) -> int:
     net = nx.MultiDiGraph()
-    for v, b in enumerate(inst.bias):
-        net.add_node(v, demand=-b)
-    for a in range(inst.m):
-        net.add_edge(inst.asrc[a], inst.adst[a], weight=inst.acost[a])
+    net.add_nodes_from(range(inst.n), demand=0)
+    for x, w, c, cap in zip(inst.asrc, inst.adst, inst.acost, inst.acap):
+        if cap is None:
+            net.add_edge(x, w, weight=c)
+        else:
+            net.add_edge(x, w, weight=c, capacity=cap)
     cost, _ = nx.network_simplex(net)
     return cost
 
 
 def _feasible(inst, flow) -> bool:
-    """Non-negative arc flows, and bias + inflow - outflow = 0 everywhere."""
-    if len(flow) != inst.m or any(f < 0 for f in flow):
+    """0 <= flow <= capacity on every arc, and inflow = outflow everywhere."""
+    if len(flow) != inst.m:
         return False
-    net = list(inst.bias)
+    if any(f < 0 or (cap is not None and f > cap) for f, cap in zip(flow, inst.acap)):
+        return False
+    net = [0] * inst.n
     for a, f in enumerate(flow):
         net[inst.asrc[a]] -= f
         net[inst.adst[a]] += f
     return not any(net)
 
 
-# (n, edge probability, k, penalty, max weight, solver); the baseline
-# runs a Dijkstra and a path search for every augmentation, so it runs at
-# n <= 60
+# (n, edge probability, k, penalty, max weight, solver); the reference
+# runs a Bellman-Ford for every cycle it cancels, so it runs at n <= 60
 CASES = [
     (200, 0.015, 5, "linear", 10, "fast"),
     (200, 0.015, 200, "linear", 10, "fast"),
@@ -67,16 +72,21 @@ CASES = [
 def test_solver_flow_is_feasible_and_simplex_optimal(n, p, k, name, wmax, solver):
     g = random_graph(random.Random(n * 1000 + k), n, p, wmax)
     inst = uncapacitate(build_convex_instance(g, k, PenaltySpec.convex_sum(HINGES[name])))
-    state = SOLVERS[solver](inst)
-    assert _feasible(inst, state.flow)
-    cost = sum(c * f for c, f in zip(inst.acost, state.flow))
-    assert cost == state.objective() == _simplex_cost(inst)
-    if wmax == BIG:
-        # large weights push arc flows past the contraction threshold
-        assert state.stats.contractions > 0
+    if solver == "fast":
+        state = solve_fast(inst)
+        flow = state.flow
+        if wmax == BIG:
+            assert state.stats.outer_phases >= BIG_PHASES
+    else:
+        flow = solve_reference(g, k, inst.sg.terms).flow
+    assert _feasible(inst, flow)
+    cost = sum(c * f for c, f in zip(inst.acost, flow))
+    assert cost == _simplex_cost(inst)
+    if solver == "fast":
+        assert cost == state.objective()
 
     # negative control: one more unit on any arc breaks conservation
     a = random.Random(k).randrange(inst.m)
-    bumped = list(state.flow)
+    bumped = list(flow)
     bumped[a] += 1
     assert not _feasible(inst, bumped)

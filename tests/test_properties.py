@@ -11,8 +11,7 @@ from agony.heuristic import heuristic_rank
 from agony.penalties import LINEAR, PenaltySpec
 from agony.splittree import build_split_tree, prune_tree
 
-from baseline import solve_baseline
-from conftest import global_result
+from conftest import global_result, reference_result
 
 
 @st.composite
@@ -43,7 +42,7 @@ def test_exact_equals_enumeration(g, k):
 @settings(max_examples=80, deadline=None)
 def test_solvers_agree_and_heuristic_dominates(g):
     fast = global_result(g)
-    base = global_result(g, solve=solve_baseline)
+    base = reference_result(g)
     assert fast.agony == base.agony
     _, h = heuristic_rank(g, None, "best")
     assert h >= fast.agony

@@ -27,6 +27,13 @@ a number of times that grows with n.  A second guard counts the
 Dijkstra's heap pushes: one Dijkstra sees a handful of distinct
 distances, so a heap of distances takes a few pushes per run, while a
 heap entry per relaxed arc gives more than one push per settled vertex.
+A third guard counts augmenting paths and settled vertices per vertex on
+the largest SCC of the benchmark's seeded power-law graph
+(``perfbench/gen.py``, only read) at 2,000 and 8,000 vertices: capacity
+scaling on the shifted graph measured 0.97 augmentations and 4.0 settles
+per vertex at both sizes (1,421 and 5,896 on 1,472 vertices; 5,257 and
+21,808 on 5,450), where the solver with a gadget vertex per edge took 6.2
+and 36 (9,095 and 52,845 at 2,000 vertices).
 
 The memory guards count bytes with ``tracemalloc`` and use no timer: an
 allocation count does not move with host load, so one run at one size
@@ -40,21 +47,27 @@ a tuple per (layer, budget) choice and at about 1,830 with an int.
 from __future__ import annotations
 
 import gc
+import importlib.util
 import itertools
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 from agony import circulation
 from agony.canonical import canonical_ranking
+from agony.circulation import build_convex_instance, solve_fast, uncapacitate
 from agony.exact import min_agony
-from agony.graph import WeightedDigraph
+from agony.graph import WeightedDigraph, normalize, split_by_part, strongly_connected_components
 from agony.heuristic import heuristic_rank, scc_layer_heuristic
+from agony.penalties import LINEAR
 
 MAX_RATIO = 7.0
 MAX_BUDGET_RATIO = 6.0
 MAX_DIJKSTRAS = 12
 MAX_PUSHES_PER_SETTLE = 0.05
+MAX_AUGMENTATIONS_PER_VERTEX = 1.25
+MAX_SETTLES_PER_VERTEX = 6.0
 MAX_RETAINED_BYTES_PER_EDGE = 850
 MAX_HEURISTIC_PEAK_BYTES_PER_EDGE = 2250
 
@@ -88,6 +101,16 @@ def _chung_lu(n: int, seed: int) -> WeightedDigraph:
         if u != v:
             edges.add((u, v))
     return WeightedDigraph(n, [(u, v, 1) for u, v in sorted(edges)])
+
+
+def _largest_power_law_scc(n: int) -> WeightedDigraph:
+    """Largest SCC of the benchmark's ``gen.power_law(1, n, 5n)``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    g = normalize(WeightedDigraph(*gen.power_law(1, n, 5 * n)))
+    return split_by_part(g, [max(strongly_connected_components(g), key=len)])[0]
 
 
 def _time(fn) -> float:
@@ -166,6 +189,21 @@ def test_exact_dijkstras_per_solve_stay_flat_on_power_law_graphs():
         counts[n] = (stats.repairs, stats.augmentations)
     text = ", ".join(f"n={n}: {r} Dijkstras for {a} augmentations" for n, (r, a) in counts.items())
     assert all(r <= MAX_DIJKSTRAS for r, _ in counts.values()), text
+
+
+def test_exact_augmentations_and_settles_per_vertex_stay_flat():
+    counts = {}
+    for n in (2000, 8000):
+        g = _largest_power_law_scc(n)
+        stats = solve_fast(uncapacitate(build_convex_instance(g, g.n, LINEAR))).stats
+        counts[n] = (g.n, stats.augmentations, stats.settles)
+    text = ", ".join(
+        f"n={n}: {a} augmentations and {s} settles on {v} vertices"
+        for n, (v, a, s) in counts.items()
+    )
+    for v, a, s in counts.values():
+        assert a / v <= MAX_AUGMENTATIONS_PER_VERTEX, text
+        assert s / v <= MAX_SETTLES_PER_VERTEX, text
 
 
 def test_exact_dijkstra_heap_pushes_per_settle_stay_small(monkeypatch):
