@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .penalties import PenaltySpec, hinge_total
@@ -79,7 +80,9 @@ class WeightedDigraph:
         """Wrap edges already valid for n vertices, without the copy and checks.
 
         ``normalized`` is True when the caller knows the edges are; None
-        leaves ``is_normalized`` to scan them.
+        leaves ``is_normalized`` to scan them.  The graph keeps ``edges``
+        itself, which may be another graph's list: safe only because a
+        ``WeightedDigraph`` is never mutated.
         """
         g = cls.__new__(cls)
         g.n, g.edges, g._normalized = n, edges, normalized
@@ -140,21 +143,43 @@ def normalize(g: WeightedDigraph) -> WeightedDigraph:
     Merging keeps every ranking's score.  A self-loop of weight w costs
     w * p(0) under every ranking, so dropping the loops lowers every score
     by the same constant and keeps the optimal rankings.
+
+    Loops and parallel pairs are found from one sorted list of int keys
+    u * n + v.  Edges keep their first-appearance order, and only a merged
+    pair gets a new tuple.  An input with neither shares its edge list
+    with the result instead of copying it; that is safe only because a
+    ``WeightedDigraph`` is never mutated.
     """
-    merged: dict[tuple[int, int], int] = {}
-    loops = 0
-    for u, v, w in g.edges:
+    n, edges = g.n, g.edges
+    keys = [u * n + v for u, v, _ in edges]
+    keys.sort()
+    loops = sum(u == v for u, v, _ in edges)
+    # a repeated key's weights are summed here; 0 marks a pair already written
+    sums = dict.fromkeys((a for a, b in pairwise(keys) if a == b), 0)
+    del keys
+    if not loops and not sums:
+        return WeightedDigraph._adopt(n, edges, True)
+    for u, v, w in edges:
+        key = u * n + v
+        if key in sums:
+            sums[key] += w
+    kept = []
+    for edge in edges:
+        u, v, _ = edge
         if u == v:
-            loops += 1
             continue
-        key = (u, v)
-        merged[key] = merged.get(key, 0) + w
+        total = sums.get(u * n + v)
+        if total is None:
+            kept.append(edge)
+        elif total:
+            kept.append((u, v, total))
+            sums[u * n + v] = 0
     if loops:
         log.info("normalize: dropped %d self-loop(s)", loops)
-    dupes = g.m - loops - len(merged)
+    dupes = len(edges) - loops - len(kept)
     if dupes:
         log.info("normalize: merged %d parallel edge(s)", dupes)
-    return WeightedDigraph._adopt(g.n, [(u, v, w) for (u, v), w in merged.items()], True)
+    return WeightedDigraph._adopt(n, kept, True)
 
 
 def score_ranking(g: WeightedDigraph, ranks: Ranks, penalty: PenaltySpec) -> Score:

@@ -2,16 +2,23 @@
 
 One leaf holds the whole vertex set; any leaf whose best bipartition has
 negative gain is split, left half below right half, until no split pays
-off.  All counters are maintained incrementally under edge deletion so the
-whole build costs O(m log n): every split enumerates only the side with
-fewer adjacent edges, and zero-degree vertices ride along in starred sets
-whose contributions are tracked as O(1) aggregates.
+off.  A split deletes no edge: it flags the edges between its halves
+dead, and all counters are maintained incrementally, so the whole build
+costs O(m log n).  Every split enumerates only the side with fewer
+adjacent live edges, and zero-degree vertices ride along in starred sets
+whose contributions are tracked as O(1) aggregates.  A vertex that drives
+a split stays in a half with at most half its leaf's live edges, so it
+drives O(log m) times, and scanning past its dead edges on those
+occasions costs O(m log m) in all.
 
 Leaves in left-to-right order induce the ranking; a dynamic program prunes
 the tree to at most k leaves when a tier budget is given.
 """
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import Callable, Iterator, Optional
 
 from .graph import WeightedDigraph
@@ -113,31 +120,60 @@ class LeafState:
 
 
 class SplitTreeBuilder:
-    """Incremental split-tree construction over a normalized graph."""
+    """Incremental split-tree construction over a normalized graph.
+
+    The edges sit in flat arrays, grouped by source with a counting sort
+    that keeps the order of ``g.edges`` within a group: edge e runs from
+    ``src[e]`` to ``dst[e]`` with weight ``wt[e]``, and vertex x sends
+    edges ``out_start[x]`` to ``out_start[x + 1] - 1``.  Its in-edges are
+    ``in_ids[in_start[x]:in_start[x + 1]]``, grouped by a second counting
+    sort.  A split clears the ``alive`` flag of each cross edge instead of
+    deleting it; a scan never reads the flag, since a dead edge's ends lie
+    in different leaves.  The builder keeps n and the total weight, not
+    the graph.
+    """
 
     def __init__(self, g: WeightedDigraph):
         if not g.is_normalized():
             raise ValueError("graph must be normalized first (see agony.graph.normalize)")
-        self.g = g
-        n = g.n
-        self.flux = [0] * n
+        n, edges = g.n, g.edges
+        m = len(edges)
+        self.n = n
+        self.alive = bytearray(b"\1") * m
+        self.flux = flux = [0] * n
+        n_out = [0] * n
+        n_in = [0] * n
+        for u, v, w in edges:
+            flux[u] -= w
+            flux[v] += w
+            n_out[u] += 1
+            n_in[v] += 1
+        self.deg = deg = list(map(add, n_out, n_in))
         self.inb = [0] * n
         self.outb = [0] * n
-        self.deg = [0] * n
-        self.out_e: list[dict[int, int]] = [dict() for _ in range(n)]
-        self.in_e: list[dict[int, int]] = [dict() for _ in range(n)]
-        for u, v, w in g.edges:
-            self.out_e[u][v] = w
-            self.in_e[v][u] = w
-            self.flux[u] -= w
-            self.flux[v] += w
-            self.deg[u] += 1
-            self.deg[v] += 1
+        # each cursor walks from its vertex's first slot to one past its last
+        out_pos = list(accumulate(n_out, initial=0))
+        in_pos = list(accumulate(n_in, initial=0))
+        self.out_start = array("i", out_pos)
+        self.in_start = array("i", in_pos)
+        self.src = array("i", list(chain.from_iterable(map(repeat, range(n), n_out))))
+        self.dst = dst = array("i", [0]) * m
+        self.wt = wt = [0] * m
+        self.in_ids = in_ids = array("i", [0]) * m
+        for u, v, w in edges:
+            p = out_pos[u]
+            out_pos[u] = p + 1
+            dst[p] = v
+            wt[p] = w
+            q = in_pos[v]
+            in_pos[v] = q + 1
+            in_ids[q] = p
+        self.total_weight = sum(wt)
 
         root = LeafState()
         for v in range(n):
-            if self.deg[v] > 0:
-                (root.N if self.flux[v] < 0 else root.P)[v] = None
+            if deg[v] > 0:
+                (root.N if flux[v] < 0 else root.P)[v] = None
             else:
                 root.Ps[v] = None  # diff = 0 counts as P-side
         node = TreeNode()
@@ -189,12 +225,14 @@ class SplitTreeBuilder:
     def split_leaf(self, leaf: LeafState, left_driven: bool) -> tuple[LeafState, LeafState]:
         """Split a leaf into (N u N*, P u P*), enumerating only one side.
 
-        Deletes the cross edges between the halves, updates the per-vertex
-        counters, recomputes the leaf totals from the driving side's
-        snapshots, and re-files every vertex that lost an edge.
+        Flags the cross edges between the halves dead, updates the
+        per-vertex counters, recomputes the leaf totals from the driving
+        side's snapshots, and re-files every vertex that lost an edge.
         """
         flux, inb, outb, deg = self.flux, self.inb, self.outb, self.deg
-        out_e, in_e = self.out_e, self.in_e
+        src, dst, wt, alive = self.src, self.dst, self.wt, self.alive
+        out_start = self.out_start
+        in_start, in_ids = self.in_start, self.in_ids
         drive = leaf.N if left_driven else leaf.P
         other = leaf.P if left_driven else leaf.N
 
@@ -205,10 +243,12 @@ class SplitTreeBuilder:
         cross_rl = 0
         touched: dict[int, None] = {}
         for x in drive:
-            dels = [z for z in out_e[x] if z in other]
-            for z in dels:
-                w = out_e[x].pop(z)
-                del in_e[z][x]
+            for e in range(out_start[x], out_start[x + 1]):
+                z = dst[e]
+                if z not in other:
+                    continue
+                alive[e] = 0
+                w = wt[e]
                 deg[x] -= 1
                 deg[z] -= 1
                 flux[x] += w
@@ -219,10 +259,12 @@ class SplitTreeBuilder:
                     cross_rl += w
                 touched[x] = None
                 touched[z] = None
-            dels = [z for z in in_e[x] if z in other]
-            for z in dels:
-                w = in_e[x].pop(z)
-                del out_e[z][x]
+            for e in in_ids[in_start[x]:in_start[x + 1]]:
+                z = src[e]
+                if z not in other:
+                    continue
+                alive[e] = 0
+                w = wt[e]
                 deg[x] -= 1
                 deg[z] -= 1
                 flux[x] -= w
@@ -317,15 +359,21 @@ class SplitTreeBuilder:
             if node.is_leaf:
                 node.vertices = sorted(node.leaf.members())
                 node.leaf = None
-        return SplitTree(self.root_node, self.g.n, self.g.total_weight)
+        return SplitTree(self.root_node, self.n, self.total_weight)
 
 
 def build_split_tree(
     g: WeightedDigraph,
     after_split: Optional[Callable[[SplitTreeBuilder], None]] = None,
 ) -> SplitTree:
-    """Build the full split tree of a normalized graph."""
-    return SplitTreeBuilder(g).run(after_split)
+    """Build the full split tree of a normalized graph.
+
+    The graph is released before the splits run, so a subgraph that only
+    this call holds is freed while its tree is built.
+    """
+    builder = SplitTreeBuilder(g)
+    del g
+    return builder.run(after_split)
 
 
 # ---------------------------------------------------------------------------

@@ -267,5 +267,5 @@ def test_criterion_11_counter_consistency():
     rng = random.Random(1111)
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 14), 0.3, 3)
-        build_split_tree(g, after_split=audit_counters)
+        build_split_tree(g, after_split=audit_counters(g))
     _report(11, True, "50 builds audited against from-scratch recomputation")

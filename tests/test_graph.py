@@ -86,6 +86,83 @@ class TestNormalize:
         assert g.is_normalized()
 
 
+def _dict_normalize(edges):
+    """Reference: merge by a dict keyed (u, v), then write one triple per key.
+
+    Returns the merged edges in first-appearance order and the counts of
+    dropped loops and merged parallel edges.
+    """
+    merged: dict[tuple[int, int], int] = {}
+    loops = 0
+    for u, v, w in edges:
+        if u == v:
+            loops += 1
+        else:
+            merged[u, v] = merged.get((u, v), 0) + w
+    return [(u, v, w) for (u, v), w in merged.items()], loops, len(edges) - loops - len(merged)
+
+
+def _multigraph(rng, n, m, loop_share):
+    """Edges drawn from a few pairs, so parallel copies interleave with other edges."""
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(max(1, m // 3))]
+    edges = []
+    for _ in range(m):
+        if rng.random() < loop_share:
+            v = rng.randrange(n)
+            edges.append((v, v, rng.randint(1, 9)))
+        else:
+            edges.append((*rng.choice(pairs), rng.randint(1, 9)))
+    return edges
+
+
+class TestNormalizeMatchesDictReference:
+    """``normalize`` against the dict-based merge it replaced."""
+
+    def _check(self, caplog, n, edges):
+        g = WeightedDigraph(n, edges)
+        before = list(g.edges)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="agony.graph"):
+            ng = normalize(g)
+        want, loops, dupes = _dict_normalize(before)
+        assert ng.edges == want  # same triples in the same order
+        assert ng.n == n and ng.is_normalized() and _naive_normalized(ng.edges)
+        assert g.edges == before  # the input is unchanged
+        logged = [r.getMessage() for r in caplog.records]
+        assert logged == [f"normalize: dropped {loops} self-loop(s)"] * bool(loops) + [
+            f"normalize: merged {dupes} parallel edge(s)"
+        ] * bool(dupes)
+        return ng
+
+    def test_random_multigraphs(self, rng, caplog):
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            edges = _multigraph(rng, n, rng.randint(0, 40), rng.choice([0, 0.1, 0.4]))
+            self._check(caplog, n, edges)
+
+    def test_repeated_self_loops(self, caplog):
+        edges = [(0, 0, 2), (0, 1, 1), (1, 1, 3), (0, 0, 4), (1, 0, 5), (1, 1, 1)]
+        assert self._check(caplog, 2, edges).edges == [(0, 1, 1), (1, 0, 5)]
+
+    def test_self_loops_only(self, caplog):
+        assert self._check(caplog, 3, [(2, 2, 1), (0, 0, 7), (2, 2, 1)]).edges == []
+
+    def test_parallel_pairs_interleaved(self, caplog):
+        edges = [(0, 1, 1), (1, 2, 2), (0, 1, 3), (2, 0, 4), (1, 2, 5), (0, 1, 6)]
+        assert self._check(caplog, 3, edges).edges == [(0, 1, 10), (1, 2, 7), (2, 0, 4)]
+
+    def test_empty_graph(self, caplog):
+        assert self._check(caplog, 0, []).edges == []
+        assert self._check(caplog, 4, []).edges == []
+
+    def test_clean_input_shares_its_edge_list(self, caplog):
+        g = graph_from_text(TOY)
+        raw = WeightedDigraph(g.n, g.edges)
+        assert self._check(caplog, g.n, g.edges).edges == raw.edges
+        assert normalize(raw).edges is raw.edges
+        assert caplog.records == []
+
+
 class TestNormalizedFlag:
     """``is_normalized`` is cached; only ``normalize`` and its splits skip the scan."""
 

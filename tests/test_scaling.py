@@ -43,6 +43,16 @@ state that also kept the solver's per-vertex adjacency lists retained
 about 1,050 bytes per input edge against about 650 without them; the
 SCC heuristic's layer DP peaked at about 2,680 bytes per input edge with
 a tuple per (layer, budget) choice and at about 1,830 with an int.
+
+Three more memory guards take the peak per input edge of the
+benchmark's ``gen.power_law(1, n, 5n)`` at n = 2,000 and 20,000 (10,000
+and 100,000 edges).  ``normalize`` of the unnormalized graph peaked at
+158 and 180 bytes while it merged through a dict keyed by (u, v) and
+wrote a new triple per edge, and at 45 and 44 once it sorts int keys and
+shares a clean edge list.  ``build_split_tree`` peaked at 159 and 155
+bytes with two dicts per vertex and at 61 and 65 on flat edge arrays.
+``heuristic_rank(g, 50, "best")`` peaked at 216 and 211 bytes before and
+at 131 and 128 after.  The bounds sit about a fifth above the latter.
 """
 from __future__ import annotations
 
@@ -54,6 +64,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from agony import circulation
 from agony.canonical import canonical_ranking
 from agony.circulation import build_convex_instance, solve_fast, uncapacitate
@@ -61,6 +73,7 @@ from agony.exact import min_agony
 from agony.graph import WeightedDigraph, normalize, split_by_part, strongly_connected_components
 from agony.heuristic import heuristic_rank, scc_layer_heuristic
 from agony.penalties import LINEAR
+from agony.splittree import build_split_tree
 
 MAX_RATIO = 7.0
 MAX_BUDGET_RATIO = 6.0
@@ -70,6 +83,9 @@ MAX_AUGMENTATIONS_PER_VERTEX = 1.25
 MAX_SETTLES_PER_VERTEX = 6.0
 MAX_RETAINED_BYTES_PER_EDGE = 850
 MAX_HEURISTIC_PEAK_BYTES_PER_EDGE = 2250
+MAX_NORMALIZE_PEAK_BYTES_PER_EDGE = 55
+MAX_BUILD_PEAK_BYTES_PER_EDGE = 80
+MAX_BEST_HEURISTIC_PEAK_BYTES_PER_EDGE = 155
 
 
 def _two_cycle_chain(c: int) -> WeightedDigraph:
@@ -103,13 +119,18 @@ def _chung_lu(n: int, seed: int) -> WeightedDigraph:
     return WeightedDigraph(n, [(u, v, 1) for u, v in sorted(edges)])
 
 
-def _largest_power_law_scc(n: int) -> WeightedDigraph:
-    """Largest SCC of the benchmark's ``gen.power_law(1, n, 5n)``."""
+def _power_law(n: int) -> WeightedDigraph:
+    """The benchmark's ``gen.power_law(1, n, 5n)``, not yet normalized."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("_bench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    g = normalize(WeightedDigraph(*gen.power_law(1, n, 5 * n)))
+    return WeightedDigraph(*gen.power_law(1, n, 5 * n))
+
+
+def _largest_power_law_scc(n: int) -> WeightedDigraph:
+    """Largest SCC of the benchmark's ``gen.power_law(1, n, 5n)``."""
+    g = normalize(_power_law(n))
     return split_by_part(g, [max(strongly_connected_components(g), key=len)])[0]
 
 
@@ -251,3 +272,33 @@ def test_scc_heuristic_budget_dp_peak_stays_small():
     _, peak = _traced_bytes(lambda: heuristic_rank(g, 50, "scc"))
     per_edge = peak / g.m
     assert per_edge <= MAX_HEURISTIC_PEAK_BYTES_PER_EDGE, f"{per_edge:.0f} peak bytes per edge"
+
+
+@pytest.fixture(scope="module")
+def power_law_graphs() -> dict[int, WeightedDigraph]:
+    """The unnormalized ``_power_law(n)`` at n = 2,000 and 20,000."""
+    return {n: _power_law(n) for n in (2000, 20000)}
+
+
+def _peak_per_edge(fn, graphs) -> tuple[float, str]:
+    """The largest peak per edge of ``fn(g)`` over the graphs, and all of them as text."""
+    peaks = {n: _traced_bytes(lambda: fn(g))[1] / g.m for n, g in graphs.items()}
+    text = ", ".join(f"n={n}: {p:.0f} peak bytes per edge" for n, p in peaks.items())
+    return max(peaks.values()), text
+
+
+def test_normalize_peak_per_edge_stays_small(power_law_graphs):
+    peak, text = _peak_per_edge(normalize, power_law_graphs)
+    assert peak <= MAX_NORMALIZE_PEAK_BYTES_PER_EDGE, text
+
+
+def test_split_tree_build_peak_per_edge_stays_small(power_law_graphs):
+    graphs = {n: normalize(g) for n, g in power_law_graphs.items()}
+    peak, text = _peak_per_edge(build_split_tree, graphs)
+    assert peak <= MAX_BUILD_PEAK_BYTES_PER_EDGE, text
+
+
+def test_best_heuristic_peak_per_edge_stays_small(power_law_graphs):
+    graphs = {n: normalize(g) for n, g in power_law_graphs.items()}
+    peak, text = _peak_per_edge(lambda g: heuristic_rank(g, 50, "best"), graphs)
+    assert peak <= MAX_BEST_HEURISTIC_PEAK_BYTES_PER_EDGE, text

@@ -18,9 +18,17 @@ from conftest import brute_min_linear, graph_from_text, random_graph
 TOY = "a b\nb c\nc a 2\nb d\n"
 
 
-def audit_counters(builder: SplitTreeBuilder):
-    """Recompute every counter from the leaf partition and compare."""
-    g = builder.g
+def audit_counters(g: WeightedDigraph):
+    """A split callback that recomputes every counter from the leaf partition.
+
+    It also checks that the builder's edge arrays hold exactly the edges
+    of g, each listed under its source and its target, and that an edge is
+    flagged alive exactly when its ends share a leaf.
+    """
+    return lambda builder: _audit(g, builder)
+
+
+def _audit(g: WeightedDigraph, builder: SplitTreeBuilder):
     leaves = builder.current_leaves()
     where = {}
     for li, leaf in enumerate(leaves):
@@ -28,6 +36,19 @@ def audit_counters(builder: SplitTreeBuilder):
             assert v not in where, "leaf partition overlaps"
             where[v] = li
     assert len(where) == g.n
+
+    arrays = list(zip(builder.src, builder.dst, builder.wt))
+    assert sorted(arrays) == sorted(g.edges)
+    out_start, in_start, in_ids = builder.out_start, builder.in_start, builder.in_ids
+    every_edge = list(range(g.m))
+    assert [e for x in range(g.n) for e in range(out_start[x], out_start[x + 1])] == every_edge
+    assert sorted(e for x in range(g.n) for e in in_ids[in_start[x]:in_start[x + 1]]) == every_edge
+    for x in range(g.n):
+        assert all(arrays[e][0] == x for e in range(out_start[x], out_start[x + 1]))
+        assert all(arrays[e][1] == x for e in in_ids[in_start[x]:in_start[x + 1]])
+    assert len(builder.alive) == g.m
+    for e, (u, v, _) in enumerate(arrays):
+        assert builder.alive[e] == (where[u] == where[v]), f"edge {e} ({u}, {v})"
 
     flux = [0] * g.n
     inb = [0] * g.n
@@ -131,7 +152,7 @@ class TestBuild:
     def test_counters_match_recomputation_after_every_split(self, rng):
         for _ in range(50):
             g = random_graph(rng, rng.randint(2, 14), 0.3, 3)
-            build_split_tree(g, after_split=audit_counters)
+            build_split_tree(g, after_split=audit_counters(g))
 
     def test_unnormalized_graph_rejected(self):
         with pytest.raises(ValueError):
