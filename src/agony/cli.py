@@ -66,13 +66,13 @@ def _parse_penalty(text: str) -> PenaltySpec:
 
 
 def _write_ranking(table: VertexTable, ranks: Sequence[int], out: Optional[str]):
-    lines = [f"{table.label(v)}\t{ranks[v]}\n" for v in range(len(table))]
+    lines = (f"{table.label(v)}\t{ranks[v]}\n" for v in range(len(table)))
     if out is None:
-        sys.stdout.write("".join(lines))
+        sys.stdout.writelines(lines)
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write("".join(lines))
+                fh.writelines(lines)
         except OSError as exc:
             raise _CliError(EXIT_INPUT, f"cannot write {out}: {exc}") from exc
 

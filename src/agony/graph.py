@@ -290,7 +290,8 @@ def condensation_layers(
     Layer 0 holds the source components; each later layer holds the
     components whose in-edges all come from strictly earlier layers, with at
     least one from the layer directly below.  Returns the layers as vertex
-    lists plus the list of inter-component edges (u, v, w).
+    lists plus the list of inter-component edges (u, v, w), which are the
+    tuples of ``g.edges`` themselves, shared rather than copied.
     """
     comps = strongly_connected_components(g)
     comp_of = [0] * g.n
@@ -300,10 +301,10 @@ def condensation_layers(
 
     inter_edges: list[tuple[int, int, int]] = []
     preds: list[list[int]] = [[] for _ in comps]
-    for u, v, w in g.edges:
-        cu, cv = comp_of[u], comp_of[v]
+    for e in g.edges:
+        cu, cv = comp_of[e[0]], comp_of[e[1]]
         if cu != cv:
-            inter_edges.append((u, v, w))
+            inter_edges.append(e)
             preds[cv].append(cu)
 
     # component indices are topological (cu < cv for every inter edge), so a

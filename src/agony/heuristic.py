@@ -1,8 +1,10 @@
 """Heuristic rankings: plain split tree, SCC layering, and their best-of.
 
 The SCC variant packs strongly connected components into the fewest layers,
-builds one split tree per layer and stacks them so every inter-layer edge
-runs forward; a DAG therefore always scores 0.  Under a tier budget the
+grows one split tree per layer and stacks them so every inter-layer edge
+runs forward; a DAG therefore always scores 0.  One builder lays out the
+graph's own intra-layer edges once and serves every layer as a root, so
+the trees carry the graph's vertex ids and no layer gets a subgraph.  Under a tier budget the
 layers compete for ranks through a two-term dynamic program whose layer
 merging term is minimized by one interleaved totally-monotone search per
 budget.  The searches read the weight of a window of layers from per-layer
@@ -16,9 +18,9 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Callable, Optional
 
-from .graph import WeightedDigraph, condensation_layers, score_ranking, split_by_part
+from .graph import WeightedDigraph, condensation_layers, score_ranking
 from .penalties import LINEAR
-from .splittree import PruneDP, SplitTree, build_split_tree, prune_tree
+from .splittree import PruneDP, SplitTree, SplitTreeBuilder, build_split_tree, prune_tree
 
 def monotone_min(ell: int, f: Callable[[int, int], object]) -> tuple[list, list]:
     """argmin_j f(j, i) for 1 <= j <= i <= ell, f totally monotone.
@@ -109,9 +111,10 @@ def _layer_data(g: WeightedDigraph):
     for li, verts in enumerate(layers):
         for v in verts:
             layer_of[v] = li
-    subs = split_by_part(g, layers)
-    subs.reverse()  # pop() hands out each subgraph in order, then drops it
-    trees: list[SplitTree] = [build_split_tree(subs.pop()) for _ in layers]
+    # an intra-layer edge lies inside one component, so none joins two roots
+    builder = SplitTreeBuilder(g.n, [e for e in g.edges if layer_of[e[0]] == layer_of[e[1]]])
+    trees: list[SplitTree] = [builder.tree(verts) for verts in layers]
+    del builder  # its arrays are freed before the 1-based triples are made
     inter_1based = [(layer_of[u] + 1, layer_of[v] + 1, w) for u, v, w in inter]
     return layers, trees, inter_1based
 
@@ -134,10 +137,11 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
     n_leaves = [len(t.leaves()) for t in trees]
     if k is None or k >= sum(n_leaves):
         base = 0
-        for verts, tree, c in zip(layers, trees, n_leaves):
-            for v, lr in zip(verts, tree.ranking()):
-                ranks[v] = base + lr
-            base += c
+        for tree in trees:
+            for leaf in tree.leaves():
+                for v in leaf.vertices:
+                    ranks[v] = base
+                base += 1
         return ranks
     if k < 1:
         raise ValueError(f"tier budget must be >= 1, got {k}")
@@ -215,8 +219,8 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
             _, li, budget = seg
             groups = dps[li - 1].groups(budget)
             for gi, group in enumerate(groups):
-                for lv in group:
-                    ranks[layers[li - 1][lv]] = base + gi
+                for v in group:
+                    ranks[v] = base + gi
             base += max(len(groups), 1)
     return ranks
 

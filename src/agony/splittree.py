@@ -1,8 +1,8 @@
 """Divide-and-conquer split tree for fast agony heuristics.
 
-One leaf holds the whole vertex set; any leaf whose best bipartition has
-negative gain is split, left half below right half, until no split pays
-off.  A split deletes no edge: it flags the edges between its halves
+One leaf holds a root's whole vertex set; any leaf whose best bipartition
+has negative gain is split, left half below right half, until no split
+pays off.  A split deletes no edge: it flags the edges between its halves
 dead, and all counters are maintained incrementally, so the whole build
 costs O(m log n).  Every split enumerates only the side with fewer
 adjacent live edges, and zero-degree vertices ride along in starred sets
@@ -11,15 +11,18 @@ a split stays in a half with at most half its leaf's live edges, so it
 drives O(log m) times, and scanning past its dead edges on those
 occasions costs O(m log m) in all.
 
-Leaves in left-to-right order induce the ranking; a dynamic program prunes
-the tree to at most k leaves when a tier budget is given.
+One builder lays out a graph's edges once and grows a tree from each of
+several disjoint roots, such as the layers of the SCC heuristic; no edge
+may join two roots.  Leaves in left-to-right order induce the ranking; a
+dynamic program prunes the tree to at most k leaves when a tier budget is
+given.
 """
 from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import WeightedDigraph
 
@@ -58,7 +61,12 @@ def _preorder(node: Optional[TreeNode]) -> Iterator[TreeNode]:
 
 
 class SplitTree:
-    """Result of a build: ordered binary tree plus the score identity."""
+    """Result of a build: ordered binary tree plus the score identity.
+
+    Leaves hold the builder's vertex ids, ``ranking()`` is sized by the
+    builder's n (rank 0 outside the root), and ``total_weight`` is the
+    weight of the edges inside the root.
+    """
 
     def __init__(self, root: Optional[TreeNode], n: int, total_weight: int):
         self.root = root
@@ -120,23 +128,24 @@ class LeafState:
 
 
 class SplitTreeBuilder:
-    """Incremental split-tree construction over a normalized graph.
+    """Incremental split-tree construction over the edges of n vertices.
 
     The edges sit in flat arrays, grouped by source with a counting sort
-    that keeps the order of ``g.edges`` within a group: edge e runs from
+    that keeps the order of ``edges`` within a group: edge e runs from
     ``src[e]`` to ``dst[e]`` with weight ``wt[e]``, and vertex x sends
     edges ``out_start[x]`` to ``out_start[x + 1] - 1``.  Its in-edges are
     ``in_ids[in_start[x]:in_start[x + 1]]``, grouped by a second counting
     sort.  A split clears the ``alive`` flag of each cross edge instead of
     deleting it; a scan never reads the flag, since a dead edge's ends lie
-    in different leaves.  The builder keeps n and the total weight, not
-    the graph.
+    in different leaves.  The builder keeps n, not the edge list.
+
+    ``tree(vertices)`` grows one tree per call and may be called for
+    several disjoint roots.  No edge may join two roots, and the edges
+    must hold no self-loop and no parallel pair, as in a normalized graph:
+    the counters of every vertex then read only its own root's edges.
     """
 
-    def __init__(self, g: WeightedDigraph):
-        if not g.is_normalized():
-            raise ValueError("graph must be normalized first (see agony.graph.normalize)")
-        n, edges = g.n, g.edges
+    def __init__(self, n: int, edges: list[tuple[int, int, int]]):
         m = len(edges)
         self.n = n
         self.alive = bytearray(b"\1") * m
@@ -148,7 +157,7 @@ class SplitTreeBuilder:
             flux[v] += w
             n_out[u] += 1
             n_in[v] += 1
-        self.deg = deg = list(map(add, n_out, n_in))
+        self.deg = list(map(add, n_out, n_in))
         self.inb = [0] * n
         self.outb = [0] * n
         # each cursor walks from its vertex's first slot to one past its last
@@ -168,19 +177,21 @@ class SplitTreeBuilder:
             q = in_pos[v]
             in_pos[v] = q + 1
             in_ids[q] = p
-        self.total_weight = sum(wt)
+        self.root_node: Optional[TreeNode] = None
 
-        root = LeafState()
-        for v in range(n):
+    def root(self, vertices: Sequence[int]) -> LeafState:
+        """The unsplit leaf of ``vertices``, filed in the order given, and its node."""
+        flux, deg = self.flux, self.deg
+        leaf = LeafState()
+        for v in vertices:
             if deg[v] > 0:
-                (root.N if flux[v] < 0 else root.P)[v] = None
+                (leaf.N if flux[v] < 0 else leaf.P)[v] = None
             else:
-                root.Ps[v] = None  # diff = 0 counts as P-side
+                leaf.Ps[v] = None  # diff = 0 counts as P-side
         node = TreeNode()
-        root.node = node
-        node.leaf = root
-        self.root_node = node
-        self.root_leaf = root
+        leaf.node = node
+        node.leaf = leaf
+        return leaf
 
     # -- split decision ----------------------------------------------------
 
@@ -327,8 +338,21 @@ class SplitTreeBuilder:
 
     # -- driving loop ----------------------------------------------------------
 
-    def run(self, after_split: Optional[Callable[["SplitTreeBuilder"], None]] = None) -> SplitTree:
-        stack = [self.root_leaf]
+    def tree(
+        self,
+        vertices: Sequence[int],
+        after_split: Optional[Callable[["SplitTreeBuilder"], None]] = None,
+    ) -> SplitTree:
+        """Grow the split tree of the root that holds ``vertices``."""
+        leaf = self.root(vertices)
+        self.root_node = leaf.node
+        wt = self.wt
+        if len(vertices) == self.n:
+            total = sum(wt)
+        else:
+            out_start = self.out_start
+            total = sum(sum(wt[out_start[v]:out_start[v + 1]]) for v in vertices)
+        stack = [leaf]
         while stack:
             leaf = stack.pop()
             gain, left_driven = self.split_gain(leaf)
@@ -348,32 +372,25 @@ class SplitTreeBuilder:
                 after_split(self)
             stack.append(right)
             stack.append(left)
-        return self._freeze()
-
-    def current_leaves(self) -> list[LeafState]:
-        """Live leaves in left-to-right order (for mid-build auditing)."""
-        return [node.leaf for node in _preorder(self.root_node) if node.is_leaf]
-
-    def _freeze(self) -> SplitTree:
         for node in _preorder(self.root_node):
             if node.is_leaf:
                 node.vertices = sorted(node.leaf.members())
                 node.leaf = None
-        return SplitTree(self.root_node, self.n, self.total_weight)
+        return SplitTree(self.root_node, self.n, total)
+
+    def current_leaves(self) -> list[LeafState]:
+        """Live leaves of the tree being grown, left to right (for mid-build auditing)."""
+        return [node.leaf for node in _preorder(self.root_node) if node.is_leaf]
 
 
 def build_split_tree(
     g: WeightedDigraph,
     after_split: Optional[Callable[[SplitTreeBuilder], None]] = None,
 ) -> SplitTree:
-    """Build the full split tree of a normalized graph.
-
-    The graph is released before the splits run, so a subgraph that only
-    this call holds is freed while its tree is built.
-    """
-    builder = SplitTreeBuilder(g)
-    del g
-    return builder.run(after_split)
+    """Build the full split tree of a normalized graph."""
+    if not g.is_normalized():
+        raise ValueError("graph must be normalized first (see agony.graph.normalize)")
+    return SplitTreeBuilder(g.n, g.edges).tree(range(g.n), after_split)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 import pytest
 
 from agony.exact import min_agony
-from agony.graph import WeightedDigraph, condensation_layers, normalize, score_ranking
+from agony.graph import (
+    WeightedDigraph,
+    condensation_layers,
+    normalize,
+    score_ranking,
+    split_by_part,
+)
 from agony.heuristic import (
     _layer_data,
     _LayerWindow,
@@ -10,7 +16,7 @@ from agony.heuristic import (
     scc_layer_heuristic,
 )
 from agony.penalties import LINEAR
-from agony.splittree import PruneDP, build_split_tree
+from agony.splittree import PruneDP, _preorder, build_split_tree
 
 from conftest import brute_min_linear, graph_from_text, random_dag, random_graph
 
@@ -45,11 +51,13 @@ def _layered_graph(rng, n_layers, wmax):
     return normalize(WeightedDigraph(n, edges))
 
 
-def _reference_scc_layers(g, k):
+def _reference_scc_layers(g, k, trees=None):
     """The budget DP of ``scc_layer_heuristic`` with a fresh brute-force
     window weight for every query, nothing reused across budgets, and the
-    spend loop run over every l up to the budget."""
-    layers, trees, inter = _layer_data(g)
+    spend loop run over every l up to the budget.  ``trees`` replaces the
+    layer trees of ``_layer_data``; their leaves hold the graph's vertex ids."""
+    layers, layer_trees, inter = _layer_data(g)
+    trees = layer_trees if trees is None else trees
     L = len(layers)
     dps = [PruneDP(t, k) for t in trees]
     lopt = [[0] * (k + 1) for _ in range(L + 1)]
@@ -82,8 +90,8 @@ def _reference_scc_layers(g, k):
         else:
             groups = dps[i - 1].groups(arg)
             for gi, group in enumerate(groups):
-                for lv in group:
-                    ranks[layers[i - 1][lv]] = base + gi
+                for v in group:
+                    ranks[v] = base + gi
             base += max(len(groups), 1)
     return ranks
 
@@ -191,6 +199,83 @@ class TestBudgetDpEquivalence:
             leaves = sum(len(t.leaves()) for t in _layer_data(g)[1])
             for k in sorted({1, 2, 3, max(1, leaves - 1), leaves}):
                 expect = _reference_scc_layers(g, k)
+                assert scc_layer_heuristic(g, k) == expect, (g.edges, k)
+
+
+def _per_layer_trees(g):
+    """The layer trees built the way the SCC heuristic once built them:
+    ``split_by_part`` makes each layer's subgraph, one ``build_split_tree``
+    per subgraph grows its tree, and its leaves hold layer positions."""
+    layers, _ = condensation_layers(g)
+    return layers, [build_split_tree(sub) for sub in split_by_part(g, layers)]
+
+
+def _preorder_gains(tree):
+    """Every node's gain in preorder, None at a leaf, so the shape counts too."""
+    return [None if node.is_leaf else node.gain for node in _preorder(tree.root)]
+
+
+def _shared_builder_inputs(rng):
+    """Normalized multigraphs, layers with zero-degree vertices, DAGs whose
+    layers are all single vertices, and single giant components."""
+    for _ in range(25):
+        n = rng.randint(1, 14)
+        edges = [
+            (rng.randrange(n), rng.randrange(n), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        yield normalize(WeightedDigraph(n, edges))
+    for _ in range(15):
+        # isolated vertices join the cycles of the first layer
+        g = _layered_graph(rng, rng.randint(1, 8), 5)
+        yield normalize(WeightedDigraph(g.n + rng.randint(1, 4), g.edges))
+    for _ in range(10):
+        n = rng.randint(1, 16)
+        path = [(i, i + 1, rng.randint(1, 3)) for i in range(n - 1)]
+        extra = [(u, v, 1) for u in range(n) for v in range(u + 2, n) if rng.random() < 0.2]
+        yield WeightedDigraph(n, path + extra)
+    for _ in range(10):
+        n = rng.randint(2, 14)
+        ring = {(i, (i + 1) % n): 1 for i in range(n)}
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                ring[u, v] = rng.randint(1, 3)
+        yield WeightedDigraph(n, [(u, v, w) for (u, v), w in ring.items()])
+
+
+class TestSharedLayerBuilder:
+    """One builder over the graph's intra-layer edges grows the trees that
+    one ``build_split_tree`` per layer subgraph grew, and the SCC heuristic
+    ranks exactly as it did on those trees."""
+
+    def test_layer_trees_match_per_layer_builds(self, rng):
+        for g in _shared_builder_inputs(rng):
+            layers, trees, _ = _layer_data(g)
+            ref_layers, ref_trees = _per_layer_trees(g)
+            assert layers == ref_layers
+            for verts, tree, ref in zip(layers, trees, ref_trees):
+                assert _preorder_gains(tree) == _preorder_gains(ref), g.edges
+                assert [leaf.vertices for leaf in tree.leaves()] == [
+                    sorted(verts[lv] for lv in leaf.vertices) for leaf in ref.leaves()
+                ], g.edges
+                assert tree.total_weight == ref.total_weight
+                assert tree.n == g.n
+
+    def test_rankings_match_per_layer_builds(self, rng):
+        for g in _shared_builder_inputs(rng):
+            layers, ref_trees = _per_layer_trees(g)
+            for verts, tree in zip(layers, ref_trees):
+                for leaf in tree.leaves():
+                    leaf.vertices = sorted(verts[lv] for lv in leaf.vertices)
+            leaves = [leaf.vertices for tree in ref_trees for leaf in tree.leaves()]
+            unbudgeted = [0] * g.n
+            for rank, group in enumerate(leaves):
+                for v in group:
+                    unbudgeted[v] = rank
+            assert scc_layer_heuristic(g) == unbudgeted, g.edges
+            for k in sorted({1, 2, 3, max(1, len(leaves) - 1), max(1, len(leaves))}):
+                expect = _reference_scc_layers(g, k, ref_trees)
                 assert scc_layer_heuristic(g, k) == expect, (g.edges, k)
 
 

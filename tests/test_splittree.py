@@ -3,7 +3,7 @@ import random
 import pytest
 
 from agony.exact import min_agony
-from agony.graph import WeightedDigraph, score_ranking
+from agony.graph import WeightedDigraph, score_ranking, split_by_part
 from agony.penalties import LINEAR
 from agony.splittree import (
     PruneDP,
@@ -25,44 +25,60 @@ def audit_counters(g: WeightedDigraph):
     of g, each listed under its source and its target, and that an edge is
     flagged alive exactly when its ends share a leaf.
     """
-    return lambda builder: _audit(g, builder)
+    return lambda builder: _audit(g.n, g.edges, [range(g.n)], [], builder)
 
 
-def _audit(g: WeightedDigraph, builder: SplitTreeBuilder):
-    leaves = builder.current_leaves()
-    where = {}
-    for li, leaf in enumerate(leaves):
-        for v in leaf.members():
+def _audit(n, edges, roots, done, builder: SplitTreeBuilder):
+    """``audit_counters`` for a builder over ``edges`` whose roots partition
+    range(n): ``done`` holds the trees of the first roots, the builder is
+    growing the next one, and the roots after it are still unsplit.  No
+    alive edge may join two roots."""
+    live = builder.current_leaves()
+    groups = []  # (root, members) per leaf, left to right within each root
+    for ri, verts in enumerate(roots):
+        if ri < len(done):
+            groups += [(ri, leaf.vertices) for leaf in done[ri].leaves()]
+        elif ri == len(done):
+            first_live = len(groups)
+            groups += [(ri, leaf.members()) for leaf in live]
+        else:
+            groups.append((ri, list(verts)))
+    where, root_of = {}, {}
+    for gi, (ri, members) in enumerate(groups):
+        for v in members:
             assert v not in where, "leaf partition overlaps"
-            where[v] = li
-    assert len(where) == g.n
+            where[v] = gi
+            root_of[v] = ri
+    assert len(where) == n
 
+    m = len(edges)
     arrays = list(zip(builder.src, builder.dst, builder.wt))
-    assert sorted(arrays) == sorted(g.edges)
+    assert sorted(arrays) == sorted(edges)
     out_start, in_start, in_ids = builder.out_start, builder.in_start, builder.in_ids
-    every_edge = list(range(g.m))
-    assert [e for x in range(g.n) for e in range(out_start[x], out_start[x + 1])] == every_edge
-    assert sorted(e for x in range(g.n) for e in in_ids[in_start[x]:in_start[x + 1]]) == every_edge
-    for x in range(g.n):
+    every_edge = list(range(m))
+    assert [e for x in range(n) for e in range(out_start[x], out_start[x + 1])] == every_edge
+    assert sorted(e for x in range(n) for e in in_ids[in_start[x]:in_start[x + 1]]) == every_edge
+    for x in range(n):
         assert all(arrays[e][0] == x for e in range(out_start[x], out_start[x + 1]))
         assert all(arrays[e][1] == x for e in in_ids[in_start[x]:in_start[x + 1]])
-    assert len(builder.alive) == g.m
+    assert len(builder.alive) == m
     for e, (u, v, _) in enumerate(arrays):
+        assert not builder.alive[e] or root_of[u] == root_of[v], f"edge {e} ({u}, {v}) joins two roots"
         assert builder.alive[e] == (where[u] == where[v]), f"edge {e} ({u}, {v})"
 
-    flux = [0] * g.n
-    inb = [0] * g.n
-    outb = [0] * g.n
-    deg = [0] * g.n
-    back = [0] * len(leaves)
-    for u, v, w in g.edges:
+    flux = [0] * n
+    inb = [0] * n
+    outb = [0] * n
+    deg = [0] * n
+    back = [0] * len(groups)
+    for u, v, w in edges:
         lu, lv = where[u], where[v]
         if lu == lv:
             flux[v] += w
             flux[u] -= w
             deg[u] += 1
             deg[v] += 1
-        elif lu > lv:  # backward edge: right leaf to left leaf
+        elif lu > lv:  # backward edge: right leaf to left leaf of one root
             inb[v] += w
             outb[u] += w
             for li in range(lv + 1, lu):
@@ -71,7 +87,7 @@ def _audit(g: WeightedDigraph, builder: SplitTreeBuilder):
     assert inb == builder.inb
     assert outb == builder.outb
     assert deg == builder.deg
-    for li, leaf in enumerate(leaves):
+    for li, leaf in enumerate(live, first_live):
         mem = leaf.members()
         assert leaf.back == back[li]
         assert leaf.in_total == sum(inb[v] for v in mem)
@@ -134,7 +150,7 @@ class TestBuild:
         """Each split's recorded gain matches the change in true score."""
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 10), 0.4, 3)
-            builder = SplitTreeBuilder(g)
+            builder = SplitTreeBuilder(g.n, g.edges)
             scores = [g.total_weight]
 
             def watch(b):
@@ -144,7 +160,7 @@ class TestBuild:
                         ranks[v] = i
                 scores.append(score_ranking(g, [ranks[v] for v in range(g.n)], LINEAR))
 
-            tree = builder.run(after_split=watch)
+            tree = builder.tree(range(g.n), after_split=watch)
             gains = sorted(node.gain for node in tree.internal_nodes())
             diffs = sorted(b - a for a, b in zip(scores, scores[1:]))
             assert gains == diffs
@@ -153,6 +169,39 @@ class TestBuild:
         for _ in range(50):
             g = random_graph(rng, rng.randint(2, 14), 0.3, 3)
             build_split_tree(g, after_split=audit_counters(g))
+
+    def test_counters_match_recomputation_across_several_roots(self, rng):
+        """One builder grows a tree per root; after every split of any root
+        every counter matches a from-scratch recomputation, and each root's
+        tree is the tree of its own induced subgraph."""
+        later_splits = 0
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 14), 0.45, 3)
+            order = rng.sample(range(g.n), g.n)
+            cuts = sorted(rng.sample(range(1, g.n), rng.randint(1, min(3, g.n - 1))))
+            roots = [order[a:b] for a, b in zip([0] + cuts, cuts + [g.n])]
+            root_of = {v: ri for ri, verts in enumerate(roots) for v in verts}
+            edges = [e for e in g.edges if root_of[e[0]] == root_of[e[1]]]
+            builder = SplitTreeBuilder(g.n, edges)
+            done = []
+
+            def audit(b):
+                nonlocal later_splits
+                later_splits += len(done) > 0
+                _audit(g.n, edges, roots, done, b)
+
+            for verts in roots:
+                done.append(builder.tree(verts, after_split=audit))
+            for verts, tree, sub in zip(roots, done, split_by_part(g, roots)):
+                ref = build_split_tree(sub)
+                assert [node.gain for node in tree.internal_nodes()] == [
+                    node.gain for node in ref.internal_nodes()
+                ]
+                assert [leaf.vertices for leaf in tree.leaves()] == [
+                    sorted(verts[lv] for lv in leaf.vertices) for leaf in ref.leaves()
+                ]
+                assert tree.total_weight == ref.total_weight
+        assert later_splits > 0  # roots after the first were split too
 
     def test_unnormalized_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -169,21 +218,21 @@ class TestLeftSmaller:
     def test_unbalanced_sides(self):
         # N holds one unit-degree sender; P holds the receiver and a 2-cycle
         g = WeightedDigraph(4, [(0, 1, 1), (2, 3, 1), (3, 2, 1)])
-        builder = SplitTreeBuilder(g)
-        leaf = builder.root_leaf
+        builder = SplitTreeBuilder(g.n, g.edges)
+        leaf = builder.root(range(g.n))
         assert list(leaf.N) == [0] and sorted(leaf.P) == [1, 2, 3]
         assert builder.left_smaller(leaf)
 
     def test_equality_counts_as_left(self):
         g = WeightedDigraph(2, [(1, 0, 1)])
-        builder = SplitTreeBuilder(g)
-        assert builder.left_smaller(builder.root_leaf)
+        builder = SplitTreeBuilder(g.n, g.edges)
+        assert builder.left_smaller(builder.root(range(g.n)))
 
     def test_matches_direct_adjacency_count(self, rng):
         for _ in range(120):
             g = random_graph(rng, rng.randint(2, 12), 0.4, 3)
-            builder = SplitTreeBuilder(g)
-            leaf = builder.root_leaf
+            builder = SplitTreeBuilder(g.n, g.edges)
+            leaf = builder.root(range(g.n))
             if not leaf.N and not leaf.P:
                 continue
             m1 = sum(
