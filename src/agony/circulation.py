@@ -212,11 +212,13 @@ class SolverState:
     def check_optimality(self) -> bool:
         """Capacities, flow conservation, and no residual arc of negative
         reduced cost (dual feasibility and complementary slackness)."""
-        inst, flow = self.inst, self.flow
+        inst, flow, pot = self.inst, self.flow, self.potentials
         if any(f < 0 or (c is not None and f > c) for f, c in zip(flow, inst.acap)):
             return False
-        if _slack_violation(inst, flow, self.potentials, 1):
-            return False
+        for x, w, c, cap, f in zip(inst.asrc, inst.adst, inst.acost, inst.acap, flow):
+            rc = c + pot[w] - pot[x]
+            if (rc < 0 and (cap is None or cap > f)) or (rc > 0 and f > 0):
+                return False
         return not any(inst.excess(flow))
 
     def certifies(self, ranks: list[int]) -> bool:
@@ -235,19 +237,6 @@ class SolverState:
             and shifted_score(sg, full) == circulation_value(self)
             and full[: sg.g.n] == ranks
         )
-
-
-def _slack_violation(inst: CirculationInstance, flow: list[int], pot: list[int], delta: int) -> str:
-    """The first arc with a residual capacity of at least ``delta``, forward
-    or reverse, at a negative reduced cost, described; the empty string
-    when there is none."""
-    for a, (x, w, c, cap, f) in enumerate(zip(inst.asrc, inst.adst, inst.acost, inst.acap, flow)):
-        rc = c + pot[w] - pot[x]
-        if rc < 0 and (cap is None or cap - f >= delta):
-            return f"negative reduced cost {rc} on arc {a}"
-        if rc > 0 and f >= delta:
-            return f"negative reduced cost {-rc} on the reverse of arc {a}"
-    return ""
 
 
 def circulation_value(state: SolverState) -> int:
@@ -319,7 +308,10 @@ class _Core:
     residual arc has a negative reduced cost.  The adjacency lists are the
     core's own, built from the instance's arcs
     (``CirculationInstance.adjacency``) and dropped with the core, so a
-    solved state keeps none.
+    solved state keeps none.  Every phase is checked as it runs, each
+    failure a ``SolverError``: ``saturate`` refuses an uncapacitated arc of
+    negative reduced cost and a push of 2 * delta or more, and the Dijkstra
+    a residual arc of negative reduced cost or a vertex it cannot reach.
     """
 
     def __init__(self, inst: CirculationInstance):
@@ -332,8 +324,16 @@ class _Core:
 
     def saturate(self, delta: int):
         """Saturate every arc, forward or reverse, whose residual capacity is
-        at least ``delta`` and whose reduced cost is negative."""
+        at least ``delta`` and whose reduced cost is negative.
+
+        The phase before, at 2 * delta, ends with no such arc of residual
+        capacity 2 * delta or more, and flow and duals do not change between
+        phases, so a push that large raises ``SolverError``: it is that
+        phase's slack check, made by this pass.  The first phase's delta
+        exceeds half of every capacity, so none of its pushes is that large.
+        """
         inst, flow, pot, excess = self.inst, self.flow, self.pot, self.excess
+        limit = 2 * delta
         for a, (x, w, c, cap) in enumerate(zip(inst.asrc, inst.adst, inst.acost, inst.acap)):
             rc = c + pot[w] - pot[x]
             if rc < 0:
@@ -346,6 +346,11 @@ class _Core:
                 push = -flow[a]
             else:
                 continue
+            if abs(push) >= limit:
+                raise SolverError(
+                    f"the phase before left arc {a}, forward or reverse, with residual "
+                    f"capacity {abs(push)} at a negative reduced cost"
+                )
             flow[a] += push
             excess[x] -= push
             excess[w] += push
@@ -360,14 +365,6 @@ class _Core:
         self.stats.settles += inst.n
         return dist
 
-    def check_state(self, delta: int):
-        inst = self.inst
-        fault = _slack_violation(inst, self.flow, self.pot, delta)
-        if fault:
-            raise SolverError(fault)
-        if max(self.pot) - min(self.pot) > inst.sg.k - 1:
-            raise SolverError("dual spread exceeds k - 1")
-
     def finalize(self) -> SolverState:
         if any(self.inst.excess(self.flow)):
             raise SolverError("flow conservation violated after the last phase")
@@ -378,7 +375,7 @@ class _Core:
 # capacity-scaling loop
 # ---------------------------------------------------------------------------
 
-def solve_fast(inst: CirculationInstance, *, check_invariants: bool = False) -> SolverState:
+def solve_fast(inst: CirculationInstance) -> SolverState:
     """Capacity scaling with primal-dual phases.
 
     Each delta-phase saturates the delta-residual arcs of negative reduced
@@ -390,9 +387,16 @@ def solve_fast(inst: CirculationInstance, *, check_invariants: bool = False) -> 
     (``_admissible_max_flow``).  A phase needs one round per distinct
     shortest-path cost; delta halves down to 1, whose phase leaves no
     excess, since excesses sum to zero.
+
+    Besides the checks made by ``_Core`` in every phase, the duals must lie
+    within k - 1 of one another after it, as dual feasibility on the
+    sentinel arcs implies.  The last phase, whose slackness no later pass
+    checks, rests on ``finalize``'s conservation check and, in
+    ``min_agony``, on strong duality with the ranking's own score.
     """
     core = _Core(inst)
-    excess, stats = core.excess, core.stats
+    excess, stats, pot = core.excess, core.stats, core.pot
+    spread = inst.sg.k - 1
     vertices = range(inst.n)
     # the largest power of two not above the largest capacity (all are >= 1)
     delta = 1 << (max((c for c in inst.acap if c is not None), default=1).bit_length() - 1)
@@ -407,8 +411,8 @@ def solve_fast(inst: CirculationInstance, *, check_invariants: bool = False) -> 
             core.dijkstra([(0, v) for v in sources], delta)
             stats.repairs += 1
             _admissible_max_flow(core, sources, sinks, delta)
-        if check_invariants:
-            core.check_state(delta)
+        if max(pot) - min(pot) > spread:
+            raise SolverError(f"dual spread exceeds k - 1 after the phase at delta {delta}")
         if delta == 1:
             return core.finalize()
         delta //= 2

@@ -7,6 +7,7 @@ deterministic for a given input file.
 from __future__ import annotations
 
 import logging
+import operator
 from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable, Optional, Sequence, TextIO, Union
@@ -58,19 +59,26 @@ class WeightedDigraph:
     ``edges``, a list of (source, target, weight) triples, is all it stores
     besides the ``is_normalized`` flag; an algorithm that needs adjacency
     builds it for one call.  A normalized graph has no self-loops and no
-    parallel edges; ``normalize`` produces one.
+    parallel edges; ``normalize`` produces one.  Endpoints and weights are
+    whatever ``operator.index`` accepts; a float or a string raises
+    ``ValueError`` rather than being truncated or parsed.
     """
 
     __slots__ = ("n", "edges", "_normalized")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         self.n = n
-        self.edges = [(int(u), int(v), int(w)) for u, v, w in edges]
-        for u, v, w in self.edges:
+        self.edges = []
+        for edge in edges:
+            try:
+                u, v, w = map(operator.index, edge)
+            except TypeError:
+                raise ValueError(f"edge {edge!r} has a non-integer endpoint or weight") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if w < 1:
                 raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
+            self.edges.append((u, v, w))
         self._normalized = None
 
     @classmethod

@@ -2,14 +2,16 @@
 
 One leaf holds a root's whole vertex set; any leaf whose best bipartition
 has negative gain is split, left half below right half, until no split
-pays off.  A split deletes no edge: it flags the edges between its halves
-dead, and all counters are maintained incrementally, so the whole build
-costs O(m log n).  Every split enumerates only the side with fewer
-adjacent live edges, and zero-degree vertices ride along in starred sets
-whose contributions are tracked as O(1) aggregates.  A vertex that drives
-a split stays in a half with at most half its leaf's live edges, so it
-drives O(log m) times, and scanning past its dead edges on those
-occasions costs O(m log m) in all.
+pays off.  A split deletes no edge and marks none: the edges between its
+halves stay in place, and every scan skips them because their ends lie in
+different leaves.  All counters are maintained incrementally, so the whole
+build costs O(m log n).  Every split enumerates only the side with fewer
+adjacent live edges (edges inside the leaf), and zero-degree vertices ride
+along in starred sets whose contributions are tracked as O(1) aggregates.
+A vertex that drives a split stays in a half with at most half its leaf's
+live edges, so it drives O(log m) times, and scanning past its cut edges
+on those occasions costs O(m log m) in all.  The one check a build makes
+is that no split leaves a half empty.
 
 One builder lays out a graph's edges once and grows a tree from each of
 several disjoint roots, such as the layers of the SCC heuristic; no edge
@@ -22,7 +24,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graph import WeightedDigraph
 
@@ -61,27 +63,19 @@ def _preorder(node: Optional[TreeNode]) -> Iterator[TreeNode]:
 
 
 class SplitTree:
-    """Result of a build: ordered binary tree plus the score identity.
+    """Result of a build: an ordered binary tree.
 
-    Leaves hold the builder's vertex ids, ``ranking()`` is sized by the
-    builder's n (rank 0 outside the root), and ``total_weight`` is the
-    weight of the edges inside the root.
+    Leaves hold the builder's vertex ids, and ``ranking()`` is sized by the
+    builder's n (rank 0 outside the root).  The ranking scores the weight
+    of the edges inside the root plus the sum of the (negative) split gains.
     """
 
-    def __init__(self, root: Optional[TreeNode], n: int, total_weight: int):
+    def __init__(self, root: Optional[TreeNode], n: int):
         self.root = root
         self.n = n
-        self.total_weight = total_weight
 
     def leaves(self) -> list[TreeNode]:
         return [node for node in _preorder(self.root) if node.is_leaf]
-
-    def internal_nodes(self) -> list[TreeNode]:
-        return [node for node in _preorder(self.root) if not node.is_leaf]
-
-    def score(self) -> int:
-        """Total edge weight plus the sum of (negative) split gains."""
-        return self.total_weight + sum(node.gain for node in self.internal_nodes())
 
     def ranking(self) -> list[int]:
         ranks = [0] * self.n
@@ -135,20 +129,22 @@ class SplitTreeBuilder:
     ``src[e]`` to ``dst[e]`` with weight ``wt[e]``, and vertex x sends
     edges ``out_start[x]`` to ``out_start[x + 1] - 1``.  Its in-edges are
     ``in_ids[in_start[x]:in_start[x + 1]]``, grouped by a second counting
-    sort.  A split clears the ``alive`` flag of each cross edge instead of
-    deleting it; a scan never reads the flag, since a dead edge's ends lie
-    in different leaves.  The builder keeps n, not the edge list.
+    sort.  The arrays never change: a split leaves its cross edges in
+    place, and a scan skips them because their ends lie in different
+    leaves.  The builder keeps n, not the edge list.
 
     ``tree(vertices)`` grows one tree per call and may be called for
     several disjoint roots.  No edge may join two roots, and the edges
     must hold no self-loop and no parallel pair, as in a normalized graph:
     the counters of every vertex then read only its own root's edges.
+    Every split checks that neither half is empty.  ``tree`` looks up
+    ``root`` and ``split_leaf`` on the builder at each call, so a wrapper
+    around them sees every leaf as it is made and can audit the counters.
     """
 
     def __init__(self, n: int, edges: list[tuple[int, int, int]]):
         m = len(edges)
         self.n = n
-        self.alive = bytearray(b"\1") * m
         self.flux = flux = [0] * n
         n_out = [0] * n
         n_in = [0] * n
@@ -177,7 +173,6 @@ class SplitTreeBuilder:
             q = in_pos[v]
             in_pos[v] = q + 1
             in_ids[q] = p
-        self.root_node: Optional[TreeNode] = None
 
     def root(self, vertices: Sequence[int]) -> LeafState:
         """The unsplit leaf of ``vertices``, filed in the order given, and its node."""
@@ -236,12 +231,12 @@ class SplitTreeBuilder:
     def split_leaf(self, leaf: LeafState, left_driven: bool) -> tuple[LeafState, LeafState]:
         """Split a leaf into (N u N*, P u P*), enumerating only one side.
 
-        Flags the cross edges between the halves dead, updates the
-        per-vertex counters, recomputes the leaf totals from the driving
-        side's snapshots, and re-files every vertex that lost an edge.
+        Updates the per-vertex counters for the cross edges between the
+        halves, recomputes the leaf totals from the driving side's
+        snapshots, and re-files every vertex that lost an edge.
         """
         flux, inb, outb, deg = self.flux, self.inb, self.outb, self.deg
-        src, dst, wt, alive = self.src, self.dst, self.wt, self.alive
+        src, dst, wt = self.src, self.dst, self.wt
         out_start = self.out_start
         in_start, in_ids = self.in_start, self.in_ids
         drive = leaf.N if left_driven else leaf.P
@@ -258,7 +253,6 @@ class SplitTreeBuilder:
                 z = dst[e]
                 if z not in other:
                     continue
-                alive[e] = 0
                 w = wt[e]
                 deg[x] -= 1
                 deg[z] -= 1
@@ -274,7 +268,6 @@ class SplitTreeBuilder:
                 z = src[e]
                 if z not in other:
                     continue
-                alive[e] = 0
                 w = wt[e]
                 deg[x] -= 1
                 deg[z] -= 1
@@ -338,20 +331,10 @@ class SplitTreeBuilder:
 
     # -- driving loop ----------------------------------------------------------
 
-    def tree(
-        self,
-        vertices: Sequence[int],
-        after_split: Optional[Callable[["SplitTreeBuilder"], None]] = None,
-    ) -> SplitTree:
+    def tree(self, vertices: Sequence[int]) -> SplitTree:
         """Grow the split tree of the root that holds ``vertices``."""
         leaf = self.root(vertices)
-        self.root_node = leaf.node
-        wt = self.wt
-        if len(vertices) == self.n:
-            total = sum(wt)
-        else:
-            out_start = self.out_start
-            total = sum(sum(wt[out_start[v]:out_start[v + 1]]) for v in vertices)
+        top = leaf.node
         stack = [leaf]
         while stack:
             leaf = stack.pop()
@@ -368,29 +351,20 @@ class SplitTreeBuilder:
             right.node = node.right
             node.left.leaf = left
             node.right.leaf = right
-            if after_split is not None:
-                after_split(self)
             stack.append(right)
             stack.append(left)
-        for node in _preorder(self.root_node):
+        for node in _preorder(top):
             if node.is_leaf:
                 node.vertices = sorted(node.leaf.members())
                 node.leaf = None
-        return SplitTree(self.root_node, self.n, total)
-
-    def current_leaves(self) -> list[LeafState]:
-        """Live leaves of the tree being grown, left to right (for mid-build auditing)."""
-        return [node.leaf for node in _preorder(self.root_node) if node.is_leaf]
+        return SplitTree(top, self.n)
 
 
-def build_split_tree(
-    g: WeightedDigraph,
-    after_split: Optional[Callable[[SplitTreeBuilder], None]] = None,
-) -> SplitTree:
+def build_split_tree(g: WeightedDigraph) -> SplitTree:
     """Build the full split tree of a normalized graph."""
     if not g.is_normalized():
         raise ValueError("graph must be normalized first (see agony.graph.normalize)")
-    return SplitTreeBuilder(g.n, g.edges).tree(range(g.n), after_split)
+    return SplitTreeBuilder(g.n, g.edges).tree(range(g.n))
 
 
 # ---------------------------------------------------------------------------

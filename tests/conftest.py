@@ -24,6 +24,7 @@ from agony.circulation import (
 )
 from agony.graph import WeightedDigraph, normalize, parse_edge_list, score_ranking
 from agony.penalties import LINEAR
+from agony.splittree import SplitTree, _preorder
 
 from baseline import solve_reference
 
@@ -113,6 +114,19 @@ def brute_min_linear(g: WeightedDigraph, k: int) -> int:
         np.clip(d, 0, None, out=d)
         total += w * d.astype(np.int64)
     return int(total.min())
+
+
+def internal_nodes(tree: SplitTree) -> list:
+    """The split nodes of a split tree, parents first, left to right."""
+    return [node for node in _preorder(tree.root) if not node.is_leaf]
+
+
+def split_score(tree: SplitTree, edges) -> int:
+    """Score of a split tree: the weight of the ``edges`` inside its root
+    plus the sum of its (negative) split gains."""
+    inside = {v for leaf in tree.leaves() for v in leaf.vertices}
+    gains = sum(node.gain for node in internal_nodes(tree))
+    return sum(w for u, v, w in edges if u in inside and v in inside) + gains
 
 
 def brute_optima(g: WeightedDigraph, k: int, penalty=LINEAR):

@@ -27,9 +27,11 @@ from conftest import (
     brute_optima,
     global_result,
     graph_from_text,
+    internal_nodes,
     random_dag,
     random_graph,
     reference_result,
+    split_score,
 )
 from test_splittree import _all_prunings, _random_gain_tree, audit_counters
 
@@ -198,7 +200,7 @@ def test_criterion_7_heuristic_guarantees(suite1):
     for rec in records:
         g = rec.graph
         tree = build_split_tree(g)
-        assert tree.score() == score_ranking(g, tree.ranking(), LINEAR)
+        assert split_score(tree, g.edges) == score_ranking(g, tree.ranking(), LINEAR)
         ranks2, score2 = heuristic_rank(g, 2, "plain")
         assert score2 == rec.per_k[2][0]  # optimal at k = 2
         for k, (brute, _, _, _) in rec.per_k.items():
@@ -267,5 +269,7 @@ def test_criterion_11_counter_consistency():
     rng = random.Random(1111)
     for _ in range(50):
         g = random_graph(rng, rng.randint(2, 14), 0.3, 3)
-        build_split_tree(g, after_split=audit_counters(g))
+        with audit_counters(g) as audit:
+            tree = build_split_tree(g)
+        assert audit.splits == len(internal_nodes(tree))
     _report(11, True, "50 builds audited against from-scratch recomputation")

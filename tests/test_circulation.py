@@ -29,7 +29,9 @@ def _solve_both(g, k, penalty=LINEAR):
     sg = build_convex_instance(g, k, penalty)
     ref = solve_reference(g, k, sg.terms)
     assert score_ranking(g, ref.ranks, penalty) == penalty.unscale(ref.value)
-    return sg, ref, solve_fast(uncapacitate(sg), check_invariants=True)
+    state = solve_fast(uncapacitate(sg))
+    assert state.check_optimality()
+    return sg, ref, state
 
 
 def _explicit_arcs(sg):
@@ -408,7 +410,8 @@ class TestBuildTree:
             g = random_graph(rng, rng.randint(8, 25), 0.15, 10**6 if i % 2 else 1)
             k = rng.choice((4, 8))
             inst = uncapacitate(build_convex_instance(g, k, pen))
-            state = solve_fast(inst, check_invariants=True)
+            state = solve_fast(inst)
+            assert state.check_optimality()
             phases = max(phases, state.stats.outer_phases)
             starts = [(rng.randint(0, k), v) for v in range(g.n)]
             circulation.residual_distances(state, starts)
@@ -501,6 +504,45 @@ class TestStateSurface:
             extract_ranking(st)
 
 
+class TestPhaseChecks:
+    """A phase that ends with an arc of residual capacity at least delta,
+    forward or reverse, at a negative reduced cost makes the next phase's
+    saturating pass raise."""
+
+    def test_arc_left_with_twice_delta_raises(self, monkeypatch):
+        saturate = circulation._Core.saturate
+        planted = []
+
+        def plant_then_saturate(core, delta):
+            # before a phase after the first, empty an arc of negative reduced
+            # cost, or fill one of positive reduced cost so that its reverse
+            # has a negative one: either way 2 * delta or more of it is
+            # residual, as a faulty phase before would leave it.  Excesses
+            # stay exact, so a pass without the check goes on to an optimum
+            if core.stats.outer_phases > 1 and not planted:
+                inst, flow, pot, excess = core.inst, core.flow, core.pot, core.excess
+                for a, (x, w, c, cap) in enumerate(
+                    zip(inst.asrc, inst.adst, inst.acost, inst.acap)
+                ):
+                    rc = c + pot[w] - pot[x]
+                    if cap is None or cap < 2 * delta or not rc:
+                        continue
+                    target = 0 if rc < 0 else cap
+                    excess[x] -= target - flow[a]
+                    excess[w] += target - flow[a]
+                    flow[a] = target
+                    planted.append(a)
+                    break
+            saturate(core, delta)
+
+        monkeypatch.setattr(circulation._Core, "saturate", plant_then_saturate)
+        g = WeightedDigraph(4, [(0, 1, 10**6), (1, 2, 3 * 10**5), (2, 0, 7 * 10**5), (2, 3, 5)])
+        inst = uncapacitate(build_convex_instance(g, 3, LINEAR))
+        with pytest.raises(SolverError, match="phase before left arc"):
+            solve_fast(inst)
+        assert planted
+
+
 class TestAdmissibleMaxFlow:
     """After every admissible max flow no arc of residual capacity at least
     delta, forward or reverse, has a negative reduced cost, every flow lies
@@ -531,8 +573,9 @@ class TestAdmissibleMaxFlow:
 
     @staticmethod
     def _solve(g, k, penalty=LINEAR):
-        sg = build_convex_instance(g, k, penalty)
-        return solve_fast(uncapacitate(sg), check_invariants=True).stats
+        state = solve_fast(uncapacitate(build_convex_instance(g, k, penalty)))
+        assert state.check_optimality()
+        return state.stats
 
     def test_unit_weights(self, rounds, rng):
         total = 0

@@ -40,6 +40,19 @@ def _ranks(table, mapping):
     return [mapping[table.label(v)] for v in range(len(table))]
 
 
+class TestConstruct:
+    @pytest.mark.parametrize(
+        "edge",
+        [(0, 1, 1.7), (0.9, 1, 1), (0, "1", 1)],
+        ids=["float weight", "float endpoint", "string endpoint"],
+    )
+    def test_non_integer_edge_is_refused_by_name(self, edge):
+        # int() would truncate 1.7 to 1 and 0.9 to vertex 0, and parse "1"
+        with pytest.raises(ValueError, match="non-integer") as err:
+            WeightedDigraph(2, [(1, 0, 2), edge])
+        assert repr(edge) in str(err.value)
+
+
 class TestParse:
     def test_toy_file(self):
         g, table = parse_edge_list(StringIO(TOY))

@@ -18,7 +18,7 @@ from agony.heuristic import (
 from agony.penalties import LINEAR
 from agony.splittree import PruneDP, _preorder, build_split_tree
 
-from conftest import brute_min_linear, graph_from_text, random_dag, random_graph
+from conftest import brute_min_linear, graph_from_text, random_dag, random_graph, split_score
 
 TOY = "a b\nb c\nc a 2\nb d\n"
 
@@ -254,12 +254,13 @@ class TestSharedLayerBuilder:
             layers, trees, _ = _layer_data(g)
             ref_layers, ref_trees = _per_layer_trees(g)
             assert layers == ref_layers
-            for verts, tree, ref in zip(layers, trees, ref_trees):
+            subs = split_by_part(g, layers)
+            for verts, tree, ref, sub in zip(layers, trees, ref_trees, subs):
                 assert _preorder_gains(tree) == _preorder_gains(ref), g.edges
                 assert [leaf.vertices for leaf in tree.leaves()] == [
                     sorted(verts[lv] for lv in leaf.vertices) for leaf in ref.leaves()
                 ], g.edges
-                assert tree.total_weight == ref.total_weight
+                assert split_score(tree, g.edges) == split_score(ref, sub.edges)
                 assert tree.n == g.n
 
     def test_rankings_match_per_layer_builds(self, rng):

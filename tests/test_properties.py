@@ -11,7 +11,7 @@ from agony.heuristic import heuristic_rank
 from agony.penalties import LINEAR, PenaltySpec
 from agony.splittree import build_split_tree, prune_tree
 
-from conftest import global_result, reference_result
+from conftest import global_result, reference_result, split_score
 
 
 @st.composite
@@ -52,7 +52,7 @@ def test_solvers_agree_and_heuristic_dominates(g):
 @settings(max_examples=80, deadline=None)
 def test_tree_score_identity(g):
     tree = build_split_tree(g)
-    assert tree.score() == score_ranking(g, tree.ranking(), LINEAR)
+    assert split_score(tree, g.edges) == score_ranking(g, tree.ranking(), LINEAR)
 
 
 @given(small_graphs(max_n=8), st.integers(1, 6))

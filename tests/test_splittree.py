@@ -6,50 +6,89 @@ from agony.exact import min_agony
 from agony.graph import WeightedDigraph, score_ranking, split_by_part
 from agony.penalties import LINEAR
 from agony.splittree import (
+    LeafState,
     PruneDP,
+    SplitTree,
     SplitTreeBuilder,
     TreeNode,
     build_split_tree,
     prune_tree,
 )
 
-from conftest import brute_min_linear, graph_from_text, random_graph
+from conftest import brute_min_linear, graph_from_text, internal_nodes, random_graph, split_score
 
 TOY = "a b\nb c\nc a 2\nb d\n"
 
 
-def audit_counters(g: WeightedDigraph):
-    """A split callback that recomputes every counter from the leaf partition.
+class SplitWatch:
+    """Calls ``check(builder, leaves, started)`` after every split of the
+    split-tree builds made while it is active.
+
+    It wraps ``SplitTreeBuilder.root`` and ``SplitTreeBuilder.split_leaf``
+    so that ``leaves`` holds the leaf states of every root grown so far,
+    left to right, and ``started`` counts those roots.  ``splits`` counts
+    the checks made: one per internal node of the trees grown, which every
+    audited build asserts, so a wrapper that never fires fails its test.
+    """
+
+    def __init__(self, check):
+        self.check = check
+        self.leaves: list[LeafState] = []
+        self.started = 0
+        self.splits = 0
+
+    def __enter__(self):
+        root, split_leaf = SplitTreeBuilder.root, SplitTreeBuilder.split_leaf
+
+        def watched_root(builder, vertices):
+            leaf = root(builder, vertices)
+            self.leaves.append(leaf)
+            self.started += 1
+            return leaf
+
+        def watched_split(builder, leaf, left_driven):
+            halves = split_leaf(builder, leaf, left_driven)
+            i = self.leaves.index(leaf)
+            self.leaves[i:i + 1] = halves
+            self.check(builder, self.leaves, self.started)
+            self.splits += 1
+            return halves
+
+        self._patch = pytest.MonkeyPatch()
+        self._patch.setattr(SplitTreeBuilder, "root", watched_root)
+        self._patch.setattr(SplitTreeBuilder, "split_leaf", watched_split)
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.undo()
+
+
+def audit_counters(g: WeightedDigraph) -> SplitWatch:
+    """A watch that recomputes every counter from the leaf partition after
+    every split of a build over all of g.
 
     It also checks that the builder's edge arrays hold exactly the edges
-    of g, each listed under its source and its target, and that an edge is
-    flagged alive exactly when its ends share a leaf.
+    of g, each listed under its source and its target.
     """
-    return lambda builder: _audit(g.n, g.edges, [range(g.n)], [], builder)
+    return SplitWatch(lambda builder, leaves, started: _audit(
+        g.n, g.edges, [range(g.n)], builder, leaves, started))
 
 
-def _audit(n, edges, roots, done, builder: SplitTreeBuilder):
+def _audit(n, edges, roots, builder: SplitTreeBuilder, leaves, started):
     """``audit_counters`` for a builder over ``edges`` whose roots partition
-    range(n): ``done`` holds the trees of the first roots, the builder is
-    growing the next one, and the roots after it are still unsplit.  No
-    alive edge may join two roots."""
-    live = builder.current_leaves()
-    groups = []  # (root, members) per leaf, left to right within each root
-    for ri, verts in enumerate(roots):
-        if ri < len(done):
-            groups += [(ri, leaf.vertices) for leaf in done[ri].leaves()]
-        elif ri == len(done):
-            first_live = len(groups)
-            groups += [(ri, leaf.members()) for leaf in live]
-        else:
-            groups.append((ri, list(verts)))
-    where, root_of = {}, {}
-    for gi, (ri, members) in enumerate(groups):
+    range(n): ``leaves`` are those of the first ``started`` roots, left to
+    right, and the roots after them are still unsplit.  No edge may join
+    two roots."""
+    groups = [leaf.members() for leaf in leaves] + [list(verts) for verts in roots[started:]]
+    where = {}
+    for gi, members in enumerate(groups):
         for v in members:
             assert v not in where, "leaf partition overlaps"
             where[v] = gi
-            root_of[v] = ri
     assert len(where) == n
+    root_of = {v: ri for ri, verts in enumerate(roots) for v in verts}
+    for u, v, _ in edges:
+        assert root_of[u] == root_of[v], f"edge ({u}, {v}) joins two roots"
 
     m = len(edges)
     arrays = list(zip(builder.src, builder.dst, builder.wt))
@@ -61,10 +100,6 @@ def _audit(n, edges, roots, done, builder: SplitTreeBuilder):
     for x in range(n):
         assert all(arrays[e][0] == x for e in range(out_start[x], out_start[x + 1]))
         assert all(arrays[e][1] == x for e in in_ids[in_start[x]:in_start[x + 1]])
-    assert len(builder.alive) == m
-    for e, (u, v, _) in enumerate(arrays):
-        assert not builder.alive[e] or root_of[u] == root_of[v], f"edge {e} ({u}, {v}) joins two roots"
-        assert builder.alive[e] == (where[u] == where[v]), f"edge {e} ({u}, {v})"
 
     flux = [0] * n
     inb = [0] * n
@@ -87,7 +122,7 @@ def _audit(n, edges, roots, done, builder: SplitTreeBuilder):
     assert inb == builder.inb
     assert outb == builder.outb
     assert deg == builder.deg
-    for li, leaf in enumerate(live, first_live):
+    for li, leaf in enumerate(leaves):
         mem = leaf.members()
         assert leaf.back == back[li]
         assert leaf.in_total == sum(inb[v] for v in mem)
@@ -112,63 +147,66 @@ class TestBuild:
         tree = build_split_tree(g)
         groups = [leaf.vertices for leaf in tree.leaves()]
         assert groups == [[0], [1], [2]]
-        assert tree.score() == 0
+        assert split_score(tree, g.edges) == 0
 
     def test_edgeless_graph_stays_one_leaf(self):
         g = WeightedDigraph(5, [])
         tree = build_split_tree(g)
         assert len(tree.leaves()) == 1
         assert tree.ranking() == [0] * 5
-        assert tree.score() == 0
+        assert split_score(tree, g.edges) == 0
 
     def test_two_cycle_has_no_profitable_split(self):
         # any split of a unit 2-cycle scores 2, the same as one group
         g = graph_from_text("a b\nb a\n")
         tree = build_split_tree(g)
         assert len(tree.leaves()) == 1
-        assert tree.score() == 2 == brute_min_linear(g, 2)
+        assert split_score(tree, g.edges) == 2 == brute_min_linear(g, 2)
 
     def test_toy_graph_bounded_by_optimum_and_total_weight(self):
         g = graph_from_text(TOY)
         tree = build_split_tree(g)
-        assert brute_min_linear(g, 4) <= tree.score() <= g.total_weight
+        assert brute_min_linear(g, 4) <= split_score(tree, g.edges) <= g.total_weight
 
     def test_score_identity_on_random_graphs(self, rng):
         for _ in range(80):
             g = random_graph(rng, rng.randint(1, 14), 0.35, 3)
             tree = build_split_tree(g)
-            assert score_ranking(g, tree.ranking(), LINEAR) == tree.score()
+            assert score_ranking(g, tree.ranking(), LINEAR) == split_score(tree, g.edges)
 
     def test_every_recorded_gain_is_negative(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 12), 0.4, 3)
             tree = build_split_tree(g)
-            assert all(node.gain < 0 for node in tree.internal_nodes())
-            assert tree.score() <= g.total_weight
+            assert all(node.gain < 0 for node in internal_nodes(tree))
+            assert split_score(tree, g.edges) <= g.total_weight
 
     def test_gain_equals_rescoring_difference(self, rng):
         """Each split's recorded gain matches the change in true score."""
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 10), 0.4, 3)
-            builder = SplitTreeBuilder(g.n, g.edges)
             scores = [g.total_weight]
 
-            def watch(b):
+            def rescore(_builder, leaves, _started):
                 ranks = {}
-                for i, leaf in enumerate(b.current_leaves()):
+                for i, leaf in enumerate(leaves):
                     for v in leaf.members():
                         ranks[v] = i
                 scores.append(score_ranking(g, [ranks[v] for v in range(g.n)], LINEAR))
 
-            tree = builder.tree(range(g.n), after_split=watch)
-            gains = sorted(node.gain for node in tree.internal_nodes())
+            with SplitWatch(rescore) as watch:
+                tree = SplitTreeBuilder(g.n, g.edges).tree(range(g.n))
+            gains = sorted(node.gain for node in internal_nodes(tree))
             diffs = sorted(b - a for a, b in zip(scores, scores[1:]))
+            assert watch.splits == len(gains)
             assert gains == diffs
 
     def test_counters_match_recomputation_after_every_split(self, rng):
         for _ in range(50):
             g = random_graph(rng, rng.randint(2, 14), 0.3, 3)
-            build_split_tree(g, after_split=audit_counters(g))
+            with audit_counters(g) as audit:
+                tree = build_split_tree(g)
+            assert audit.splits == len(internal_nodes(tree))
 
     def test_counters_match_recomputation_across_several_roots(self, rng):
         """One builder grows a tree per root; after every split of any root
@@ -182,25 +220,25 @@ class TestBuild:
             roots = [order[a:b] for a, b in zip([0] + cuts, cuts + [g.n])]
             root_of = {v: ri for ri, verts in enumerate(roots) for v in verts}
             edges = [e for e in g.edges if root_of[e[0]] == root_of[e[1]]]
-            builder = SplitTreeBuilder(g.n, edges)
-            done = []
 
-            def audit(b):
+            def audit(builder, leaves, started):
                 nonlocal later_splits
-                later_splits += len(done) > 0
-                _audit(g.n, edges, roots, done, b)
+                later_splits += started > 1
+                _audit(g.n, edges, roots, builder, leaves, started)
 
-            for verts in roots:
-                done.append(builder.tree(verts, after_split=audit))
+            builder = SplitTreeBuilder(g.n, edges)
+            with SplitWatch(audit) as watch:
+                done = [builder.tree(verts) for verts in roots]
+            assert watch.splits == sum(len(internal_nodes(tree)) for tree in done)
             for verts, tree, sub in zip(roots, done, split_by_part(g, roots)):
                 ref = build_split_tree(sub)
-                assert [node.gain for node in tree.internal_nodes()] == [
-                    node.gain for node in ref.internal_nodes()
+                assert [node.gain for node in internal_nodes(tree)] == [
+                    node.gain for node in internal_nodes(ref)
                 ]
                 assert [leaf.vertices for leaf in tree.leaves()] == [
                     sorted(verts[lv] for lv in leaf.vertices) for leaf in ref.leaves()
                 ]
-                assert tree.total_weight == ref.total_weight
+                assert split_score(tree, edges) == split_score(ref, sub.edges)
         assert later_splits > 0  # roots after the first were split too
 
     def test_unnormalized_graph_rejected(self):
@@ -211,7 +249,7 @@ class TestBuild:
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 9), 0.4, 3)
             tree = build_split_tree(g)
-            assert tree.score() >= min_agony(g).agony
+            assert split_score(tree, g.edges) >= min_agony(g).agony
 
 
 class TestLeftSmaller:
@@ -266,9 +304,7 @@ def _random_gain_tree(rng, max_leaves):
         parent.left, parent.right = left, right
         parent.gain = -rng.randint(1, 9)
         nodes.insert(i, parent)
-    from agony.splittree import SplitTree
-
-    return SplitTree(nodes[0], vid, 0), n_leaves
+    return SplitTree(nodes[0], vid), n_leaves
 
 
 def _all_prunings(node):
@@ -324,4 +360,4 @@ class TestPrune:
                 best = min(gain for leaves, gain in prunings if leaves <= k)
                 ranks = prune_tree(tree, k)
                 assert len(set(ranks)) <= k
-                assert score_ranking(g, ranks, LINEAR) == tree.total_weight + best
+                assert score_ranking(g, ranks, LINEAR) == g.total_weight + best
