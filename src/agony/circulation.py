@@ -2,38 +2,36 @@
 
 The pipeline: a weighted digraph plus a tier budget k becomes a shifted-arc
 graph (``build_convex_instance``) whose arcs are implicit in the graph, k
-and the hinge terms; ``uncapacitate`` writes them out, in one pass, as the
-arc arrays of a capacitated min-cost circulation over the same n + 2
-vertices (``CirculationInstance``).  ``solve_fast``, the one solver, runs
-capacity scaling on it (Edmonds and Karp 1972; Ahuja, Magnanti and Orlin,
-*Network Flows*, section 10.2).  Every arc of negative cost starts
-saturated.  Delta runs through the powers of two from the largest one not
-above the largest capacity U down to 1, so a solve runs floor(log2 U) + 1
+and the hinge terms; ``uncapacitate`` writes them out, in one pass, as a
+capacitated min-cost circulation over the same n + 2 vertices
+(``CirculationInstance``), each arc a as a pair of residual arcs (Ahuja,
+Magnanti and Orlin, *Network Flows*, section 2.4): forward e = 2a, with
+residual capacity cap - flow (None, unbounded, when uncapacitated), and
+reverse e ^ 1 = 2a + 1, with residual capacity flow.  So every scan reads
+a residual arc the same way, whatever its direction.  ``solve_fast``, the
+one solver, runs capacity scaling on it (Edmonds and Karp 1972; *Network
+Flows*, section 10.2).  Every arc of negative cost starts saturated.
+Delta runs through the powers of two from the largest one not above the
+largest capacity U down to 1, so a solve runs floor(log2 U) + 1
 delta-phases: weakly polynomial, one phase at unit weights and 21 at
 weights up to 10^6 under slopes up to 2.  A phase first saturates every
-arc whose residual capacity, forward or reverse, is at least delta and
-whose reduced cost is negative, then runs rounds over the delta-residual
-arcs until no vertex has an excess of delta or none a deficit of delta: a
-multi-source Dijkstra (``_build_tree``) prices the duals so that every
-shortest path from a source has reduced cost 0, then a Dinic max flow over
-the zero-reduced-cost residual arcs (``_admissible_max_flow``) pushes at
+residual arc whose residual capacity is at least delta and whose reduced
+cost is negative, then runs rounds over the delta-residual arcs until no
+vertex has an excess of delta or none a deficit of delta: a multi-source
+Dijkstra (``_build_tree``) prices the duals so that every shortest path
+from a source has reduced cost 0, then a Dinic max flow over the
+zero-reduced-cost residual arcs (``_admissible_max_flow``) pushes at
 least delta per path from the sources to the sinks until no such path is
-left.  So a phase runs one Dijkstra per distinct shortest-path cost.  An
-arc's residual capacity is cap - flow forward (unbounded when it has no
-capacity) and its flow in reverse.  The phase's saturating pass, the
-Dijkstra loop and the max flow's pass over the tight arcs are the only
-scans of the residual graph in the package.  The canonical ranking
-(``agony.canonical``) reuses the Dijkstra through ``residual_distances``
-over each solved state's instance arcs and flow and a copy of its duals,
-from all its graph vertices at once.  Optimal integer duals turn back into
-a rank assignment via ``extract_ranking``.  Each solved state keeps its
-instance, and each instance its shifted graph, so a ``SolverState`` alone
-gives its ranks, its circulation value and its optimality certificate; no
-other module reads the instance layout.  A solved state keeps flow, duals,
-counters and the instance's arc arrays, and no adjacency: the two readers
-of per-vertex adjacency, a solve's core and ``residual_distances``, each
-build it from the arc arrays in one pass, in increasing arc order, and
-drop it when they return.
+left.  So a phase runs one Dijkstra per distinct shortest-path cost.  The
+phase's saturating pass, the Dijkstra loop and the max flow's pass over
+the tight arcs are the only scans of the residual graph in the package.
+The canonical ranking (``agony.canonical``) reuses the Dijkstra through
+``residual_distances`` from all of a solved state's graph vertices at
+once.  Optimal integer duals turn back into a rank assignment via
+``extract_ranking``.  Each solved state keeps its instance, and each
+instance its shifted graph, so a ``SolverState`` alone gives its ranks,
+its circulation value and its optimality certificate; no other module
+reads the instance layout.
 
 No floating point anywhere: capacities are integers or None, and
 distances are sums of integer reduced costs, few of them distinct, so the
@@ -44,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import islice
 
 from .graph import WeightedDigraph
 from .penalties import PenaltySpec, hinge_total
@@ -100,48 +99,65 @@ def build_convex_instance(g: WeightedDigraph, k: int, penalty: PenaltySpec) -> S
 class CirculationInstance:
     """Capacitated min-cost circulation over the shifted graph's vertices.
 
-    Arc a runs from ``asrc[a]`` to ``adst[a]`` with cost ``acost[a]``, the
-    negated shift, and capacity ``acap[a]``: an int, or None for an
-    uncapacitated arc.  No vertex has a supply or a demand.  An instance
-    keeps only its arc arrays and ``sg``: it outlives its solve inside a
-    ``SolverState``, while only a solve or a residual Dijkstra reads
-    per-vertex adjacency, so each of them builds its own with
-    ``adjacency`` and drops it when it returns.
+    Arc a is the pair of residual arcs e = 2a, forward, and e ^ 1 = 2a + 1,
+    reverse: e runs from ``head[e ^ 1]`` to ``head[e]`` at cost ``cost[e]``,
+    cost[2a] = -cost[2a + 1] being the arc's negated shift, and arc a has
+    capacity ``cap[a]``, an int or None when uncapacitated.  No vertex has
+    a supply or a demand.  An instance outlives its solve inside a
+    ``SolverState``, so a solve and a residual Dijkstra each build their
+    residual view (``_residual``) and drop it when they return.
     """
 
-    __slots__ = ("n", "asrc", "adst", "acost", "acap", "sg")
+    __slots__ = ("n", "head", "cost", "cap", "sg")
 
-    def __init__(self, asrc, adst, acost, acap, sg: ShiftedGraph):
+    def __init__(self, head, cost, cap, sg: ShiftedGraph):
         self.n = sg.n_total
-        self.asrc: list[int] = asrc
-        self.adst: list[int] = adst
-        self.acost: list[int] = acost
-        self.acap: list = acap
+        self.head: list[int] = head
+        self.cost: list[int] = cost
+        self.cap: list = cap
         self.sg = sg
 
     @property
     def m(self) -> int:
-        return len(self.asrc)
-
-    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        """``(out_arcs, in_arcs)``: the arcs leaving and entering each vertex,
-        in increasing order, built in one pass over the arcs."""
-        out_arcs: list[list[int]] = [[] for _ in range(self.n)]
-        in_arcs: list[list[int]] = [[] for _ in range(self.n)]
-        for a, (x, w) in enumerate(zip(self.asrc, self.adst)):
-            out_arcs[x].append(a)
-            in_arcs[w].append(a)
-        return out_arcs, in_arcs
+        return len(self.cap)
 
     def excess(self, flow: list[int]) -> list[int]:
-        """Inflow minus outflow of every vertex under ``flow``."""
+        """Inflow minus outflow of every vertex under ``flow``, one entry per arc."""
         e = [0] * self.n
-        asrc, adst = self.asrc, self.adst
-        for a, f in enumerate(flow):
+        h = iter(self.head)
+        for w, x, f in zip(h, h, flow):
             if f:
-                e[adst[a]] += f
-                e[asrc[a]] -= f
+                e[w] += f
+                e[x] -= f
         return e
+
+
+def _arcs(inst: CirculationInstance):
+    """(head, tail, cost) of every arc a, read off its forward residual arc 2a."""
+    h = iter(inst.head)
+    return zip(h, h, islice(inst.cost, 0, None, 2))
+
+
+def _residual(inst: CirculationInstance, flow: list[int]) -> tuple[list, list[list[int]]]:
+    """The residual view ``(res, out)`` of ``flow``, one entry per arc.
+
+    ``res[e]``: residual arc e's residual capacity, cap - flow forward (None
+    when uncapacitated) and the flow in reverse.  ``out[x]``: the forward
+    residual arcs leaving x, then the reverse ones, each in arc order, so
+    the Dijkstra meets first those its capacity test mostly passes
+    (interleaved, it ran 12-21% longer on the wiki-Vote-size proxy).
+    """
+    res: list = [None] * (2 * inst.m)
+    # an unused arc's residual capacity is its capacity, shared, not a copy
+    res[0::2] = [c - f if f and c is not None else c for c, f in zip(inst.cap, flow)]
+    res[1::2] = flow
+    out: list[list[int]] = [[] for _ in range(inst.n)]
+    head = inst.head
+    for e in range(0, len(head), 2):  # forward arcs, from their tails
+        out[head[e + 1]].append(e)
+    for e in range(1, len(head), 2):  # reverse arcs, from their arcs' heads
+        out[head[e - 1]].append(e)
+    return res, out
 
 
 def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
@@ -150,9 +166,9 @@ def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
     In ``ShiftedGraph`` order: per edge (v, w, weight) and hinge term
     (a, b), the arc (v, w) with cost b and capacity a * weight; per vertex
     v the fans (alpha, v) and (v, omega) with cost 0; last (omega, alpha)
-    with cost k - 1; the fans and that arc have no capacity.  One pass over
-    the edges and terms, then one over the vertices; no adjacency is
-    written, its readers build it (``CirculationInstance.adjacency``).
+    with cost k - 1; the fans and that arc have no capacity.  Each arc is
+    written as its two residual arcs.  One pass over the edges and terms,
+    then one over the vertices.
 
     The name is that of the gadget construction this stage once was.  The
     benchmark's tracer resolves the instance-build stage as
@@ -161,18 +177,15 @@ def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
     """
     n, alpha, omega = sg.g.n, sg.alpha, sg.omega
     edges, terms = sg.g.edges, sg.terms
-    asrc = [v for v, _, _ in edges for _ in terms]
-    adst = [w for _, w, _ in edges for _ in terms]
-    acost = [b for _ in edges for _, b in terms]
-    acap: list = [a * weight for _, _, weight in edges for a, _ in terms]
+    head = [x for v, w, _ in edges for _ in terms for x in (w, v)]
+    cost = [c for _ in edges for _, b in terms for c in (b, -b)]
+    cap: list = [a * weight for _, _, weight in edges for a, _ in terms]
     for v in range(n):
-        asrc += (alpha, v)
-        adst += (v, omega)
-    asrc.append(omega)
-    adst.append(alpha)
-    acost += [0] * (2 * n) + [sg.k - 1]
-    acap += [None] * (2 * n + 1)
-    return CirculationInstance(asrc, adst, acost, acap, sg)
+        head += (v, alpha, omega, v)
+    head += (alpha, omega)
+    cost += [0] * (4 * n) + [sg.k - 1, 1 - sg.k]
+    cap += [None] * (2 * n + 1)
+    return CirculationInstance(head, cost, cap, sg)
 
 
 @dataclass
@@ -206,20 +219,20 @@ class SolverState:
     stats: SolveStats = field(default_factory=SolveStats)
 
     def objective(self) -> int:
-        acost = self.inst.acost
-        return sum(acost[a] * f for a, f in enumerate(self.flow) if f)
+        cost = self.inst.cost
+        return sum(cost[2 * a] * f for a, f in enumerate(self.flow) if f)
 
     def check_optimality(self) -> bool:
         """Capacities, flow conservation, and no residual arc of negative
         reduced cost (dual feasibility and complementary slackness)."""
-        inst, flow, pot = self.inst, self.flow, self.potentials
-        if any(f < 0 or (c is not None and f > c) for f, c in zip(flow, inst.acap)):
+        inst, pot, head = self.inst, self.potentials, self.inst.head
+        res, _ = _residual(inst, self.flow)
+        if any(r is not None and r < 0 for r in res):
             return False
-        for x, w, c, cap, f in zip(inst.asrc, inst.adst, inst.acost, inst.acap, flow):
-            rc = c + pot[w] - pot[x]
-            if (rc < 0 and (cap is None or cap > f)) or (rc > 0 and f > 0):
+        for e, (w, c, r) in enumerate(zip(head, inst.cost, res)):
+            if r != 0 and c + pot[w] < pot[head[e ^ 1]]:  # r is None or positive
                 return False
-        return not any(inst.excess(flow))
+        return not any(inst.excess(self.flow))
 
     def certifies(self, ranks: list[int]) -> bool:
         """True iff this state is an optimality certificate for ``ranks``.
@@ -283,18 +296,15 @@ def extract_ranking(state: SolverState) -> list[int]:
 def residual_distances(state: SolverState, starts) -> list[int]:
     """Residual shortest-path distance of every vertex from ``starts``.
 
-    ``starts`` holds (initial distance, vertex) pairs, and arcs are as long
-    as their reduced costs under the state's duals.  The Dijkstra of the
-    solver runs over the instance's arcs and the state's flow, with no
-    solver core, on a copy of the duals, so ``state`` is untouched; duals
-    that are not optimal, or a vertex that no start reaches, raise
-    ``SolverError``.
+    ``starts`` holds (initial distance, vertex) pairs, and residual arcs
+    are as long as their reduced costs under the state's duals.  The
+    solver's Dijkstra runs on the state's residual view (``_residual``) and
+    a copy of its duals, so ``state`` is untouched; duals that are not
+    optimal, or a vertex that no start reaches, raise ``SolverError``.
     """
     inst = state.inst
-    return _build_tree(
-        inst.asrc, inst.adst, inst.acost, inst.acap, *inst.adjacency(),
-        state.flow, list(state.potentials), starts, 1,
-    )
+    res, out = _residual(inst, state.flow)
+    return _build_tree(inst.head, inst.cost, res, out, list(state.potentials), starts, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +312,12 @@ def residual_distances(state: SolverState, starts) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class _Core:
-    """Solver state: flow, duals, excesses and the adjacency they are scanned by.
+    """Solver state: residual capacities, duals, excesses and residual arcs.
 
     Every arc of negative cost starts saturated, so under the zero duals no
-    residual arc has a negative reduced cost.  The adjacency lists are the
-    core's own, built from the instance's arcs
-    (``CirculationInstance.adjacency``) and dropped with the core, so a
-    solved state keeps none.  Every phase is checked as it runs, each
+    residual arc has a negative reduced cost.  The core keeps its residual
+    view (``res`` and ``out``) in place of a flow; ``finalize`` reads the
+    flow off the reverse arcs.  Every phase is checked as it runs, each
     failure a ``SolverError``: ``saturate`` refuses an uncapacitated arc of
     negative reduced cost and a push of 2 * delta or more, and the Dijkstra
     a residual arc of negative reduced cost or a vertex it cannot reach.
@@ -316,59 +325,62 @@ class _Core:
 
     def __init__(self, inst: CirculationInstance):
         self.inst = inst
-        self.flow = [cap if c < 0 else 0 for c, cap in zip(inst.acost, inst.acap)]
+        forward = islice(inst.cost, 0, None, 2)
+        flow = [cap if c < 0 else 0 for c, cap in zip(forward, inst.cap)]
+        self.res, self.out = _residual(inst, flow)
         self.pot = [0] * inst.n
-        self.excess = inst.excess(self.flow)
-        self.out_arcs, self.in_arcs = inst.adjacency()
+        self.excess = inst.excess(flow)
         self.stats = SolveStats()
 
     def saturate(self, delta: int):
-        """Saturate every arc, forward or reverse, whose residual capacity is
-        at least ``delta`` and whose reduced cost is negative.
+        """Saturate every residual arc whose residual capacity is at least
+        ``delta`` and whose reduced cost is negative.
 
-        The phase before, at 2 * delta, ends with no such arc of residual
-        capacity 2 * delta or more, and flow and duals do not change between
-        phases, so a push that large raises ``SolverError``: it is that
-        phase's slack check, made by this pass.  The first phase's delta
-        exceeds half of every capacity, so none of its pushes is that large.
+        Of an arc's two residual arcs, the one of negative reduced cost, if
+        either, is pushed on.  The phase before, at 2 * delta, ends with no
+        such residual arc of residual capacity 2 * delta or more, and flow
+        and duals do not change between phases, so a push that large raises
+        ``SolverError``: it is that phase's slack check, made by this pass.
+        The first phase's delta exceeds half of every capacity, so none of
+        its pushes is that large.
         """
-        inst, flow, pot, excess = self.inst, self.flow, self.pot, self.excess
+        res, pot, excess, head = self.res, self.pot, self.excess, self.inst.head
         limit = 2 * delta
-        for a, (x, w, c, cap) in enumerate(zip(inst.asrc, inst.adst, inst.acost, inst.acap)):
+        for a, (w, x, c) in enumerate(_arcs(self.inst)):
             rc = c + pot[w] - pot[x]
             if rc < 0:
-                if cap is None:
-                    raise SolverError(f"negative reduced cost {rc} on uncapacitated arc {a}")
-                push = cap - flow[a]
-                if push < delta:
-                    continue
-            elif rc > 0 and flow[a] >= delta:
-                push = -flow[a]
+                e = 2 * a
+            elif rc > 0:
+                e = 2 * a + 1
             else:
                 continue
-            if abs(push) >= limit:
+            push = res[e]
+            if push is None:
+                raise SolverError(f"negative reduced cost {rc} on uncapacitated arc {a}")
+            if push < delta:
+                continue
+            if push >= limit:
                 raise SolverError(
                     f"the phase before left arc {a}, forward or reverse, with residual "
-                    f"capacity {abs(push)} at a negative reduced cost"
+                    f"capacity {push} at a negative reduced cost"
                 )
-            flow[a] += push
-            excess[x] -= push
-            excess[w] += push
+            res[e] = 0
+            if res[e ^ 1] is not None:
+                res[e ^ 1] += push
+            excess[head[e ^ 1]] -= push
+            excess[head[e]] += push
 
-    def dijkstra(self, starts, delta: int) -> list:
+    def dijkstra(self, starts, delta: int):
         """``_build_tree`` over the delta-residual arcs; counts the settles."""
         inst = self.inst
-        dist = _build_tree(
-            inst.asrc, inst.adst, inst.acost, inst.acap, self.out_arcs, self.in_arcs,
-            self.flow, self.pot, starts, delta,
-        )
+        _build_tree(inst.head, inst.cost, self.res, self.out, self.pot, starts, delta)
         self.stats.settles += inst.n
-        return dist
 
     def finalize(self) -> SolverState:
-        if any(self.inst.excess(self.flow)):
+        flow = self.res[1::2]
+        if any(self.inst.excess(flow)):
             raise SolverError("flow conservation violated after the last phase")
-        return SolverState(self.inst, self.flow, self.pot, self.stats)
+        return SolverState(self.inst, flow, self.pot, self.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +411,7 @@ def solve_fast(inst: CirculationInstance) -> SolverState:
     spread = inst.sg.k - 1
     vertices = range(inst.n)
     # the largest power of two not above the largest capacity (all are >= 1)
-    delta = 1 << (max((c for c in inst.acap if c is not None), default=1).bit_length() - 1)
+    delta = 1 << (max((c for c in inst.cap if c is not None), default=1).bit_length() - 1)
     while True:
         stats.outer_phases += 1
         core.saturate(delta)
@@ -418,23 +430,23 @@ def solve_fast(inst: CirculationInstance) -> SolverState:
         delta //= 2
 
 
-def _build_tree(src, dst, cost, cap, out_arcs, in_arcs, flow, pot, starts, delta: int):
+def _build_tree(head, cost, res, out, pot, starts, delta: int):
     """Multi-source Dijkstra over a bucket queue; subtracts distances from duals.
 
-    The residual graph is given by its arc arrays, capacities (None for an
-    uncapacitated arc) and adjacency lists, and by ``flow``; it holds the
-    arcs whose residual capacity is at least ``delta``, cap - flow forward
-    and flow in reverse, each as long as its reduced cost under ``pot``.
-    ``starts`` holds (initial distance, vertex) pairs.  Reduced costs are
-    small integers, so a whole run sees few distinct distances: bare vertex
-    ids wait in one list per tentative distance, a heap holds the distinct
-    distances only, and a zero-cost arc appends to the list being scanned.
-    A vertex is filed again only when its tentative distance falls, so an
-    entry whose distance is no longer the vertex's is skipped.  Settling a
-    vertex scans the residual arcs leaving it, each with its reduced cost
-    checked.  Every vertex must be reached.  Finally the distances are
-    subtracted from the duals, so every shortest path from a start has
-    reduced cost 0.  Returns each vertex's distance.
+    The residual graph is given by its residual arcs' heads, costs and
+    residual capacities (``res``, None for unbounded) and the residual
+    arcs ``out[x]`` leaving each vertex x; it holds the residual arcs of
+    residual capacity at least ``delta``, each as long as its reduced cost
+    under ``pot``.  ``starts`` holds (initial distance, vertex) pairs.
+    Reduced costs are small integers, so a whole run sees few distinct
+    distances: bare vertex ids wait in one list per tentative distance, a
+    heap holds the distinct distances only, and a zero-cost arc appends to
+    the list being scanned.  A vertex is filed again only when its
+    tentative distance falls, so an entry whose distance is no longer the
+    vertex's is skipped.  Settling a vertex scans the residual arcs leaving
+    it, each with its reduced cost checked.  Every vertex must be reached.
+    Finally the distances are subtracted from the duals, so every shortest
+    path from a start has reduced cost 0.  Returns each vertex's distance.
     """
     dist: list = [None] * len(pot)
     buckets: dict[int, list[int]] = {}
@@ -453,32 +465,14 @@ def _build_tree(src, dst, cost, cap, out_arcs, in_arcs, flow, pot, starts, delta
                 continue  # settled earlier, at a smaller distance
             settled += 1
             px = pot[x]
-            for a in out_arcs[x]:
-                c = cap[a]
-                if c is not None and c - flow[a] < delta:
+            for e in out[x]:
+                r = res[e]
+                if r is not None and r < delta:
                     continue
-                w = dst[a]
-                rc = cost[a] + pot[w] - px
+                w = head[e]
+                rc = cost[e] + pot[w] - px
                 if rc < 0:
-                    raise SolverError(f"negative reduced cost {rc} on arc {a}")
-                dw = dist[w]
-                nd = d + rc
-                if dw is None or nd < dw:
-                    dist[w] = nd
-                    if not rc:
-                        bucket.append(w)
-                    elif nd in buckets:
-                        buckets[nd].append(w)
-                    else:
-                        buckets[nd] = [w]
-                        heappush(keys, nd)
-            for a in in_arcs[x]:
-                if flow[a] < delta:
-                    continue
-                w = src[a]
-                rc = pot[w] - px - cost[a]
-                if rc < 0:
-                    raise SolverError(f"negative residual cost {rc} on reverse of arc {a}")
+                    raise SolverError(f"negative reduced cost {rc} on residual arc {e}")
                 dw = dist[w]
                 nd = d + rc
                 if dw is None or nd < dw:
@@ -501,33 +495,31 @@ def _build_tree(src, dst, cost, cap, out_arcs, in_arcs, flow, pot, starts, delta
 def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delta: int):
     """Dinic max flow over the zero-reduced-cost delta-residual arcs.
 
-    An arc may carry a push while its residual capacity in that direction
-    is at least delta: cap - flow forward (always, when it has no
-    capacity), flow in reverse.  A source sends while its excess is at
-    least delta, a sink receives while its deficit is, and a push moves
-    all that the source's excess, the sink's deficit and the path's
-    residual capacities allow, so at least delta.
+    A residual arc may carry a push while its residual capacity is at
+    least delta (always, when it is unbounded).  A source sends while its
+    excess is at least delta, a sink receives while its deficit is, and a
+    push moves all that the source's excess, the sink's deficit and the
+    path's residual capacities allow, so at least delta.
 
-    One pass over the arcs collects the tight ones, of reduced cost 0, in
-    both directions: each direction of a tight arc has reduced cost 0, so
-    these are all the admissible residual arcs, each usable while its
-    residual capacity in that direction is at least delta.  Each iteration
-    labels the vertices with their residual hop count to the nearest sink
-    that can still receive, by a breadth-first search that stops at the
-    first level holding a source that can still send, then saturates that
-    level graph by depth-first walks from those sources, with a
-    current-arc pointer per vertex.  A walk steps one level down per arc,
-    so it only enters vertices that reached a sink when the search ran; a
-    vertex found to lead nowhere gets level -1.
+    One pass over the arcs collects the admissible residual arcs: both
+    directions of a tight arc a, of reduced cost 0, so ``adm`` lists 2a at
+    a's tail and 2a + 1 at its head.  Each iteration labels the vertices
+    with their residual hop count to the nearest sink that can still
+    receive, by a breadth-first search (entering y from w over the partner
+    e ^ 1 of each e in ``adm[w]``) that stops at the first level holding a
+    source that can still send, then saturates that level graph by
+    depth-first walks from those sources, with a current-arc pointer per
+    vertex.  A walk steps one level down per residual arc, so it only
+    enters vertices that reached a sink when the search ran; a vertex
+    found to lead nowhere gets level -1.
     """
-    flow, pot, excess = core.flow, core.pot, core.excess
-    inst = core.inst
-    cap, n = inst.acap, inst.n
-    adm: list[list] = [[] for _ in range(n)]  # (arc, dir, other end)
-    for a, (x, w, c) in enumerate(zip(inst.asrc, inst.adst, inst.acost)):
+    res, pot, excess = core.res, core.pot, core.excess
+    head, n = core.inst.head, core.inst.n
+    adm: list[list[int]] = [[] for _ in range(n)]
+    for a, (w, x, c) in enumerate(_arcs(core.inst)):
         if c + pot[w] == pot[x]:
-            adm[x].append((a, 1, w))
-            adm[w].append((a, -1, x))
+            adm[x].append(2 * a)
+            adm[w].append(2 * a + 1)
     while True:
         sources = [s for s in sources if excess[s] >= delta]
         sinks = [t for t in sinks if -excess[t] >= delta]
@@ -543,17 +535,13 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
             depth += 1
             nxt = []
             for w in frontier:
-                for a, adir, y in adm[w]:
-                    # residual y -> w: the reverse of a = (w, y), or the forward arc a
+                for e in adm[w]:
+                    y = head[e]
                     if level[y] >= 0:
                         continue
-                    if adir > 0:
-                        if flow[a] < delta:
-                            continue
-                    else:
-                        c = cap[a]
-                        if c is not None and c - flow[a] < delta:
-                            continue
+                    r = res[e ^ 1]  # the residual arc y -> w
+                    if r is not None and r < delta:
+                        continue
                     level[y] = depth
                     nxt.append(y)
                     if excess[y] >= delta:
@@ -563,19 +551,23 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
             return
         ptr = [0] * n
         for s in starts:
-            path: list[tuple] = []  # adm entries from s to x
+            path: list[int] = []  # residual arcs from s to x
             x = s
             while True:
                 lx = level[x]
                 if lx == 0 and -excess[x] >= delta:
                     room = min(excess[s], -excess[x])
-                    for a, adir, _ in path:
-                        if adir < 0:
-                            room = min(room, flow[a])
-                        elif cap[a] is not None:
-                            room = min(room, cap[a] - flow[a])
-                    for a, adir, _ in path:
-                        flow[a] += adir * room
+                    for e in path:
+                        r = res[e]
+                        if r is not None and r < room:
+                            room = r
+                    for e in path:
+                        r = res[e]
+                        if r is not None:
+                            res[e] = r - room
+                        r = res[e ^ 1]
+                        if r is not None:
+                            res[e ^ 1] = r + room
                     excess[s] -= room
                     excess[x] += room
                     core.stats.augmentations += 1
@@ -588,24 +580,20 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
                     arcs = adm[x]
                     i = ptr[x]
                     while i < len(arcs):
-                        a, adir, w = arcs[i]
-                        if level[w] == lx - 1:
-                            if adir < 0:
-                                if flow[a] >= delta:
-                                    break
-                            else:
-                                c = cap[a]
-                                if c is None or c - flow[a] >= delta:
-                                    break
+                        e = arcs[i]
+                        if level[head[e]] == lx - 1:
+                            r = res[e]
+                            if r is None or r >= delta:
+                                break
                         i += 1
                     ptr[x] = i
                     if i < len(arcs):
-                        path.append(arcs[i])
-                        x = w
+                        path.append(e)
+                        x = head[e]
                         continue
                 level[x] = -1  # x leads to no sink that can still receive
                 if not path:
                     break
                 path.pop()
-                x = path[-1][2] if path else s
+                x = head[path[-1]] if path else s
                 ptr[x] += 1

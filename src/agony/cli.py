@@ -266,7 +266,7 @@ def _cmd_bench(args) -> int:
                 ratio = "1.000" if score == optimal else "-"
             else:
                 ratio = f"{score / optimal:.3f}"
-            print(f"{name}\t{method}\t{score}\t{ratio}\t{secs:.2f}")
+            print(f"{name}\t{method}\t{_render(lambda: str(score))}\t{ratio}\t{secs:.2f}")
     return EXIT_OK
 
 

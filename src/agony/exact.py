@@ -20,6 +20,7 @@ from .graph import (
     score_ranking,
     split_by_part,
     strongly_connected_components,
+    tier_budget,
 )
 from .penalties import LINEAR, PenaltySpec
 
@@ -55,25 +56,22 @@ def min_agony(
 
     With step = max(1, -b) for the smallest hinge breakpoint b, an upward
     edge across a rank gap of step costs nothing, so some optimum fits in
-    the rank window cap = (n-1)*step + 1 (n ranks for linear agony).  k
-    defaults to the cap and is clamped to it.  At the cap the graph is
-    decomposed into strongly connected components: a component C is
-    solved within (|C|-1)*step + 1 ranks, and the components are stacked
-    step ranks apart in topological order.  Below the cap one global
-    instance is solved; k = 1 needs none.  A penalty that can only be
-    scored raises ``UnsupportedPenaltyError``.
+    the rank window cap = (n-1)*step + 1 (n ranks for linear agony).  k, an
+    int of at least 1 (``graph.tier_budget``), defaults to the cap and is
+    clamped to it.  At the cap the graph is decomposed into strongly
+    connected components: a component C is solved within (|C|-1)*step + 1
+    ranks, and the components are stacked step ranks apart in topological
+    order.  Below the cap one global instance is solved; k = 1 needs none.
+    A penalty that can only be scored raises ``UnsupportedPenaltyError``.
     """
     terms = penalty.integer_terms()  # checks the penalty before the graph
     if not g.is_normalized():
         raise ValueError("graph must be normalized first (see agony.graph.normalize)")
+    k = tier_budget(k)
     n = g.n
     step = max(1, -min(b for _, b in terms))
     cap = max(n - 1, 0) * step + 1
-    if k is None:
-        k = cap
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    k = min(k, cap)  # a wider window never lowers the optimum
+    k = cap if k is None else min(k, cap)  # a wider window never lowers the optimum
     use_scc = k == cap
 
     stats = SolveStats()

@@ -53,6 +53,19 @@ class VertexTable:
         return len(self._labels)
 
 
+def tier_budget(k: Optional[int]) -> Optional[int]:
+    """k, None or an ``operator.index`` value of at least 1, else ``ValueError``."""
+    if k is None:
+        return None
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
+
+
 class WeightedDigraph:
     """Immutable directed graph with positive integer edge weights.
 

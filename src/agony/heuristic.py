@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Callable, Optional
 
-from .graph import WeightedDigraph, condensation_layers, score_ranking
+from .graph import WeightedDigraph, condensation_layers, score_ranking, tier_budget
 from .penalties import LINEAR
 from .splittree import PruneDP, SplitTree, SplitTreeBuilder, build_split_tree, prune_tree
 
@@ -143,8 +143,6 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
                     ranks[v] = base
                 base += 1
         return ranks
-    if k < 1:
-        raise ValueError(f"tier budget must be >= 1, got {k}")
     dps = [PruneDP(t, k) for t in trees]
     # gains[i - 1][l]: best gain of layer i alone on l ranks; it stops
     # improving at the layer's leaf count, so the list stops there too
@@ -232,10 +230,12 @@ def heuristic_rank(
 
     ``plain`` builds one split tree (pruned to k tiers if k is given),
     ``scc`` adds the layer decomposition, ``best`` runs both and keeps the
-    lower score, preferring the SCC result on ties.
+    lower score, preferring the SCC result on ties.  k, if given, is an int
+    of at least 1 (``graph.tier_budget``).
     """
     if variant not in ("plain", "scc", "best"):
         raise ValueError(f"unknown heuristic variant {variant!r}")
+    k = tier_budget(k)
     results = []
     if variant in ("plain", "best"):
         ranks = prune_tree(build_split_tree(g), k)

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from agony import circulation
 from agony.canonical import canonical_ranking, distinct_rank_count
 from agony.circulation import SolverError, residual_distances
 from agony.exact import min_agony, verify_certificate
@@ -132,9 +133,9 @@ class TestCanonical:
 
             def snapshot():
                 return [
-                    (list(s.flow), list(s.potentials), list(s.inst.asrc), list(s.inst.adst),
-                     list(s.inst.acost), list(s.inst.acap),
-                     s.inst.adjacency())
+                    (list(s.flow), list(s.potentials), list(s.inst.head),
+                     list(s.inst.cost), list(s.inst.cap),
+                     circulation._residual(s.inst, s.flow))
                     for s in states
                 ]
 

@@ -43,8 +43,10 @@ def _explicit_arcs(sg):
 
 
 def _arcs(inst):
-    """(src, dst, cost, capacity) of every instance arc, in order."""
-    return list(zip(inst.asrc, inst.adst, inst.acost, inst.acap))
+    """(src, dst, cost, capacity) of every instance arc, in order, read off
+    its forward residual arc 2a."""
+    head = inst.head
+    return [(head[2 * a + 1], head[2 * a], inst.cost[2 * a], inst.cap[a]) for a in range(inst.m)]
 
 
 def _fans(sg):
@@ -146,7 +148,8 @@ class TestUncapacitate:
             assert arcs[-1] == (sg.omega, sg.alpha, k - 1, None)
 
     def test_matches_per_arc_construction(self, rng):
-        """Arcs, costs, capacities and adjacency in the shifted graph's order."""
+        """Arcs, costs, capacities and residual arcs in the shifted graph's
+        order: arc a is residual arc 2a forward and 2a + 1 in reverse."""
         pen = PenaltySpec.convex_sum([(1, -1), (2, 3)])
         for i in range(30):
             g = random_graph(rng, rng.randint(0, 8), 0.4, 5)
@@ -155,11 +158,18 @@ class TestUncapacitate:
             inst = uncapacitate(sg)
             assert _arcs(inst) == expect
             assert inst.n == sg.n_total and inst.m == len(expect)
-            assert all(c is None or type(c) is int for c in inst.acap)
-            out_arcs, in_arcs = inst.adjacency()
+            assert all(c is None or type(c) is int for c in inst.cap)
+            assert len(inst.head) == len(inst.cost) == 2 * inst.m
+            for a, (v, w, c, _) in enumerate(expect):
+                assert inst.head[2 * a : 2 * a + 2] == [w, v]
+                assert inst.cost[2 * a : 2 * a + 2] == [c, -c]
+            res, out = circulation._residual(inst, [0] * inst.m)
+            assert res == [x for _, _, _, cap in expect for x in (cap, 0)]
             for x in range(inst.n):
-                assert out_arcs[x] == [a for a in range(inst.m) if expect[a][0] == x]
-                assert in_arcs[x] == [a for a in range(inst.m) if expect[a][1] == x]
+                # forward 2a leaves arc a's tail, reverse 2a + 1 its head;
+                # the forward ones come first
+                leaving = [e for e in range(2 * inst.m) if expect[e // 2][e & 1] == x]
+                assert out[x] == sorted(leaving, key=lambda e: (e & 1, e))
 
 
 class TestSolvers:
@@ -245,7 +255,7 @@ class TestSolvers:
             sg, _, sf = _solve_both(g, k)
             assert sf.check_optimality()
             assert all(x == 0 for x in sf.inst.excess(sf.flow))
-            assert all(0 <= f and (c is None or f <= c) for f, c in zip(sf.flow, sf.inst.acap))
+            assert all(0 <= f and (c is None or f <= c) for f, c in zip(sf.flow, sf.inst.cap))
             assert sf.potentials[sg.omega] - sf.potentials[sg.alpha] <= sg.k - 1
 
     def test_large_weights_run_one_phase_per_capacity_bit(self, rng):
@@ -324,21 +334,19 @@ class TestSolveStats:
         assert rounds > 0 and phases >= BIG_PHASES
 
 
-def _reference_distances(src, dst, cost, cap, flow, pot, starts, delta):
-    """Residual shortest-path distances by Bellman-Ford over every arc whose
-    residual capacity is at least delta, cap - flow forward (always when
-    cap is None) and flow in reverse; None where no start reaches."""
+def _reference_distances(head, cost, res, pot, starts, delta):
+    """Residual shortest-path distances by Bellman-Ford over every residual
+    arc e, from head[e ^ 1] to head[e], whose residual capacity res[e] is
+    at least delta (always when it is None); None where no start reaches."""
     dist = [None] * len(pot)
     for d, s in starts:
         if dist[s] is None or d < dist[s]:
             dist[s] = d
     arcs = []
-    for a, (x, w, c) in enumerate(zip(src, dst, cost)):
-        rc = c + pot[w] - pot[x]
-        if cap[a] is None or cap[a] - flow[a] >= delta:
-            arcs.append((x, w, rc))
-        if flow[a] >= delta:
-            arcs.append((w, x, -rc))
+    for e, (w, c, r) in enumerate(zip(head, cost, res)):
+        x = head[e ^ 1]
+        if r is None or r >= delta:
+            arcs.append((x, w, c + pot[w] - pot[x]))
     changed = True
     while changed:
         changed = False
@@ -349,26 +357,29 @@ def _reference_distances(src, dst, cost, cap, flow, pot, starts, delta):
     return dist
 
 
-def _residual(n, arcs, cap=None):
-    """Arc arrays, capacities (none by default) and adjacency lists of a
-    list of (src, dst, cost) arcs."""
-    src, dst, cost = (list(t) for t in zip(*arcs))
-    out_arcs = [[] for _ in range(n)]
-    in_arcs = [[] for _ in range(n)]
-    for a, (x, w, _) in enumerate(arcs):
-        out_arcs[x].append(a)
-        in_arcs[w].append(a)
-    return src, dst, cost, cap or [None] * len(arcs), out_arcs, in_arcs
+def _residual_graph(n, arcs, flow, cap=None):
+    """Heads, costs, residual capacities and per-vertex residual arcs of a
+    list of (src, dst, cost) arcs under ``flow``, with capacities (none by
+    default): arc a is residual arc 2a forward and 2a + 1 in reverse."""
+    head, cost, res = [], [], []
+    out = [[] for _ in range(n)]
+    for a, ((x, w, c), f, u) in enumerate(zip(arcs, flow, cap or [None] * len(arcs))):
+        head += (w, x)
+        cost += (c, -c)
+        res += (None if u is None else u - f, f)
+        out[x].append(2 * a)
+        out[w].append(2 * a + 1)
+    return head, cost, res, out
 
 
 _build_tree = circulation._build_tree
 
 
-def _checked_build_tree(src, dst, cost, cap, out_arcs, in_arcs, flow, pot, starts, delta):
+def _checked_build_tree(head, cost, res, out, pot, starts, delta):
     """``_build_tree``, checked against ``_reference_distances``."""
     before = list(pot)
-    ref = _reference_distances(src, dst, cost, cap, flow, before, starts, delta)
-    dist = _build_tree(src, dst, cost, cap, out_arcs, in_arcs, flow, pot, starts, delta)
+    ref = _reference_distances(head, cost, res, before, starts, delta)
+    dist = _build_tree(head, cost, res, out, pot, starts, delta)
     assert dist == ref
     assert pot == [p - (d or 0) for p, d in zip(before, dist)]
     # every reached vertex is at its start distance or entered from a reached
@@ -377,12 +388,11 @@ def _checked_build_tree(src, dst, cost, cap, out_arcs, in_arcs, flow, pot, start
     for d, s in starts:
         start[s] = min(d, start.get(s, d))
     tight = set()
-    for a, (x, w, c) in enumerate(zip(src, dst, cost)):
+    for e, (w, c, r) in enumerate(zip(head, cost, res)):
+        x = head[e ^ 1]
         if dist[x] is not None and dist[w] is not None and c + pot[w] == pot[x]:
-            if cap[a] is None or cap[a] - flow[a] >= delta:
+            if r is None or r >= delta:
                 tight.add(w)
-            if flow[a] >= delta:
-                tight.add(x)
     for v, d in enumerate(dist):
         assert d is None or d == start.get(v) or v in tight
     return dist
@@ -440,9 +450,8 @@ class TestBuildTree:
                 cap.append(rng.choice((None, f + rng.randint(0 if f else 1, 3))))
             starts = [(rng.randint(-2, 6), v) for v in rng.sample(range(n), min(n, 3))]
             starts.append((rng.randint(-2, 6), order[0]))
-            src, dst, cost, cap, out_arcs, in_arcs = _residual(n, arcs, cap)
             _checked_build_tree(
-                src, dst, cost, cap, out_arcs, in_arcs, flow, pot, starts, rng.choice((1, 2))
+                *_residual_graph(n, arcs, flow, cap), pot, starts, rng.choice((1, 2))
             )
 
     def test_zero_cost_chain_beats_a_costlier_jump(self):
@@ -450,25 +459,20 @@ class TestBuildTree:
         # vertex ids fall along the chain; one arc of cost 1 jumps to its end
         arcs = [(v, v - 1, 0) for v in range(n - 1, 0, -1)] + [(n - 1, 0, 1)]
         pot = [0] * n
-        src, dst, cost, cap, out_arcs, in_arcs = _residual(n, arcs)
-        dist = _build_tree(
-            src, dst, cost, cap, out_arcs, in_arcs, [0] * len(arcs), pot, [(3, n - 1)], 1
-        )
+        dist = _build_tree(*_residual_graph(n, arcs, [0] * len(arcs)), pot, [(3, n - 1)], 1)
         assert dist == [3] * n and pot == [-3] * n
 
     def test_negative_reduced_cost_raises(self):
         for flow, (x, w, c) in (([0], (0, 1, -1)), ([1], (0, 1, 1))):
             # a forward arc of cost -1, or the reverse of a flow arc of cost 1
-            src, dst, cost, cap, out_arcs, in_arcs = _residual(2, [(x, w, c), (1, 0, 5)])
+            residual = _residual_graph(2, [(x, w, c), (1, 0, 5)], flow + [0])
             with pytest.raises(SolverError, match="negative"):
-                _build_tree(
-                    src, dst, cost, cap, out_arcs, in_arcs, flow + [0], [0, 0], [(0, 0), (0, 1)], 1
-                )
+                _build_tree(*residual, [0, 0], [(0, 0), (0, 1)], 1)
 
     def test_unreachable_vertex_raises(self):
-        src, dst, cost, cap, out_arcs, in_arcs = _residual(3, [(0, 1, 0), (2, 1, 0)])
+        residual = _residual_graph(3, [(0, 1, 0), (2, 1, 0)], [0, 0])
         with pytest.raises(SolverError, match="not connected"):
-            _build_tree(src, dst, cost, cap, out_arcs, in_arcs, [0, 0], [0] * 3, [(0, 0)], 1)
+            _build_tree(*residual, [0] * 3, [(0, 0)], 1)
 
 
 class TestStateSurface:
@@ -520,17 +524,15 @@ class TestPhaseChecks:
             # residual, as a faulty phase before would leave it.  Excesses
             # stay exact, so a pass without the check goes on to an optimum
             if core.stats.outer_phases > 1 and not planted:
-                inst, flow, pot, excess = core.inst, core.flow, core.pot, core.excess
-                for a, (x, w, c, cap) in enumerate(
-                    zip(inst.asrc, inst.adst, inst.acost, inst.acap)
-                ):
+                res, pot, excess = core.res, core.pot, core.excess
+                for a, (x, w, c, cap) in enumerate(_arcs(core.inst)):
                     rc = c + pot[w] - pot[x]
                     if cap is None or cap < 2 * delta or not rc:
                         continue
                     target = 0 if rc < 0 else cap
-                    excess[x] -= target - flow[a]
-                    excess[w] += target - flow[a]
-                    flow[a] = target
+                    excess[x] -= target - res[2 * a + 1]
+                    excess[w] += target - res[2 * a + 1]
+                    res[2 * a : 2 * a + 2] = [cap - target, target]
                     planted.append(a)
                     break
             saturate(core, delta)
@@ -557,9 +559,9 @@ class TestAdmissibleMaxFlow:
         def max_flow_then_check(core, sources, sinks, delta):
             before = sum(e for e in core.excess if e > 0)
             max_flow(core, sources, sinks, delta)
-            inst, pot = core.inst, core.pot
-            for a, (x, w, c, cap) in enumerate(zip(inst.asrc, inst.adst, inst.acost, inst.acap)):
-                f = core.flow[a]
+            pot = core.pot
+            for a, (x, w, c, cap) in enumerate(_arcs(core.inst)):
+                f = core.res[2 * a + 1]
                 assert 0 <= f and (cap is None or f <= cap)
                 rc = c + pot[w] - pot[x]
                 assert rc >= 0 or cap - f < delta
@@ -594,3 +596,70 @@ class TestAdmissibleMaxFlow:
             total += stats.repairs
         assert len(rounds) == total > 0
         assert len(set(rounds)) > 1  # the checks ran at several scales
+
+
+def _pairing_breaks(core):
+    """The first arc whose two residual arcs disagree in ``core``, or None.
+
+    Arc a's reverse residual arc 2a + 1 holds its flow, at least 0; the
+    forward arc 2a is None exactly when the arc is uncapacitated, and
+    otherwise the two sum to the capacity.  The excesses must be those of
+    the flow on the reverse arcs."""
+    inst, res = core.inst, core.res
+    for a, cap in enumerate(inst.cap):
+        fwd, rev = res[2 * a], res[2 * a + 1]
+        if rev < 0 or (fwd is None) != (cap is None) or (cap is not None and fwd + rev != cap):
+            return a
+    if core.excess != inst.excess(res[1::2]):
+        return "excess"
+    return None
+
+
+class TestResidualPairing:
+    """Every push of a real solve moves residual arc e and its partner e ^ 1
+    together: checked after every saturating pass and every max flow."""
+
+    def test_holds_after_every_pass_and_max_flow(self, monkeypatch, rng):
+        saturate, max_flow = circulation._Core.saturate, circulation._admissible_max_flow
+        checked = []
+
+        def saturate_then_check(core, delta):
+            saturate(core, delta)
+            assert _pairing_breaks(core) is None
+            checked.append("saturate")
+
+        def max_flow_then_check(core, sources, sinks, delta):
+            max_flow(core, sources, sinks, delta)
+            assert _pairing_breaks(core) is None
+            checked.append("max flow")
+
+        monkeypatch.setattr(circulation._Core, "saturate", saturate_then_check)
+        monkeypatch.setattr(circulation, "_admissible_max_flow", max_flow_then_check)
+        pen = PenaltySpec.parse("sum:1,-1;2,3")
+        phases = rounds = 0
+        for i in range(12):
+            g = random_graph(rng, rng.randint(8, 30), 0.15, 10**6 if i % 2 else 1)
+            state = solve_fast(uncapacitate(build_convex_instance(g, rng.choice((3, 8)), pen)))
+            assert state.check_optimality()
+            phases += state.stats.outer_phases
+            rounds += state.stats.repairs
+        # one check per phase and per round: a wrapper that never fires fails here
+        assert checked.count("saturate") == phases >= BIG_PHASES
+        assert checked.count("max flow") == rounds > 0
+
+    def test_half_push_breaks_the_pairing(self, rng):
+        g = random_graph(rng, 12, 0.3, 5)
+        core = circulation._Core(uncapacitate(build_convex_instance(g, 4, LINEAR)))
+        assert _pairing_breaks(core) is None
+        res, excess, head = core.res, core.excess, core.inst.head
+        for e in range(len(res)):
+            if res[e] is not None and res[e] > 0:
+                break
+        # a push of one unit on e: excesses and res[e] move, res[e ^ 1] does not
+        res[e] -= 1
+        excess[head[e ^ 1]] -= 1
+        excess[head[e]] += 1
+        assert _pairing_breaks(core) == e // 2
+        if res[e ^ 1] is not None:
+            res[e ^ 1] += 1  # the whole push restores it
+            assert _pairing_breaks(core) is None

@@ -287,6 +287,17 @@ class TestBench:
         assert {r[1] for r in rows} == {"exact", "plain"}
         assert all(r[2] == "3" for r in rows)  # plain at k=2 is optimal
 
+    def test_score_too_long_to_print_exits_2(self, tmp_path, capsys):
+        # a 2-cycle of 4300-digit weights scores twice the weight, 4301 digits
+        big = "9" * 4300
+        graph, manifest = tmp_path / "big.txt", tmp_path / "bench.txt"
+        graph.write_text(f"a b {big}\nb a {big}\n")
+        manifest.write_text(f"big {graph}\n")
+        assert main(["bench", str(manifest)]) == 2
+        cap = capsys.readouterr()
+        assert _one_line_error(cap.err) and "too many digits" in cap.err
+        assert "Traceback" not in cap.err
+
     @pytest.mark.parametrize(
         "line", ["onlyname", "x {toy} k=abc", "x {toy} k=0"], ids=["no-path", "k-abc", "k-0"]
     )

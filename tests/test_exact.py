@@ -116,6 +116,16 @@ class TestMinAgony:
         with pytest.raises(ValueError):
             min_agony(g)
 
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_bad_budget_rejected(self, n):
+        g = graph_from_text(TOY) if n else WeightedDigraph(0, [])
+        for k, match in ((0, "k must be >= 1"), (-3, "k must be >= 1"),
+                         (2.5, "k must be an integer"), ("2", "k must be an integer")):
+            with pytest.raises(ValueError, match=match):
+                min_agony(g, k)
+        # an integer type that is not int counts as an int
+        assert min_agony(g, True).k == 1
+
     def test_k_above_n_clamps(self):
         g = graph_from_text(TOY)
         assert min_agony(g, 10).agony == min_agony(g, 4).agony

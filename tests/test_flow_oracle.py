@@ -29,10 +29,16 @@ BIG = 10**6
 BIG_PHASES = 20  # measured: 20 phases under the linear penalty, 21 under the convex one
 
 
+def _arcs(inst):
+    """(tail, head, cost, capacity) of every arc, read off its forward residual arc 2a."""
+    head = inst.head
+    return [(head[2 * a + 1], head[2 * a], inst.cost[2 * a], inst.cap[a]) for a in range(inst.m)]
+
+
 def _simplex_cost(inst) -> int:
     net = nx.MultiDiGraph()
     net.add_nodes_from(range(inst.n), demand=0)
-    for x, w, c, cap in zip(inst.asrc, inst.adst, inst.acost, inst.acap):
+    for x, w, c, cap in _arcs(inst):
         if cap is None:
             net.add_edge(x, w, weight=c)
         else:
@@ -45,12 +51,13 @@ def _feasible(inst, flow) -> bool:
     """0 <= flow <= capacity on every arc, and inflow = outflow everywhere."""
     if len(flow) != inst.m:
         return False
-    if any(f < 0 or (cap is not None and f > cap) for f, cap in zip(flow, inst.acap)):
+    arcs = _arcs(inst)
+    if any(f < 0 or (cap is not None and f > cap) for f, (_, _, _, cap) in zip(flow, arcs)):
         return False
     net = [0] * inst.n
-    for a, f in enumerate(flow):
-        net[inst.asrc[a]] -= f
-        net[inst.adst[a]] += f
+    for f, (x, w, _, _) in zip(flow, arcs):
+        net[x] -= f
+        net[w] += f
     return not any(net)
 
 
@@ -80,7 +87,7 @@ def test_solver_flow_is_feasible_and_simplex_optimal(n, p, k, name, wmax, solver
     else:
         flow = solve_reference(g, k, inst.sg.terms).flow
     assert _feasible(inst, flow)
-    cost = sum(c * f for c, f in zip(inst.acost, flow))
+    cost = sum(c * f for (_, _, c, _), f in zip(_arcs(inst), flow))
     assert cost == _simplex_cost(inst)
     if solver == "fast":
         assert cost == state.objective()

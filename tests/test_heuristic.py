@@ -404,6 +404,16 @@ class TestFacade:
         with pytest.raises(ValueError):
             heuristic_rank(WeightedDigraph(1, []), None, "magic")
 
+    @pytest.mark.parametrize("variant", ["plain", "scc", "best"])
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_bad_budget_rejected_by_every_variant(self, variant, n):
+        # the empty graph too: the SCC variant used to return before checking k
+        g = WeightedDigraph(n, [(0, 1, 1), (1, 0, 1)] if n else [])
+        for k, match in ((0, "k must be >= 1"), (-3, "k must be >= 1"),
+                         (2.5, "k must be an integer"), ("2", "k must be an integer")):
+            with pytest.raises(ValueError, match=match):
+                heuristic_rank(g, k, variant)
+
     def test_score_matches_ranking(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 10), 0.4, 3)
