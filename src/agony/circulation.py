@@ -139,25 +139,34 @@ def _arcs(inst: CirculationInstance):
 
 
 def _residual(inst: CirculationInstance, flow: list[int]) -> tuple[list, list[list[int]]]:
-    """The residual view ``(res, out)`` of ``flow``, one entry per arc.
+    """The residual view ``(res, out)`` of ``flow``: ``_capacities`` and ``_outgoing``."""
+    return _capacities(inst, flow), _outgoing(inst)
 
-    ``res[e]``: residual arc e's residual capacity, cap - flow forward (None
-    when uncapacitated) and the flow in reverse.  ``out[x]``: the forward
-    residual arcs leaving x, then the reverse ones, each in arc order, so
-    the Dijkstra meets first those its capacity test mostly passes
-    (interleaved, it ran 12-21% longer on the wiki-Vote-size proxy).
-    """
+
+def _capacities(inst: CirculationInstance, flow: list[int]) -> list:
+    """``res[e]``: residual arc e's residual capacity under ``flow``, cap - flow
+    forward (None when uncapacitated) and the flow in reverse."""
     res: list = [None] * (2 * inst.m)
     # an unused arc's residual capacity is its capacity, shared, not a copy
     res[0::2] = [c - f if f and c is not None else c for c, f in zip(inst.cap, flow)]
     res[1::2] = flow
+    return res
+
+
+def _outgoing(inst: CirculationInstance) -> list[list[int]]:
+    """``out[x]``: the forward residual arcs leaving x, then the reverse ones.
+
+    Each kind is in arc order, so the Dijkstra meets first those its
+    capacity test mostly passes (interleaved, it ran 12-21% longer on the
+    wiki-Vote-size proxy).  ``out`` depends on the heads alone.
+    """
     out: list[list[int]] = [[] for _ in range(inst.n)]
     head = inst.head
     for e in range(0, len(head), 2):  # forward arcs, from their tails
         out[head[e + 1]].append(e)
     for e in range(1, len(head), 2):  # reverse arcs, from their arcs' heads
         out[head[e - 1]].append(e)
-    return res, out
+    return out
 
 
 def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
@@ -316,18 +325,21 @@ class _Core:
 
     Every arc of negative cost starts saturated, so under the zero duals no
     residual arc has a negative reduced cost.  The core keeps its residual
-    view (``res`` and ``out``) in place of a flow; ``finalize`` reads the
-    flow off the reverse arcs.  Every phase is checked as it runs, each
-    failure a ``SolverError``: ``saturate`` refuses an uncapacitated arc of
-    negative reduced cost and a push of 2 * delta or more, and the Dijkstra
-    a residual arc of negative reduced cost or a vertex it cannot reach.
+    capacities ``res`` in place of a flow; ``finalize`` reads the flow off
+    the reverse arcs.  Its residual arcs ``out`` are built by the first
+    Dijkstra, since many small solves run none.  Every phase is checked as
+    it runs, each failure a ``SolverError``: ``saturate`` refuses an
+    uncapacitated arc of negative reduced cost and a push of 2 * delta or
+    more, and the Dijkstra a residual arc of negative reduced cost or a
+    vertex it cannot reach.
     """
 
     def __init__(self, inst: CirculationInstance):
         self.inst = inst
         forward = islice(inst.cost, 0, None, 2)
         flow = [cap if c < 0 else 0 for c, cap in zip(forward, inst.cap)]
-        self.res, self.out = _residual(inst, flow)
+        self.res = _capacities(inst, flow)
+        self.out = None
         self.pot = [0] * inst.n
         self.excess = inst.excess(flow)
         self.stats = SolveStats()
@@ -373,6 +385,8 @@ class _Core:
     def dijkstra(self, starts, delta: int):
         """``_build_tree`` over the delta-residual arcs; counts the settles."""
         inst = self.inst
+        if self.out is None:
+            self.out = _outgoing(inst)
         _build_tree(inst.head, inst.cost, self.res, self.out, self.pot, starts, delta)
         self.stats.settles += inst.n
 

@@ -81,13 +81,19 @@ def min_agony(
 
     if use_scc:
         parts = strongly_connected_components(g)
-        subs = split_by_part(g, [part for part in parts if len(part) > 1])
+        cyclic = [part for part in parts if len(part) > 1]
+        subs = split_by_part(g, cyclic) if cyclic else []
         subs.reverse()  # pop() hands out each subgraph in order, then drops it
     else:
         parts = [list(range(n))] if n else []
         subs = [g]
     offset = 0
     for part in parts:
+        if len(part) == 1:  # one vertex, one tier
+            components.append(ComponentSolve(part, [0]))
+            ranks[part[0]] = offset
+            offset += step
+            continue
         width = min(k, (len(part) - 1) * step + 1)
         if width == 1:  # a single tier: the only assignment is all-zero
             local = [0] * len(part)

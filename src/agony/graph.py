@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import logging
 import operator
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import pairwise
+from itertools import islice, pairwise
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 from .penalties import PenaltySpec, hinge_total
@@ -133,29 +134,41 @@ def parse_edge_list(stream: TextIO) -> tuple[WeightedDigraph, VertexTable]:
 
     Labels are interned in first-appearance order.  Duplicate edges and
     self-loops are kept verbatim here; ``normalize`` merges and drops them.
+    The stream is read one line at a time and only the edges and labels
+    are kept, so parsing holds no more than its result and one line.
     """
     table = VertexTable()
+    index = table._index
     edges: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    append = edges.append
+    for lineno, parts in enumerate(map(str.split, stream), start=1):
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(lineno, f"expected 2 or 3 fields, got {len(parts)}")
-        u = table.intern(parts[0])
-        v = table.intern(parts[1])
         if len(parts) == 3:
-            try:
-                w = int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, f"weight {parts[2]!r} is not an integer") from None
-            if w < 1:
-                raise ParseError(lineno, f"weight must be positive, got {w}")
-        else:
+            a, b, weight = parts
+            if weight == "1":
+                w = 1
+            else:
+                try:
+                    w = int(weight)
+                except ValueError:
+                    raise ParseError(lineno, f"weight {weight!r} is not an integer") from None
+                if w < 1:
+                    raise ParseError(lineno, f"weight must be positive, got {w}")
+        elif len(parts) == 2:
+            a, b = parts
             w = 1
-        edges.append((u, v, w))
-    return WeightedDigraph._adopt(len(table), edges), table
+        else:
+            raise ParseError(lineno, f"expected 2 or 3 fields, got {len(parts)}")
+        u = index.get(a)
+        if u is None:
+            u = index[a] = len(index)
+        v = index.get(b)
+        if v is None:
+            v = index[b] = len(index)
+        append((u, v, w))
+    table._labels = list(index)  # a dict keeps first-appearance order
+    return WeightedDigraph._adopt(len(index), edges), table
 
 
 def normalize(g: WeightedDigraph) -> WeightedDigraph:
@@ -165,21 +178,22 @@ def normalize(g: WeightedDigraph) -> WeightedDigraph:
     w * p(0) under every ranking, so dropping the loops lowers every score
     by the same constant and keeps the optimal rankings.
 
-    Loops and parallel pairs are found from one sorted list of int keys
-    u * n + v.  Edges keep their first-appearance order, and only a merged
-    pair gets a new tuple.  An input with neither shares its edge list
-    with the result instead of copying it; that is safe only because a
-    ``WeightedDigraph`` is never mutated.
+    Loops and parallel pairs are found from one sorted list of int keys,
+    u * n + v for an edge and -1 for a loop.  Edges keep their
+    first-appearance order, and only a merged pair gets a new tuple.  An
+    input with neither shares its edge list with the result instead of
+    copying it; that is safe only because a ``WeightedDigraph`` is never
+    mutated.
     """
     n, edges = g.n, g.edges
-    keys = [u * n + v for u, v, _ in edges]
+    keys = [u * n + v if u != v else -1 for u, v, _ in edges]
     keys.sort()
-    loops = sum(u == v for u, v, _ in edges)
-    # a repeated key's weights are summed here; 0 marks a pair already written
-    sums = dict.fromkeys((a for a, b in pairwise(keys) if a == b), 0)
-    del keys
-    if not loops and not sums:
+    loops = bisect_left(keys, 0)  # a loop's key, -1, sorts first
+    if not loops and not any(map(operator.eq, keys, islice(keys, 1, None))):
         return WeightedDigraph._adopt(n, edges, True)
+    # a repeated key's weights are summed here; 0 marks a pair already written
+    sums = dict.fromkeys((a for a, b in pairwise(islice(keys, loops, None)) if a == b), 0)
+    del keys
     for u, v, w in edges:
         key = u * n + v
         if key in sums:

@@ -14,10 +14,55 @@ from all vertices at once are feasible duals, and the ranks
 d(alpha) - d(v) lie in [0, k - 1] and score the circulation's value.
 Each cancellation runs a Bellman-Ford over every residual arc, so the
 tests run it on graphs of at most 60 vertices.
+
+``parse_edge_list_reference`` is the edge-list parser as it read before
+it streamed tokens: strip each line, skip it when blank or when it starts
+with '#', split it, and intern labels one call at a time.  It raises
+``ReferenceParseError`` with the text and line number of ``ParseError``.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
+
+
+class ReferenceParseError(ValueError):
+    def __init__(self, lineno: int, message: str):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno = lineno
+
+
+def parse_edge_list_reference(stream) -> tuple[list[tuple[int, int, int]], list[str]]:
+    """The edges and the labels, in first-appearance order, of an edge list."""
+    index: dict[str, int] = {}
+
+    def intern(label: str) -> int:
+        idx = index.get(label)
+        if idx is None:
+            idx = len(index)
+            index[label] = idx
+        return idx
+
+    edges: list[tuple[int, int, int]] = []
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ReferenceParseError(lineno, f"expected 2 or 3 fields, got {len(parts)}")
+        u = intern(parts[0])
+        v = intern(parts[1])
+        if len(parts) == 3:
+            try:
+                w = int(parts[2])
+            except ValueError:
+                raise ReferenceParseError(lineno, f"weight {parts[2]!r} is not an integer") from None
+            if w < 1:
+                raise ReferenceParseError(lineno, f"weight must be positive, got {w}")
+        else:
+            w = 1
+        edges.append((u, v, w))
+    return edges, list(index)
 
 
 class Reference(NamedTuple):

@@ -21,6 +21,7 @@ from agony.graph import (
 from agony.exact import min_agony
 from agony.penalties import LINEAR, PenaltySpec
 
+from baseline import ReferenceParseError, parse_edge_list_reference
 from conftest import (
     graph_from_text,
     longest_path_layer_count,
@@ -80,6 +81,45 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_edge_list(StringIO("a b\n" + bad))
         assert err.value.lineno == 2
+
+
+_SPACE = st.sampled_from([" ", "\t", "\x0c", "  \t"])
+_LABEL = st.sampled_from(["a", "b", "c", "#a", "a#", "7"])
+_WEIGHT = st.sampled_from(["1", "01", "+3", "1_0", "0", "-1", "x", "\u0663"])
+
+
+@st.composite
+def _edge_list_line(draw) -> str:
+    kind = draw(st.sampled_from(["blank", "comment", "fields"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "\x0c", " \t\x0c "]))
+    if kind == "comment":
+        tokens = ["#" + draw(st.sampled_from(["", "a", "#"]))]
+        tokens += draw(st.lists(st.one_of(_LABEL, _WEIGHT), max_size=3))
+    else:
+        tokens = draw(st.lists(_LABEL, min_size=1, max_size=2))
+        tokens += draw(st.lists(_WEIGHT, max_size=4 - len(tokens)))
+    line = "".join(t + draw(_SPACE) for t in tokens[:-1]) + tokens[-1]
+    return draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " ", "\x0c"]))
+
+
+class TestParseDifferential:
+    """``parse_edge_list`` against the line-stripping parser it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_edge_list_line(), max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_matches_reference_parser(self, lines, end, last_end):
+        text = end.join(lines) + (end if last_end else "")
+        try:
+            expected = parse_edge_list_reference(StringIO(text))
+        except ReferenceParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_edge_list(StringIO(text))
+            assert (str(err.value), err.value.lineno) == (str(exc), exc.lineno)
+            return
+        g, table = parse_edge_list(StringIO(text))
+        assert (g.edges, table.labels()) == expected
+        assert g.n == len(table) == len(expected[1])
 
 
 class TestNormalize:

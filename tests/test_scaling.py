@@ -63,6 +63,12 @@ edge, and its own builder, ``heuristic_rank(g, 50, "best")`` peaked at
 and 127; with one builder over the graph's own edges, whose layers are
 its roots, they peak at 60 and 59 and at 58 and 57.  Those bounds too sit
 about a fifth above.
+
+A last guard parses the same graphs' edge-list files, one ``v<u> v<v> w``
+line per edge, as the command line does.  Parsing reads one line at a
+time, so its peak is what it keeps, the edges and the labels: 95 and 93
+bytes per edge.  A parser that reads the whole file first peaks at 163-164
+at both sizes.  The bound sits about a fifth above.
 """
 from __future__ import annotations
 
@@ -80,7 +86,13 @@ from agony import circulation
 from agony.canonical import canonical_ranking
 from agony.circulation import build_convex_instance, solve_fast, uncapacitate
 from agony.exact import min_agony
-from agony.graph import WeightedDigraph, normalize, split_by_part, strongly_connected_components
+from agony.graph import (
+    WeightedDigraph,
+    normalize,
+    parse_edge_list,
+    split_by_part,
+    strongly_connected_components,
+)
 from agony.heuristic import heuristic_rank, scc_layer_heuristic
 from agony.penalties import LINEAR
 from agony.splittree import build_split_tree
@@ -97,6 +109,7 @@ MAX_NORMALIZE_PEAK_BYTES_PER_EDGE = 55
 MAX_BUILD_PEAK_BYTES_PER_EDGE = 80
 MAX_BEST_HEURISTIC_PEAK_BYTES_PER_EDGE = 72
 MAX_SCC_HEURISTIC_PEAK_BYTES_PER_EDGE = 70
+MAX_PARSE_PEAK_BYTES_PER_EDGE = 115
 
 
 def _two_cycle_chain(c: int) -> WeightedDigraph:
@@ -319,3 +332,17 @@ def test_scc_heuristic_peak_per_edge_stays_small(power_law_graphs):
     graphs = {n: normalize(g) for n, g in power_law_graphs.items()}
     peak, text = _peak_per_edge(lambda g: heuristic_rank(g, 50, "scc"), graphs)
     assert peak <= MAX_SCC_HEURISTIC_PEAK_BYTES_PER_EDGE, text
+
+
+def test_parse_peak_per_edge_stays_small(power_law_graphs, tmp_path):
+    paths = {}
+    for n, g in power_law_graphs.items():
+        paths[g] = tmp_path / f"{n}.txt"
+        paths[g].write_text("".join(f"v{u} v{v} {w}\n" for u, v, w in g.edges), encoding="utf-8")
+
+    def parse(g):
+        with open(paths[g], encoding="utf-8") as fh:
+            return parse_edge_list(fh)
+
+    peak, text = _peak_per_edge(parse, power_law_graphs)
+    assert peak <= MAX_PARSE_PEAK_BYTES_PER_EDGE, text
