@@ -9,29 +9,25 @@ Magnanti and Orlin, *Network Flows*, section 2.4): forward e = 2a, with
 residual capacity cap - flow (None, unbounded, when uncapacitated), and
 reverse e ^ 1 = 2a + 1, with residual capacity flow.  So every scan reads
 a residual arc the same way, whatever its direction.  ``solve_fast``, the
-one solver, runs capacity scaling on it (Edmonds and Karp 1972; *Network
-Flows*, section 10.2).  Every arc of negative cost starts saturated.
-Delta runs through the powers of two from the largest one not above the
-largest capacity U down to 1, so a solve runs floor(log2 U) + 1
-delta-phases: weakly polynomial, one phase at unit weights and 21 at
-weights up to 10^6 under slopes up to 2.  A phase first saturates every
-residual arc whose residual capacity is at least delta and whose reduced
-cost is negative, then runs rounds over the delta-residual arcs until no
-vertex has an excess of delta or none a deficit of delta: a multi-source
-Dijkstra (``_build_tree``) prices the duals so that every shortest path
-from a source has reduced cost 0, then a Dinic max flow over the
-zero-reduced-cost residual arcs (``_admissible_max_flow``) pushes at
-least delta per path from the sources to the sinks until no such path is
-left.  So a phase runs one Dijkstra per distinct shortest-path cost.  The
-phase's saturating pass, the Dijkstra loop and the max flow's pass over
-the tight arcs are the only scans of the residual graph in the package.
-The canonical ranking (``agony.canonical``) reuses the Dijkstra through
-``residual_distances`` from all of a solved state's graph vertices at
-once.  Optimal integer duals turn back into a rank assignment via
-``extract_ranking``.  Each solved state keeps its instance, and each
-instance its shifted graph, so a ``SolverState`` alone gives its ranks,
-its circulation value and its optimality certificate; no other module
-reads the instance layout.
+one solver, runs one primal-dual phase on it (*Network Flows*, section
+9.8).  Every arc of negative cost starts saturated, so the zero duals are
+feasible, and rounds run until no vertex has an excess: a multi-source
+Dijkstra (``_build_tree``) from the vertices of positive excess, over
+every residual arc of nonzero residual capacity, prices the duals so that
+every shortest path from a source has reduced cost 0, then a Dinic max
+flow over the zero-reduced-cost residual arcs (``_admissible_max_flow``)
+pushes from the sources to the sinks until no such path is left.  Each
+round after the first lowers the dual of every remaining sink by at least
+1 and leaves a source's dual as it is, while the duals lie within k - 1 of
+one another, so a solve runs at most k rounds, whatever the weights.  The
+Dijkstra loop and the max flow's pass over the tight arcs are the only
+scans of the residual graph in the package.  The canonical ranking
+(``agony.canonical``) reuses the Dijkstra through ``residual_distances``
+from all of a solved state's graph vertices at once.  Optimal integer
+duals turn back into a rank assignment via ``extract_ranking``.  Each
+solved state keeps its instance, and each instance its shifted graph, so
+a ``SolverState`` alone gives its ranks, its circulation value and its
+optimality certificate; no other module reads the instance layout.
 
 No floating point anywhere: capacities are integers or None, and
 distances are sums of integer reduced costs, few of them distinct, so the
@@ -105,7 +101,8 @@ class CirculationInstance:
     capacity ``cap[a]``, an int or None when uncapacitated.  No vertex has
     a supply or a demand.  An instance outlives its solve inside a
     ``SolverState``, so a solve and a residual Dijkstra each build their
-    residual view (``_residual``) and drop it when they return.
+    residual view (``_capacities`` and ``_outgoing``) and drop it when they
+    return.
     """
 
     __slots__ = ("n", "head", "cost", "cap", "sg")
@@ -136,11 +133,6 @@ def _arcs(inst: CirculationInstance):
     """(head, tail, cost) of every arc a, read off its forward residual arc 2a."""
     h = iter(inst.head)
     return zip(h, h, islice(inst.cost, 0, None, 2))
-
-
-def _residual(inst: CirculationInstance, flow: list[int]) -> tuple[list, list[list[int]]]:
-    """The residual view ``(res, out)`` of ``flow``: ``_capacities`` and ``_outgoing``."""
-    return _capacities(inst, flow), _outgoing(inst)
 
 
 def _capacities(inst: CirculationInstance, flow: list[int]) -> list:
@@ -201,14 +193,14 @@ def uncapacitate(sg: ShiftedGraph) -> CirculationInstance:
 class SolveStats:
     """Counters of one solve.
 
-    ``outer_phases`` counts the delta-phases.  ``augmentations`` counts
-    augmenting paths, each carrying at least delta.  ``repairs``
-    counts the Dijkstra rounds of the phases, each of which re-prices the
-    duals; the benchmark's tracer reads the field under this name.
+    ``augmentations`` counts augmenting paths.  ``repairs`` counts the
+    Dijkstra rounds, each of which re-prices the duals, at most k per
+    solve; the benchmark's tracer reads the field under this name.
     ``settles`` counts the vertices settled by every Dijkstra run.
-    ``contractions`` is always 0: the solver contracts no arcs, and the
-    field stays only because the benchmark's tracer reads it, until that
-    tracer is next changed.
+    ``outer_phases`` is always 1 and ``contractions`` always 0: the solver
+    runs one primal-dual phase and contracts no arcs, and the fields stay
+    only because the benchmark's tracer reads them, until that tracer is
+    next changed.
     """
 
     outer_phases: int = 0
@@ -235,7 +227,7 @@ class SolverState:
         """Capacities, flow conservation, and no residual arc of negative
         reduced cost (dual feasibility and complementary slackness)."""
         inst, pot, head = self.inst, self.potentials, self.inst.head
-        res, _ = _residual(inst, self.flow)
+        res = _capacities(inst, self.flow)
         if any(r is not None and r < 0 for r in res):
             return False
         for e, (w, c, r) in enumerate(zip(head, inst.cost, res)):
@@ -307,13 +299,13 @@ def residual_distances(state: SolverState, starts) -> list[int]:
 
     ``starts`` holds (initial distance, vertex) pairs, and residual arcs
     are as long as their reduced costs under the state's duals.  The
-    solver's Dijkstra runs on the state's residual view (``_residual``) and
-    a copy of its duals, so ``state`` is untouched; duals that are not
-    optimal, or a vertex that no start reaches, raise ``SolverError``.
+    solver's Dijkstra runs on the state's residual view and a copy of its
+    duals, so ``state`` is untouched; duals that are not optimal, or a
+    vertex that no start reaches, raise ``SolverError``.
     """
     inst = state.inst
-    res, out = _residual(inst, state.flow)
-    return _build_tree(inst.head, inst.cost, res, out, list(state.potentials), starts, 1)
+    res, out = _capacities(inst, state.flow), _outgoing(inst)
+    return _build_tree(inst.head, inst.cost, res, out, list(state.potentials), starts)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +319,9 @@ class _Core:
     residual arc has a negative reduced cost.  The core keeps its residual
     capacities ``res`` in place of a flow; ``finalize`` reads the flow off
     the reverse arcs.  Its residual arcs ``out`` are built by the first
-    Dijkstra, since many small solves run none.  Every phase is checked as
-    it runs, each failure a ``SolverError``: ``saturate`` refuses an
-    uncapacitated arc of negative reduced cost and a push of 2 * delta or
-    more, and the Dijkstra a residual arc of negative reduced cost or a
+    Dijkstra, since many small solves run none.  Every round is checked as
+    it runs, each failure a ``SolverError``: the Dijkstra refuses a
+    residual arc of negative reduced cost, on every residual arc, and a
     vertex it cannot reach.
     """
 
@@ -342,116 +333,78 @@ class _Core:
         self.out = None
         self.pot = [0] * inst.n
         self.excess = inst.excess(flow)
-        self.stats = SolveStats()
+        self.stats = SolveStats(outer_phases=1)
 
-    def saturate(self, delta: int):
-        """Saturate every residual arc whose residual capacity is at least
-        ``delta`` and whose reduced cost is negative.
-
-        Of an arc's two residual arcs, the one of negative reduced cost, if
-        either, is pushed on.  The phase before, at 2 * delta, ends with no
-        such residual arc of residual capacity 2 * delta or more, and flow
-        and duals do not change between phases, so a push that large raises
-        ``SolverError``: it is that phase's slack check, made by this pass.
-        The first phase's delta exceeds half of every capacity, so none of
-        its pushes is that large.
-        """
-        res, pot, excess, head = self.res, self.pot, self.excess, self.inst.head
-        limit = 2 * delta
-        for a, (w, x, c) in enumerate(_arcs(self.inst)):
-            rc = c + pot[w] - pot[x]
-            if rc < 0:
-                e = 2 * a
-            elif rc > 0:
-                e = 2 * a + 1
-            else:
-                continue
-            push = res[e]
-            if push is None:
-                raise SolverError(f"negative reduced cost {rc} on uncapacitated arc {a}")
-            if push < delta:
-                continue
-            if push >= limit:
-                raise SolverError(
-                    f"the phase before left arc {a}, forward or reverse, with residual "
-                    f"capacity {push} at a negative reduced cost"
-                )
-            res[e] = 0
-            if res[e ^ 1] is not None:
-                res[e ^ 1] += push
-            excess[head[e ^ 1]] -= push
-            excess[head[e]] += push
-
-    def dijkstra(self, starts, delta: int):
-        """``_build_tree`` over the delta-residual arcs; counts the settles."""
+    def dijkstra(self, starts):
+        """``_build_tree`` over the residual arcs; counts the settles."""
         inst = self.inst
         if self.out is None:
             self.out = _outgoing(inst)
-        _build_tree(inst.head, inst.cost, self.res, self.out, self.pot, starts, delta)
+        _build_tree(inst.head, inst.cost, self.res, self.out, self.pot, starts)
         self.stats.settles += inst.n
 
     def finalize(self) -> SolverState:
         flow = self.res[1::2]
         if any(self.inst.excess(flow)):
-            raise SolverError("flow conservation violated after the last phase")
+            raise SolverError("flow conservation violated after the last round")
         return SolverState(self.inst, flow, self.pot, self.stats)
 
 
 # ---------------------------------------------------------------------------
-# capacity-scaling loop
+# primal-dual loop
 # ---------------------------------------------------------------------------
 
 def solve_fast(inst: CirculationInstance) -> SolverState:
-    """Capacity scaling with primal-dual phases.
+    """One primal-dual phase: rounds until no vertex has an excess.
 
-    Each delta-phase saturates the delta-residual arcs of negative reduced
-    cost, then runs rounds until no source (excess >= delta) or no sink
-    (deficit >= delta) is left: a multi-source Dijkstra from the sources
-    over the delta-residual arcs prices the duals, so every shortest path
-    to a sink has reduced cost 0, then a maximum flow of at least delta
-    per path crosses the zero-reduced-cost delta-residual arcs
-    (``_admissible_max_flow``).  A phase needs one round per distinct
-    shortest-path cost; delta halves down to 1, whose phase leaves no
-    excess, since excesses sum to zero.
+    A round runs a multi-source Dijkstra from the sources (excess > 0) over
+    every residual arc of nonzero residual capacity, which prices the
+    duals so that every shortest path to a sink (excess < 0) has reduced
+    cost 0, then a maximum flow from the sources to the sinks over the
+    zero-reduced-cost residual arcs (``_admissible_max_flow``).
 
-    Besides the checks made by ``_Core`` in every phase, the duals must lie
-    within k - 1 of one another after it, as dual feasibility on the
-    sentinel arcs implies.  The last phase, whose slackness no later pass
-    checks, rests on ``finalize``'s conservation check and, in
-    ``min_agony``, on strong duality with the ranking's own score.
+    A solve runs at most k rounds.  A source starts every Dijkstra at
+    distance 0, so its dual never changes; pushes run from sources to
+    sinks, so a sink never becomes a source nor a source a sink.  After a
+    round's max flow no zero-reduced-cost path from a source to a sink is
+    left, so from round 2 on every remaining sink's dual falls by at least
+    1 per round, and after round r some source and some sink are at least
+    r - 1 apart.  Dual feasibility on the sentinel arcs (alpha, v),
+    (v, omega) and (omega, alpha) keeps every dual within k - 1 of every
+    other, so r <= k.  That spread is checked after every round, and an
+    excess left after round k raises ``SolverError`` too, so a solve that
+    runs away stops.
+
+    Besides the checks made by ``_Core`` in every round, the solve rests on
+    ``finalize``'s conservation check and, in ``min_agony``, on strong
+    duality with the ranking's own score.
     """
     core = _Core(inst)
     excess, stats, pot = core.excess, core.stats, core.pot
-    spread = inst.sg.k - 1
+    k = inst.sg.k
     vertices = range(inst.n)
-    # the largest power of two not above the largest capacity (all are >= 1)
-    delta = 1 << (max((c for c in inst.cap if c is not None), default=1).bit_length() - 1)
     while True:
-        stats.outer_phases += 1
-        core.saturate(delta)
-        while True:
-            sources = [v for v in vertices if excess[v] >= delta]
-            sinks = [v for v in vertices if excess[v] <= -delta]
-            if not sources or not sinks:
-                break
-            core.dijkstra([(0, v) for v in sources], delta)
-            stats.repairs += 1
-            _admissible_max_flow(core, sources, sinks, delta)
-        if max(pot) - min(pot) > spread:
-            raise SolverError(f"dual spread exceeds k - 1 after the phase at delta {delta}")
-        if delta == 1:
+        sources = [v for v in vertices if excess[v] > 0]
+        sinks = [v for v in vertices if excess[v] < 0]
+        if not sources or not sinks:
             return core.finalize()
-        delta //= 2
+        if stats.repairs == k:
+            raise SolverError(f"excess left after {stats.repairs} rounds at k = {k}")
+        core.dijkstra([(0, v) for v in sources])
+        stats.repairs += 1
+        if max(pot) - min(pot) > k - 1:
+            raise SolverError(f"dual spread exceeds k - 1 after round {stats.repairs}")
+        _admissible_max_flow(core, sources, sinks)
 
 
-def _build_tree(head, cost, res, out, pot, starts, delta: int):
+def _build_tree(head, cost, res, out, pot, starts):
     """Multi-source Dijkstra over a bucket queue; subtracts distances from duals.
 
     The residual graph is given by its residual arcs' heads, costs and
     residual capacities (``res``, None for unbounded) and the residual
     arcs ``out[x]`` leaving each vertex x; it holds the residual arcs of
-    residual capacity at least ``delta``, each as long as its reduced cost
-    under ``pot``.  ``starts`` holds (initial distance, vertex) pairs.
+    nonzero residual capacity, each as long as its reduced cost under
+    ``pot``.  ``starts`` holds (initial distance, vertex) pairs.
     Reduced costs are small integers, so a whole run sees few distinct
     distances: bare vertex ids wait in one list per tentative distance, a
     heap holds the distinct distances only, and a zero-cost arc appends to
@@ -480,8 +433,7 @@ def _build_tree(head, cost, res, out, pot, starts, delta: int):
             settled += 1
             px = pot[x]
             for e in out[x]:
-                r = res[e]
-                if r is not None and r < delta:
+                if res[e] == 0:
                     continue
                 w = head[e]
                 rc = cost[e] + pot[w] - px
@@ -506,14 +458,14 @@ def _build_tree(head, cost, res, out, pot, starts, delta: int):
     return dist
 
 
-def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delta: int):
-    """Dinic max flow over the zero-reduced-cost delta-residual arcs.
+def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int]):
+    """Dinic max flow over the zero-reduced-cost residual arcs.
 
-    A residual arc may carry a push while its residual capacity is at
-    least delta (always, when it is unbounded).  A source sends while its
-    excess is at least delta, a sink receives while its deficit is, and a
-    push moves all that the source's excess, the sink's deficit and the
-    path's residual capacities allow, so at least delta.
+    A residual arc may carry a push while its residual capacity is nonzero
+    (always, when it is unbounded).  A source sends while it has an
+    excess, a sink receives while it has a deficit, and a push moves all
+    that the source's excess, the sink's deficit and the path's residual
+    capacities allow.
 
     One pass over the arcs collects the admissible residual arcs: both
     directions of a tight arc a, of reduced cost 0, so ``adm`` lists 2a at
@@ -535,8 +487,8 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
             adm[x].append(2 * a)
             adm[w].append(2 * a + 1)
     while True:
-        sources = [s for s in sources if excess[s] >= delta]
-        sinks = [t for t in sinks if -excess[t] >= delta]
+        sources = [s for s in sources if excess[s] > 0]
+        sinks = [t for t in sinks if excess[t] < 0]
         if not sources or not sinks:
             return
         level = [-1] * n
@@ -551,14 +503,11 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
             for w in frontier:
                 for e in adm[w]:
                     y = head[e]
-                    if level[y] >= 0:
-                        continue
-                    r = res[e ^ 1]  # the residual arc y -> w
-                    if r is not None and r < delta:
+                    if level[y] >= 0 or res[e ^ 1] == 0:  # the residual arc y -> w
                         continue
                     level[y] = depth
                     nxt.append(y)
-                    if excess[y] >= delta:
+                    if excess[y] > 0:
                         starts.append(y)
             frontier = nxt
         if not starts:
@@ -569,7 +518,7 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
             x = s
             while True:
                 lx = level[x]
-                if lx == 0 and -excess[x] >= delta:
+                if lx == 0 and excess[x] < 0:
                     room = min(excess[s], -excess[x])
                     for e in path:
                         r = res[e]
@@ -585,7 +534,7 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
                     excess[s] -= room
                     excess[x] += room
                     core.stats.augmentations += 1
-                    if excess[s] < delta:
+                    if not excess[s]:
                         break
                     path = []
                     x = s
@@ -595,10 +544,8 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int], delt
                     i = ptr[x]
                     while i < len(arcs):
                         e = arcs[i]
-                        if level[head[e]] == lx - 1:
-                            r = res[e]
-                            if r is None or r >= delta:
-                                break
+                        if level[head[e]] == lx - 1 and res[e] != 0:
+                            break
                         i += 1
                     ptr[x] = i
                     if i < len(arcs):

@@ -29,6 +29,19 @@ from agony.splittree import SplitTree, _preorder
 from baseline import solve_reference
 
 
+# the largest capacity that a solve at weights up to 10^6 reaches, as
+# measured: 0.99 * 10^6 or more under slope 1, 1.97 * 10^6 under slope 2
+BIG_CAPACITY = 9 * 10**5
+
+
+def assert_big_solves(states):
+    """Weights near 10^6 reached the solver: some state has an arc of
+    capacity ``BIG_CAPACITY`` or more, and every one ran at most k rounds."""
+    states = list(states)
+    assert max(c for s in states for c in s.inst.cap if c is not None) >= BIG_CAPACITY
+    assert all(s.stats.repairs <= s.inst.sg.k for s in states)
+
+
 def random_graph(rng: random.Random, n: int, p: float, wmax: int = 1) -> WeightedDigraph:
     edges = [
         (u, v, rng.randint(1, wmax))

@@ -135,7 +135,7 @@ class TestCanonical:
                 return [
                     (list(s.flow), list(s.potentials), list(s.inst.head),
                      list(s.inst.cost), list(s.inst.cap),
-                     circulation._residual(s.inst, s.flow))
+                     circulation._capacities(s.inst, s.flow))
                     for s in states
                 ]
 

@@ -16,12 +16,16 @@ from agony.graph import WeightedDigraph, score_ranking
 from agony.penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
 
 from baseline import solve_reference
-from conftest import brute_min_linear, brute_optima, graph_from_text, random_dag, random_graph
+from conftest import (
+    assert_big_solves,
+    brute_min_linear,
+    brute_optima,
+    graph_from_text,
+    random_dag,
+    random_graph,
+)
 
 TOY = "a b\nb c\nc a 2\nb d\n"
-# delta-phases of a solve whose largest capacity is near 10^6, as measured:
-# 20 under the linear penalty, 21 under slopes up to 2
-BIG_PHASES = 20
 
 
 def _solve_both(g, k, penalty=LINEAR):
@@ -163,7 +167,7 @@ class TestUncapacitate:
             for a, (v, w, c, _) in enumerate(expect):
                 assert inst.head[2 * a : 2 * a + 2] == [w, v]
                 assert inst.cost[2 * a : 2 * a + 2] == [c, -c]
-            res, out = circulation._residual(inst, [0] * inst.m)
+            res, out = circulation._capacities(inst, [0] * inst.m), circulation._outgoing(inst)
             assert res == [x for _, _, _, cap in expect for x in (cap, 0)]
             for x in range(inst.n):
                 # forward 2a leaves arc a's tail, reverse 2a + 1 its head;
@@ -258,26 +262,29 @@ class TestSolvers:
             assert all(0 <= f and (c is None or f <= c) for f, c in zip(sf.flow, sf.inst.cap))
             assert sf.potentials[sg.omega] - sf.potentials[sg.alpha] <= sg.k - 1
 
-    def test_large_weights_run_one_phase_per_capacity_bit(self, rng):
+    def test_large_weights_run_at_most_k_rounds(self, rng):
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 5), 0.5, 2000)
             if g.m == 0:
                 continue
             k = rng.randint(2, g.n)
             sg, ref, sf = _solve_both(g, k)
-            # delta runs from the top power of two of the largest weight down to 1
-            assert sf.stats.outer_phases == max(w for _, _, w in g.edges).bit_length()
+            # one phase whatever the weights, and each round lowers every sink's dual
+            assert sf.stats.outer_phases == 1 and sf.stats.repairs <= k
             assert ref.value == circulation_value(sf) == brute_min_linear(g, k)
 
-    def test_convex_phases_follow_the_largest_capacity(self, rng):
+    def test_convex_large_capacities_run_at_most_k_rounds(self, rng):
         pen = PenaltySpec.parse("sum:1,-1;3,2")  # capacities w and 3w
+        states = []
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 8), 0.4, rng.choice((5, 10**6)))
             if g.m == 0:
                 continue
             sg, ref, sf = _solve_both(g, rng.randint(2, g.n + 2), pen)
-            assert sf.stats.outer_phases == (3 * max(w for _, _, w in g.edges)).bit_length()
+            assert sf.stats.outer_phases == 1 and sf.stats.repairs <= sg.k
             assert ref.value == circulation_value(sf)
+            states.append(sf)
+        assert_big_solves(states)
 
     def test_convex_instance_solved_exactly(self, rng):
         pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])
@@ -320,24 +327,25 @@ class TestSolveStats:
 
         monkeypatch.setattr(circulation, "_build_tree", counting_build)
         pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])
-        rounds = phases = 0
+        states = []
         for i in range(20):
             reached.clear()
             g = random_graph(rng, rng.randint(4, 12), 0.35, 10**6 if i % 2 else 3)
-            stats = solve_fast(uncapacitate(build_convex_instance(g, min(g.n, 5), pen))).stats
+            state = solve_fast(uncapacitate(build_convex_instance(g, min(g.n, 5), pen)))
+            stats = state.stats
             # one Dijkstra per round, and each one settles every vertex
             assert len(reached) == stats.repairs
             assert stats.settles == sum(reached)
-            assert stats.contractions == 0
-            rounds += stats.repairs
-            phases = max(phases, stats.outer_phases)
-        assert rounds > 0 and phases >= BIG_PHASES
+            assert stats.outer_phases == 1 and stats.contractions == 0
+            states.append(state)
+        assert sum(s.stats.repairs for s in states) > 0
+        assert_big_solves(states)
 
 
-def _reference_distances(head, cost, res, pot, starts, delta):
+def _reference_distances(head, cost, res, pot, starts):
     """Residual shortest-path distances by Bellman-Ford over every residual
     arc e, from head[e ^ 1] to head[e], whose residual capacity res[e] is
-    at least delta (always when it is None); None where no start reaches."""
+    not 0 (None is unbounded); None where no start reaches."""
     dist = [None] * len(pot)
     for d, s in starts:
         if dist[s] is None or d < dist[s]:
@@ -345,7 +353,7 @@ def _reference_distances(head, cost, res, pot, starts, delta):
     arcs = []
     for e, (w, c, r) in enumerate(zip(head, cost, res)):
         x = head[e ^ 1]
-        if r is None or r >= delta:
+        if r != 0:
             arcs.append((x, w, c + pot[w] - pot[x]))
     changed = True
     while changed:
@@ -375,11 +383,11 @@ def _residual_graph(n, arcs, flow, cap=None):
 _build_tree = circulation._build_tree
 
 
-def _checked_build_tree(head, cost, res, out, pot, starts, delta):
+def _checked_build_tree(head, cost, res, out, pot, starts):
     """``_build_tree``, checked against ``_reference_distances``."""
     before = list(pot)
-    ref = _reference_distances(head, cost, res, before, starts, delta)
-    dist = _build_tree(head, cost, res, out, pot, starts, delta)
+    ref = _reference_distances(head, cost, res, before, starts)
+    dist = _build_tree(head, cost, res, out, pot, starts)
     assert dist == ref
     assert pot == [p - (d or 0) for p, d in zip(before, dist)]
     # every reached vertex is at its start distance or entered from a reached
@@ -391,7 +399,7 @@ def _checked_build_tree(head, cost, res, out, pot, starts, delta):
     for e, (w, c, r) in enumerate(zip(head, cost, res)):
         x = head[e ^ 1]
         if dist[x] is not None and dist[w] is not None and c + pot[w] == pot[x]:
-            if r is None or r >= delta:
+            if r != 0:
                 tight.add(w)
     for v, d in enumerate(dist):
         assert d is None or d == start.get(v) or v in tight
@@ -400,32 +408,32 @@ def _checked_build_tree(head, cost, res, out, pot, starts, delta):
 
 class TestBuildTree:
     """The bucket-queue Dijkstra gives the residual shortest-path distances
-    over the arcs of residual capacity at least delta, a tight residual arc
-    into every vertex not at its start distance, and the duals less the
+    over the arcs of nonzero residual capacity, a tight residual arc into
+    every vertex not at its start distance, and the duals less the
     distances."""
 
     def test_matches_reference_in_solves_and_canonical_rankings(self, monkeypatch, rng):
-        distinct, deltas = [], set()
+        distinct = []
 
         def checked(*args):
             dist = _checked_build_tree(*args)
             distinct.append(len({d for d in dist if d is not None}))
-            deltas.add(args[-1])
             return dist
 
         monkeypatch.setattr(circulation, "_build_tree", checked)
         pen = PenaltySpec.parse("sum:1,-1;2,3")
-        phases = 0
+        states = []
         for i in range(12):
             g = random_graph(rng, rng.randint(8, 25), 0.15, 10**6 if i % 2 else 1)
             k = rng.choice((4, 8))
             inst = uncapacitate(build_convex_instance(g, k, pen))
             state = solve_fast(inst)
             assert state.check_optimality()
-            phases = max(phases, state.stats.outer_phases)
+            states.append(state)
             starts = [(rng.randint(0, k), v) for v in range(g.n)]
             circulation.residual_distances(state, starts)
-        assert phases >= BIG_PHASES and len(deltas) > 5  # runs at many scales
+        assert_big_solves(states)
+        assert len(distinct) > len(states)  # the solves' rounds and the canonical runs
         assert max(distinct) >= 4  # several buckets in one run
 
     def test_random_residual_graphs_with_zero_cost_chains(self, rng):
@@ -444,22 +452,20 @@ class TestBuildTree:
                 x, w = rng.sample(range(n), 2)
                 rc = rng.choice((0, 0, 1, 2, 7))
                 arcs.append((x, w, rc + pot[x] - pot[w]))
-                # residual capacities of 0 to 3 forward, against deltas 1 and 2
+                # residual capacities of 0 to 3 forward
                 f = 0 if rc else rng.choice((0, 1, 2))
                 flow.append(f)
                 cap.append(rng.choice((None, f + rng.randint(0 if f else 1, 3))))
             starts = [(rng.randint(-2, 6), v) for v in rng.sample(range(n), min(n, 3))]
             starts.append((rng.randint(-2, 6), order[0]))
-            _checked_build_tree(
-                *_residual_graph(n, arcs, flow, cap), pot, starts, rng.choice((1, 2))
-            )
+            _checked_build_tree(*_residual_graph(n, arcs, flow, cap), pot, starts)
 
     def test_zero_cost_chain_beats_a_costlier_jump(self):
         n = 200
         # vertex ids fall along the chain; one arc of cost 1 jumps to its end
         arcs = [(v, v - 1, 0) for v in range(n - 1, 0, -1)] + [(n - 1, 0, 1)]
         pot = [0] * n
-        dist = _build_tree(*_residual_graph(n, arcs, [0] * len(arcs)), pot, [(3, n - 1)], 1)
+        dist = _build_tree(*_residual_graph(n, arcs, [0] * len(arcs)), pot, [(3, n - 1)])
         assert dist == [3] * n and pot == [-3] * n
 
     def test_negative_reduced_cost_raises(self):
@@ -467,12 +473,12 @@ class TestBuildTree:
             # a forward arc of cost -1, or the reverse of a flow arc of cost 1
             residual = _residual_graph(2, [(x, w, c), (1, 0, 5)], flow + [0])
             with pytest.raises(SolverError, match="negative"):
-                _build_tree(*residual, [0, 0], [(0, 0), (0, 1)], 1)
+                _build_tree(*residual, [0, 0], [(0, 0), (0, 1)])
 
     def test_unreachable_vertex_raises(self):
         residual = _residual_graph(3, [(0, 1, 0), (2, 1, 0)], [0, 0])
         with pytest.raises(SolverError, match="not connected"):
-            _build_tree(*residual, [0] * 3, [(0, 0)], 1)
+            _build_tree(*residual, [0] * 3, [(0, 0)])
 
 
 class TestStateSurface:
@@ -508,67 +514,85 @@ class TestStateSurface:
             extract_ranking(st)
 
 
-class TestPhaseChecks:
-    """A phase that ends with an arc of residual capacity at least delta,
-    forward or reverse, at a negative reduced cost makes the next phase's
-    saturating pass raise."""
+class TestRoundChecks:
+    """Negative controls: a round that leaves a residual arc of negative
+    reduced cost makes the next Dijkstra raise, duals spread wider than
+    k - 1 make the round's spread check raise, and an excess left after k
+    rounds raises."""
 
-    def test_arc_left_with_twice_delta_raises(self, monkeypatch):
-        saturate = circulation._Core.saturate
+    GRAPH = WeightedDigraph(4, [(0, 1, 10**6), (1, 2, 3 * 10**5), (2, 0, 7 * 10**5), (2, 3, 5)])
+
+    def _instance(self):
+        return uncapacitate(build_convex_instance(self.GRAPH, 3, LINEAR))
+
+    def test_planted_negative_reduced_cost_raises(self, monkeypatch):
+        max_flow = circulation._admissible_max_flow
         planted = []
 
-        def plant_then_saturate(core, delta):
-            # before a phase after the first, empty an arc of negative reduced
-            # cost, or fill one of positive reduced cost so that its reverse
-            # has a negative one: either way 2 * delta or more of it is
-            # residual, as a faulty phase before would leave it.  Excesses
-            # stay exact, so a pass without the check goes on to an optimum
-            if core.stats.outer_phases > 1 and not planted:
-                res, pot, excess = core.res, core.pot, core.excess
-                for a, (x, w, c, cap) in enumerate(_arcs(core.inst)):
-                    rc = c + pot[w] - pot[x]
-                    if cap is None or cap < 2 * delta or not rc:
-                        continue
-                    target = 0 if rc < 0 else cap
-                    excess[x] -= target - res[2 * a + 1]
-                    excess[w] += target - res[2 * a + 1]
-                    res[2 * a : 2 * a + 2] = [cap - target, target]
-                    planted.append(a)
-                    break
-            saturate(core, delta)
+        def max_flow_then_plant(core, sources, sinks):
+            max_flow(core, sources, sinks)
+            if planted:
+                return
+            # after the first round, empty a saturated arc of negative reduced
+            # cost, as a faulty round would leave it; excesses stay exact
+            res, pot, excess = core.res, core.pot, core.excess
+            for a, (x, w, c, cap) in enumerate(_arcs(core.inst)):
+                f = res[2 * a + 1]
+                if cap is None or not f or c + pot[w] - pot[x] >= 0:
+                    continue
+                excess[x] += f
+                excess[w] -= f
+                res[2 * a : 2 * a + 2] = [cap, 0]
+                planted.append(a)
+                break
 
-        monkeypatch.setattr(circulation._Core, "saturate", plant_then_saturate)
-        g = WeightedDigraph(4, [(0, 1, 10**6), (1, 2, 3 * 10**5), (2, 0, 7 * 10**5), (2, 3, 5)])
-        inst = uncapacitate(build_convex_instance(g, 3, LINEAR))
-        with pytest.raises(SolverError, match="phase before left arc"):
-            solve_fast(inst)
+        monkeypatch.setattr(circulation, "_admissible_max_flow", max_flow_then_plant)
+        with pytest.raises(SolverError, match="negative reduced cost"):
+            solve_fast(self._instance())
         assert planted
+
+    def test_planted_dual_spread_raises(self, monkeypatch):
+        dijkstra = circulation._Core.dijkstra
+
+        def dijkstra_then_spread(core, starts):
+            dijkstra(core, starts)
+            core.pot[0] -= core.inst.sg.k  # k apart from the unchanged sources
+
+        monkeypatch.setattr(circulation._Core, "dijkstra", dijkstra_then_spread)
+        with pytest.raises(SolverError, match="dual spread exceeds k - 1 after round 1"):
+            solve_fast(self._instance())
+
+    def test_excess_left_after_k_rounds_raises(self, monkeypatch):
+        # a max flow that pushes nothing leaves the duals, and every excess, as they are
+        monkeypatch.setattr(circulation, "_admissible_max_flow", lambda core, sources, sinks: None)
+        with pytest.raises(SolverError, match="excess left after 3 rounds at k = 3"):
+            solve_fast(self._instance())
 
 
 class TestAdmissibleMaxFlow:
-    """After every admissible max flow no arc of residual capacity at least
-    delta, forward or reverse, has a negative reduced cost, every flow lies
-    within its capacity, and the total excess has fallen by at least delta."""
+    """After every admissible max flow no arc with residual capacity,
+    forward or reverse, has a negative reduced cost, every flow lies within
+    its capacity, and the total excess has fallen."""
 
     @pytest.fixture
     def rounds(self, monkeypatch):
-        """Check every max flow of the fast solver; returns the deltas checked."""
+        """Check every max flow of the fast solver; returns the excess each one moved."""
         max_flow = circulation._admissible_max_flow
         checked = []
 
-        def max_flow_then_check(core, sources, sinks, delta):
+        def max_flow_then_check(core, sources, sinks):
             before = sum(e for e in core.excess if e > 0)
-            max_flow(core, sources, sinks, delta)
+            max_flow(core, sources, sinks)
             pot = core.pot
             for a, (x, w, c, cap) in enumerate(_arcs(core.inst)):
                 f = core.res[2 * a + 1]
                 assert 0 <= f and (cap is None or f <= cap)
                 rc = c + pot[w] - pot[x]
-                assert rc >= 0 or cap - f < delta
-                assert rc <= 0 or f < delta
+                assert rc >= 0 or f == cap
+                assert rc <= 0 or f == 0
             after = sum(e for e in core.excess if e > 0)
-            assert after <= before - delta
-            checked.append(delta)
+            assert after < before
+            checked.append(before - after)
 
         monkeypatch.setattr(circulation, "_admissible_max_flow", max_flow_then_check)
         return checked
@@ -577,25 +601,22 @@ class TestAdmissibleMaxFlow:
     def _solve(g, k, penalty=LINEAR):
         state = solve_fast(uncapacitate(build_convex_instance(g, k, penalty)))
         assert state.check_optimality()
-        return state.stats
+        return state
 
     def test_unit_weights(self, rounds, rng):
         total = 0
         for _ in range(8):
             g = random_graph(rng, 40, 0.09)
-            total += self._solve(g, g.n).repairs
+            total += self._solve(g, g.n).stats.repairs
         assert len(rounds) == total > 0
 
     def test_convex_large_weights_at_many_scales(self, rounds, rng):
         pen = PenaltySpec.convex_sum([(1, -1), (2, 1)])
-        total = 0
-        for _ in range(4):
-            g = random_graph(rng, 40, 0.09, 10**6)
-            stats = self._solve(g, 5, pen)
-            assert stats.outer_phases >= BIG_PHASES
-            total += stats.repairs
-        assert len(rounds) == total > 0
-        assert len(set(rounds)) > 1  # the checks ran at several scales
+        states = [self._solve(random_graph(rng, 40, 0.09, 10**6), 5, pen) for _ in range(4)]
+        assert_big_solves(states)
+        assert len(rounds) == sum(s.stats.repairs for s in states) > 0
+        # the max flows move excesses of many sizes, 1.8 * 10^5 to 2.2 * 10^7 as measured
+        assert min(rounds) * 10 < max(rounds)
 
 
 def _pairing_breaks(core):
@@ -617,35 +638,35 @@ def _pairing_breaks(core):
 
 class TestResidualPairing:
     """Every push of a real solve moves residual arc e and its partner e ^ 1
-    together: checked after every saturating pass and every max flow."""
+    together: checked after every Dijkstra pass and every max flow."""
 
     def test_holds_after_every_pass_and_max_flow(self, monkeypatch, rng):
-        saturate, max_flow = circulation._Core.saturate, circulation._admissible_max_flow
+        dijkstra, max_flow = circulation._Core.dijkstra, circulation._admissible_max_flow
         checked = []
 
-        def saturate_then_check(core, delta):
-            saturate(core, delta)
+        def dijkstra_then_check(core, starts):
+            dijkstra(core, starts)
             assert _pairing_breaks(core) is None
-            checked.append("saturate")
+            checked.append("dijkstra")
 
-        def max_flow_then_check(core, sources, sinks, delta):
-            max_flow(core, sources, sinks, delta)
+        def max_flow_then_check(core, sources, sinks):
+            max_flow(core, sources, sinks)
             assert _pairing_breaks(core) is None
             checked.append("max flow")
 
-        monkeypatch.setattr(circulation._Core, "saturate", saturate_then_check)
+        monkeypatch.setattr(circulation._Core, "dijkstra", dijkstra_then_check)
         monkeypatch.setattr(circulation, "_admissible_max_flow", max_flow_then_check)
         pen = PenaltySpec.parse("sum:1,-1;2,3")
-        phases = rounds = 0
+        states = []
         for i in range(12):
             g = random_graph(rng, rng.randint(8, 30), 0.15, 10**6 if i % 2 else 1)
             state = solve_fast(uncapacitate(build_convex_instance(g, rng.choice((3, 8)), pen)))
             assert state.check_optimality()
-            phases += state.stats.outer_phases
-            rounds += state.stats.repairs
-        # one check per phase and per round: a wrapper that never fires fails here
-        assert checked.count("saturate") == phases >= BIG_PHASES
-        assert checked.count("max flow") == rounds > 0
+            states.append(state)
+        assert_big_solves(states)
+        # two checks per round: a wrapper that never fires fails here
+        rounds = sum(s.stats.repairs for s in states)
+        assert checked.count("dijkstra") == checked.count("max flow") == rounds > 0
 
     def test_half_push_breaks_the_pairing(self, rng):
         g = random_graph(rng, 12, 0.3, 5)

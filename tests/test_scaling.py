@@ -19,11 +19,17 @@ cyclic garbage collector off, as ``timeit`` does, so a collection that
 happens to fall into one run does not count; a failure reports every
 run's time.
 
-The exact solver's guard counts work instead of timing it: a primal-dual
-phase runs one Dijkstra per distinct shortest-path cost, and on power-law
-graphs with unit weights a whole solve sees a handful of costs at every
-size, while a solver that re-prices once per few augmentations re-prices
-a number of times that grows with n.  A second guard counts the
+The exact solver's guard counts work instead of timing it: the
+primal-dual phase runs one Dijkstra per distinct shortest-path cost, and
+on power-law graphs with unit weights a whole solve sees a handful of
+costs at every size, while a solver that re-prices once per few
+augmentations re-prices a number of times that grows with n.  A budget
+guard solves the benchmark's weighted power-law graph, ``gen.power_law(1,
+n, 3.3n, max_weight=10**6)`` at n = 400, 1,600 and 3,200, with k = 8 under
+``sum:1,-1;2,3``: the one phase ran 6, 6 and 7 rounds, at most k, and 0.24,
+0.22 and 0.22 augmentations per instance arc, where capacity scaling ran
+21 delta-phases of 57, 71 and 76 rounds in all, with 0.27, 0.25 and 0.25
+augmentations per arc.  A second guard counts the
 Dijkstra's heap pushes: one Dijkstra sees a handful of distinct
 distances, so a heap of distances takes a few pushes per run, while a
 heap entry per relaxed arc gives more than one push per settled vertex.
@@ -94,12 +100,14 @@ from agony.graph import (
     strongly_connected_components,
 )
 from agony.heuristic import heuristic_rank, scc_layer_heuristic
-from agony.penalties import LINEAR
+from agony.penalties import LINEAR, PenaltySpec
 from agony.splittree import build_split_tree
 
 MAX_RATIO = 7.0
 MAX_BUDGET_RATIO = 6.0
 MAX_DIJKSTRAS = 12
+BUDGET_K = 8
+MAX_BUDGET_AUGMENTATIONS_PER_ARC = 0.3
 MAX_PUSHES_PER_SETTLE = 0.05
 MAX_AUGMENTATIONS_PER_VERTEX = 1.25
 MAX_SETTLES_PER_VERTEX = 6.0
@@ -143,13 +151,18 @@ def _chung_lu(n: int, seed: int) -> WeightedDigraph:
     return WeightedDigraph(n, [(u, v, 1) for u, v in sorted(edges)])
 
 
-def _power_law(n: int) -> WeightedDigraph:
-    """The benchmark's ``gen.power_law(1, n, 5n)``, not yet normalized."""
+def _bench_gen():
+    """The benchmark's graph generator, ``perfbench/gen.py``, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("_bench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return WeightedDigraph(*gen.power_law(1, n, 5 * n))
+    return gen
+
+
+def _power_law(n: int) -> WeightedDigraph:
+    """The benchmark's ``gen.power_law(1, n, 5n)``, not yet normalized."""
+    return WeightedDigraph(*_bench_gen().power_law(1, n, 5 * n))
 
 
 def _largest_power_law_scc(n: int) -> WeightedDigraph:
@@ -249,6 +262,23 @@ def test_exact_augmentations_and_settles_per_vertex_stay_flat():
     for v, a, s in counts.values():
         assert a / v <= MAX_AUGMENTATIONS_PER_VERTEX, text
         assert s / v <= MAX_SETTLES_PER_VERTEX, text
+
+
+def test_exact_budget_rounds_stay_within_k_at_weights_up_to_1e6():
+    gen = _bench_gen()
+    pen = PenaltySpec.parse("sum:1,-1;2,3")
+    counts = {}
+    for n in (400, 1600, 3200):
+        g = normalize(WeightedDigraph(*gen.power_law(1, n, int(3.3 * n), max_weight=10**6)))
+        inst = uncapacitate(build_convex_instance(g, BUDGET_K, pen))
+        stats = solve_fast(inst).stats
+        counts[n] = (stats.repairs, stats.augmentations / inst.m)
+    text = ", ".join(
+        f"n={n}: {r} rounds, {a:.3f} augmentations per arc" for n, (r, a) in counts.items()
+    )
+    for r, a in counts.values():
+        assert r <= BUDGET_K, text
+        assert a <= MAX_BUDGET_AUGMENTATIONS_PER_ARC, text
 
 
 def test_exact_dijkstra_heap_pushes_per_settle_stay_small(monkeypatch):
