@@ -477,7 +477,10 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int]):
     depth-first walks from those sources, with a current-arc pointer per
     vertex.  A walk steps one level down per residual arc, so it only
     enters vertices that reached a sink when the search ran; a vertex
-    found to lead nowhere gets level -1.
+    found to lead nowhere gets level -1.  The first walk follows arcs that
+    the search has just found with residual capacity, before any push, so
+    an iteration that finds starts and pushes nothing raises
+    ``SolverError`` rather than repeating forever.
     """
     res, pot, excess = core.res, core.pot, core.excess
     head, n = core.inst.head, core.inst.n
@@ -512,6 +515,7 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int]):
             frontier = nxt
         if not starts:
             return
+        pushed = core.stats.augmentations
         ptr = [0] * n
         for s in starts:
             path: list[int] = []  # residual arcs from s to x
@@ -558,3 +562,5 @@ def _admissible_max_flow(core: _Core, sources: list[int], sinks: list[int]):
                 path.pop()
                 x = head[path[-1]] if path else s
                 ptr[x] += 1
+        if core.stats.augmentations == pushed:
+            raise SolverError("a max-flow iteration found starts but pushed nothing")

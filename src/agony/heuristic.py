@@ -4,18 +4,19 @@ The SCC variant packs strongly connected components into the fewest layers,
 grows one split tree per layer and stacks them so every inter-layer edge
 runs forward; a DAG therefore always scores 0.  One builder lays out the
 graph's own intra-layer edges once and serves every layer as a root, so
-the trees carry the graph's vertex ids and no layer gets a subgraph.  Under a tier budget the
-layers compete for ranks through a two-term dynamic program whose layer
-merging term is minimized by one interleaved totally-monotone search per
-budget.  The searches read the weight of a window of layers from per-layer
-prefix sums over the inter-layer edges merged by layer pair, and each one
-first looks up the weights that the previous budget's search read, since
-the window weight does not depend on the budget.
+the trees carry the graph's vertex ids and no layer gets a subgraph.
+Under a tier budget the layers compete for ranks through a two-term
+dynamic program whose layer merging term is minimized by one interleaved
+totally-monotone search per budget.  The searches read the weight of a
+window of layers from per-layer prefix sums over the inter-layer edges
+merged by layer pair, and each one first looks up the weights that the
+previous budget's search read, since the window weight does not depend on
+the budget.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Optional
 
 from .graph import WeightedDigraph, condensation_layers, score_ranking, tier_budget
@@ -134,19 +135,15 @@ def scc_layer_heuristic(g: WeightedDigraph, k: Optional[int] = None) -> list[int
     if n_layers == 0:
         return ranks
 
-    n_leaves = [len(t.leaves()) for t in trees]
-    if k is None or k >= sum(n_leaves):
-        base = 0
-        for tree in trees:
-            for leaf in tree.leaves():
-                for v in leaf.vertices:
-                    ranks[v] = base
-                base += 1
+    if k is None or k >= sum(len(t.leaves) for t in trees):
+        for rank, leaf in enumerate(chain.from_iterable(t.leaves for t in trees)):
+            for v in leaf:
+                ranks[v] = rank
         return ranks
     dps = [PruneDP(t, k) for t in trees]
-    # gains[i - 1][l]: best gain of layer i alone on l ranks; it stops
-    # improving at the layer's leaf count, so the list stops there too
-    gains = [[dp.value(l) for l in range(min(k, c) + 1)] for dp, c in zip(dps, n_leaves)]
+    # gains[i - 1][l]: best gain of layer i alone on l ranks, the root's
+    # table; it stops improving at the layer's leaf count and stops there
+    gains = [dp.opt[0] for dp in dps]
 
     # lopt[i][h]: best gain of layers 1..i on h ranks; merge runs share one
     # rank.  Column 0 is read only for i = 0: every earlier layer needs a rank.

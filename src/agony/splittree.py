@@ -15,74 +15,40 @@ is that no split leaves a half empty.
 
 One builder lays out a graph's edges once and grows a tree from each of
 several disjoint roots, such as the layers of the SCC heuristic; no edge
-may join two roots.  Leaves in left-to-right order induce the ranking; a
-dynamic program prunes the tree to at most k leaves when a tier budget is
-given.
+may join two roots.  The build pops a left half before its right half,
+so it writes the tree in preorder: one list of split gains, 0 at a leaf,
+and one list of the leaves' vertices.  Leaves in left-to-right order
+induce the ranking; a dynamic program over the gain list prunes the tree
+to at most k leaves when a tier budget is given.
 """
 from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import WeightedDigraph
 
 
-class TreeNode:
-    """Node of the split tree.
-
-    Leaves carry their vertex list; internal nodes carry the split gain,
-    which is always negative.  ``leaf`` points at the working leaf state
-    while a build is in progress and is dropped when the tree freezes.
-    """
-
-    __slots__ = ("left", "right", "gain", "vertices", "leaf")
-
-    def __init__(self):
-        self.left: Optional[TreeNode] = None
-        self.right: Optional[TreeNode] = None
-        self.gain: int = 0
-        self.vertices: Optional[list[int]] = None
-        self.leaf = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-def _preorder(node: Optional[TreeNode]) -> Iterator[TreeNode]:
-    """Every node of the subtree at ``node``, parents first, left to right."""
-    stack = [node] if node is not None else []
-    while stack:
-        node = stack.pop()
-        yield node
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-
-
 class SplitTree:
-    """Result of a build: an ordered binary tree.
+    """Result of a build: an ordered full binary tree, stored in preorder.
 
-    Leaves hold the builder's vertex ids, and ``ranking()`` is sized by the
-    builder's n (rank 0 outside the root).  The ranking scores the weight
-    of the edges inside the root plus the sum of the (negative) split gains.
+    ``gains`` lists the nodes parents first, left to right: the split gain
+    at an internal node, always negative, and 0 at a leaf.  An internal
+    node at position i has its left child at i + 1 and its right child
+    where the left subtree ends.  ``leaves`` holds each leaf's sorted
+    vertices, left to right, in the builder's vertex ids, and ``n`` is the
+    builder's n.  The leaves as tiers score the weight of the edges inside
+    the root plus the sum of the gains.
     """
 
-    def __init__(self, root: Optional[TreeNode], n: int):
-        self.root = root
+    __slots__ = ("gains", "leaves", "n")
+
+    def __init__(self, gains: list[int], leaves: list[list[int]], n: int):
+        self.gains = gains
+        self.leaves = leaves
         self.n = n
-
-    def leaves(self) -> list[TreeNode]:
-        return [node for node in _preorder(self.root) if node.is_leaf]
-
-    def ranking(self) -> list[int]:
-        ranks = [0] * self.n
-        for i, leaf in enumerate(self.leaves()):
-            for v in leaf.vertices:
-                ranks[v] = i
-        return ranks
 
 
 class LeafState:
@@ -96,7 +62,7 @@ class LeafState:
 
     __slots__ = (
         "N", "P", "Ns", "Ps", "back", "in_total", "out_total",
-        "sin_ns", "sout_ns", "sin_ps", "sout_ps", "node",
+        "sin_ns", "sout_ns", "sin_ps", "sout_ps",
     )
 
     def __init__(self):
@@ -111,7 +77,6 @@ class LeafState:
         self.sout_ns = 0
         self.sin_ps = 0
         self.sout_ps = 0
-        self.node: Optional[TreeNode] = None
 
     def members(self) -> list[int]:
         out = list(self.N)
@@ -175,7 +140,7 @@ class SplitTreeBuilder:
             in_ids[q] = p
 
     def root(self, vertices: Sequence[int]) -> LeafState:
-        """The unsplit leaf of ``vertices``, filed in the order given, and its node."""
+        """The unsplit leaf of ``vertices``, filed in the order given."""
         flux, deg = self.flux, self.deg
         leaf = LeafState()
         for v in vertices:
@@ -183,9 +148,6 @@ class SplitTreeBuilder:
                 (leaf.N if flux[v] < 0 else leaf.P)[v] = None
             else:
                 leaf.Ps[v] = None  # diff = 0 counts as P-side
-        node = TreeNode()
-        leaf.node = node
-        node.leaf = leaf
         return leaf
 
     # -- split decision ----------------------------------------------------
@@ -332,32 +294,26 @@ class SplitTreeBuilder:
     # -- driving loop ----------------------------------------------------------
 
     def tree(self, vertices: Sequence[int]) -> SplitTree:
-        """Grow the split tree of the root that holds ``vertices``."""
-        leaf = self.root(vertices)
-        top = leaf.node
-        stack = [leaf]
+        """Grow the split tree of the root that holds ``vertices``.
+
+        The stack pops a left half before its right half, so the nodes
+        come out in preorder, and each leaf is final when it is popped.
+        """
+        gains: list[int] = []
+        leaves: list[list[int]] = []
+        stack = [self.root(vertices)]
         while stack:
             leaf = stack.pop()
             gain, left_driven = self.split_gain(leaf)
             if gain >= 0:
+                gains.append(0)
+                leaves.append(sorted(leaf.members()))
                 continue
+            gains.append(gain)
             left, right = self.split_leaf(leaf, left_driven)
-            node = leaf.node
-            node.gain = gain
-            node.left = TreeNode()
-            node.right = TreeNode()
-            node.leaf = None
-            left.node = node.left
-            right.node = node.right
-            node.left.leaf = left
-            node.right.leaf = right
             stack.append(right)
             stack.append(left)
-        for node in _preorder(top):
-            if node.is_leaf:
-                node.vertices = sorted(node.leaf.members())
-                node.leaf = None
-        return SplitTree(top, self.n)
+        return SplitTree(gains, leaves, self.n)
 
 
 def build_split_tree(g: WeightedDigraph) -> SplitTree:
@@ -377,31 +333,32 @@ class PruneDP:
     opt(node; h) is the best achievable gain sum in the subtree using at
     most h tiers: 0 for leaves or h = 1, otherwise the node's gain plus the
     best budget split between the children.  Ties prefer the smallest
-    left-child budget.
+    left-child budget.  ``opt[i]`` lists opt(i; h) for h up to the budget
+    or the leaf count of node i's subtree, whichever is smaller (entry 0
+    is unused), and ``choice[i][h]`` the left child's budget at that h.
+    ``end[i]`` is one past the last node of i's subtree, so an internal
+    node's right child is ``end[i + 1]``; one pass in reverse preorder
+    fills all three lists, children before their parent.
     """
 
     def __init__(self, tree: SplitTree, kmax: int):
         if kmax < 1:
             raise ValueError(f"tier budget must be >= 1, got {kmax}")
         self.tree = tree
-        self.kmax = kmax
-        # per node, opt[h] for h up to min(kmax, leaves of the subtree)
-        self._opt: dict[int, list] = {}
-        self._choice: dict[int, list] = {}
-        if tree.root is not None:
-            self._compute()
-
-    def _compute(self):
-        kmax = self.kmax
-        opt, choice = self._opt, self._choice
-        # reversed preorder: children before their parent
-        for node in reversed(list(_preorder(self.tree.root))):
-            key = id(node)
-            if node.is_leaf:
-                opt[key] = [0, 0]
-                choice[key] = [None, None]
+        gains = tree.gains
+        size = len(gains)
+        self.end = end = [0] * size
+        self.opt = opt = [None] * size
+        self.choice = choice = [None] * size
+        leaf_opt = [0, 0]
+        for i in range(size - 1, -1, -1):
+            if not gains[i]:
+                end[i] = i + 1
+                opt[i] = leaf_opt
                 continue
-            lopt, ropt = opt[id(node.left)], opt[id(node.right)]
+            r = end[i + 1]
+            end[i] = end[r]
+            lopt, ropt = opt[i + 1], opt[r]
             cap_l, cap_r = len(lopt) - 1, len(ropt) - 1
             cap = min(kmax, cap_l + cap_r)
             arr = [None] * (cap + 1)
@@ -416,34 +373,30 @@ class PruneDP:
                     val = lopt[l] + ropt[h - l]
                     if best is None or val < best:
                         best, best_l = val, l
-                arr[h] = node.gain + best
+                arr[h] = gains[i] + best
                 ch[h] = best_l
-            opt[key] = arr
-            choice[key] = ch
-
-    def value(self, h: int) -> int:
-        """Best gain sum for the whole tree with at most h tiers."""
-        if self.tree.root is None:
-            return 0
-        arr = self._opt[id(self.tree.root)]
-        return arr[min(h, len(arr) - 1)]
+            opt[i] = arr
+            choice[i] = ch
 
     def groups(self, h: int) -> list[list[int]]:
         """Vertex groups of the optimal pruning, left to right."""
-        if self.tree.root is None:
-            return []
+        leaves, end, opt, choice = self.tree.leaves, self.end, self.opt, self.choice
         out: list[list[int]] = []
-        stack = [(self.tree.root, h)]
+        first = 0  # the groups cover the leaves in order
+        stack = [(0, h)]
         while stack:
-            node, budget = stack.pop()
-            budget = min(budget, len(self._opt[id(node)]) - 1)
-            if node.is_leaf or budget <= 1:
-                out.append([v for x in _preorder(node) if x.is_leaf for v in x.vertices])
+            i, budget = stack.pop()
+            budget = min(budget, len(opt[i]) - 1)
+            if budget <= 1:
+                # a full binary subtree of s nodes has (s + 1) // 2 leaves
+                last = first + (end[i] - i + 1) // 2
+                out.append([v for leaf in leaves[first:last] for v in leaf])
+                first = last
                 continue
-            l = self._choice[id(node)][budget]
+            l = choice[i][budget]
             # right pushed first so the left group comes out first
-            stack.append((node.right, budget - l))
-            stack.append((node.left, l))
+            stack.append((end[i + 1], budget - l))
+            stack.append((i + 1, l))
         return out
 
 
@@ -455,10 +408,11 @@ def prune_tree(tree: SplitTree, k: Optional[int]) -> list[int]:
     """
     if k is not None and k < 1:
         raise ValueError(f"tier budget must be >= 1, got {k}")
-    if k is None or k >= len(tree.leaves()):
-        return tree.ranking()
+    groups = tree.leaves
+    if k is not None and k < len(groups):
+        groups = PruneDP(tree, k).groups(k)
     ranks = [0] * tree.n
-    for i, group in enumerate(PruneDP(tree, k).groups(k)):
+    for i, group in enumerate(groups):
         for v in group:
             ranks[v] = i
     return ranks

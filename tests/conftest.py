@@ -24,7 +24,7 @@ from agony.circulation import (
 )
 from agony.graph import WeightedDigraph, normalize, parse_edge_list, score_ranking
 from agony.penalties import LINEAR
-from agony.splittree import SplitTree, _preorder
+from agony.splittree import PruneDP, SplitTree
 
 from baseline import solve_reference
 
@@ -129,17 +129,57 @@ def brute_min_linear(g: WeightedDigraph, k: int) -> int:
     return int(total.min())
 
 
-def internal_nodes(tree: SplitTree) -> list:
-    """The split nodes of a split tree, parents first, left to right."""
-    return [node for node in _preorder(tree.root) if not node.is_leaf]
+def split_gains(tree: SplitTree) -> list[int]:
+    """The gains of a split tree's internal nodes, parents first, left to
+    right: its preorder gains without the 0 of each leaf."""
+    return [gain for gain in tree.gains if gain]
 
 
 def split_score(tree: SplitTree, edges) -> int:
     """Score of a split tree: the weight of the ``edges`` inside its root
     plus the sum of its (negative) split gains."""
-    inside = {v for leaf in tree.leaves() for v in leaf.vertices}
-    gains = sum(node.gain for node in internal_nodes(tree))
-    return sum(w for u, v, w in edges if u in inside and v in inside) + gains
+    inside = {v for leaf in tree.leaves for v in leaf}
+    return sum(w for u, v, w in edges if u in inside and v in inside) + sum(tree.gains)
+
+
+def root_value(dp: PruneDP, h: int) -> int:
+    """Best gain sum of a pruned tree's root with at most h tiers: its
+    table stops at the budget or the leaf count, whichever is smaller."""
+    table = dp.opt[0]
+    return table[min(h, len(table) - 1)]
+
+
+def assert_preorder_layout(tree: SplitTree, vertices) -> None:
+    """``tree`` is a full binary tree in preorder over exactly ``vertices``,
+    and at every budget h the pruned groups, in order, are its leaves.
+
+    The subtree ends come from a recursive parse, not the pruning DP's
+    reverse pass: a leaf ends one past itself, and an internal node where
+    its right child ends, which starts where its left child, at i + 1, ends.
+    """
+    gains, leaves = tree.gains, tree.leaves
+    n_leaves = gains.count(0)
+    assert n_leaves == len(leaves) == len(gains) - n_leaves + 1
+    assert all(gain <= 0 for gain in gains)
+    end = [None] * len(gains)
+
+    def parse(i):
+        end[i] = parse(parse(i + 1)) if gains[i] else i + 1
+        return end[i]
+
+    assert parse(0) == len(gains)  # the root's subtree is the whole list
+    for i, gain in enumerate(gains):
+        if gain:  # both children nest strictly inside their parent
+            assert i + 1 < end[i + 1] < end[i]
+    flat = [v for leaf in leaves for v in leaf]
+    assert sorted(flat) == sorted(vertices)
+    assert all(leaf == sorted(leaf) for leaf in leaves)
+    for h in range(1, len(leaves) + 2):
+        dp = PruneDP(tree, h)
+        assert dp.end == end
+        groups = dp.groups(h)
+        assert len(groups) <= h
+        assert [v for group in groups for v in group] == flat
 
 
 def brute_optima(g: WeightedDigraph, k: int, penalty=LINEAR):

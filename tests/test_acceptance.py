@@ -20,17 +20,18 @@ from agony.exact import min_agony, verify_certificate
 from agony.graph import normalize, parse_edge_list, score_ranking
 from agony.heuristic import _LayerWindow, heuristic_rank, monotone_min, scc_layer_heuristic
 from agony.penalties import LINEAR
-from agony.splittree import PruneDP, build_split_tree
+from agony.splittree import PruneDP, build_split_tree, prune_tree
 
 from conftest import (
     brute_min_linear,
     brute_optima,
     global_result,
     graph_from_text,
-    internal_nodes,
     random_dag,
     random_graph,
     reference_result,
+    root_value,
+    split_gains,
     split_score,
 )
 from test_splittree import _all_prunings, _random_gain_tree, audit_counters
@@ -200,7 +201,7 @@ def test_criterion_7_heuristic_guarantees(suite1):
     for rec in records:
         g = rec.graph
         tree = build_split_tree(g)
-        assert split_score(tree, g.edges) == score_ranking(g, tree.ranking(), LINEAR)
+        assert split_score(tree, g.edges) == score_ranking(g, prune_tree(tree, None), LINEAR)
         ranks2, score2 = heuristic_rank(g, 2, "plain")
         assert score2 == rec.per_k[2][0]  # optimal at k = 2
         for k, (brute, _, _, _) in rec.per_k.items():
@@ -230,10 +231,10 @@ def test_criterion_9_dp_and_monotone_oracles():
     rng = random.Random(99)
     for _ in range(100):
         tree, n_leaves = _random_gain_tree(rng, 12)
-        prunings = _all_prunings(tree.root)
+        prunings, _ = _all_prunings(tree.gains)
         for k in range(1, n_leaves + 1):
             best = min(gain for leaves, gain in prunings if leaves <= k)
-            assert PruneDP(tree, k).value(k) == best
+            assert root_value(PruneDP(tree, k), k) == best
     for _ in range(100):
         ell = rng.randint(1, 14)
         edges = []
@@ -271,5 +272,5 @@ def test_criterion_11_counter_consistency():
         g = random_graph(rng, rng.randint(2, 14), 0.3, 3)
         with audit_counters(g) as audit:
             tree = build_split_tree(g)
-        assert audit.splits == len(internal_nodes(tree))
+        assert audit.splits == len(split_gains(tree))
     _report(11, True, "50 builds audited against from-scratch recomputation")

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from agony import circulation
+from agony import canonical, circulation
 from agony.canonical import canonical_ranking, distinct_rank_count
 from agony.circulation import SolverError, residual_distances
 from agony.exact import min_agony, verify_certificate
@@ -123,6 +123,17 @@ class TestCanonical:
         state = res.components[0].state
         state.potentials[0] += 10 * state.inst.sg.k
         with pytest.raises(SolverError):
+            canonical_ranking(res)
+
+    def test_span_check_catches_distances_one_too_long(self, monkeypatch):
+        """Negative control of the span check: distances one too long put
+        every rank of a one-component result one below the canonical ranks,
+        the smallest at -1."""
+        res = min_agony(graph_from_text("a b\nb c\nc a\n"))
+        distances = canonical.residual_distances
+        monkeypatch.setattr(canonical, "residual_distances",
+                            lambda state, starts: [d + 1 for d in distances(state, starts)])
+        with pytest.raises(SolverError, match="canonical ranks span -1"):
             canonical_ranking(res)
 
     def test_leaves_state_and_instance_unchanged(self, rng):

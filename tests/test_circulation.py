@@ -1,4 +1,9 @@
+import random
+import signal
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -490,6 +495,23 @@ class TestStateSurface:
         st.flow[0] += 1
         assert not st.check_optimality()
 
+    def test_unit_off_a_tight_arc_breaks_conservation(self):
+        """Negative control of ``check_optimality``'s conservation test.  One
+        unit taken off a tight arc that carries flow leaves that arc within
+        its capacity and both its residual arcs at reduced cost 0, so only
+        conservation fails, at the arc's two ends."""
+        g = graph_from_text(TOY)
+        st = solve_fast(uncapacitate(build_convex_instance(g, 4, LINEAR)))
+        pot = st.potentials
+        a, (x, w, _, _) = next(
+            (a, arc) for a, arc in enumerate(_arcs(st.inst))
+            if st.flow[a] and arc[2] + pot[arc[1]] == pot[arc[0]]
+        )
+        st.flow[a] -= 1
+        excess = st.inst.excess(st.flow)
+        assert [v for v, e in enumerate(excess) if e] == sorted((x, w))
+        assert not st.check_optimality()
+
     def test_flow_above_capacity_breaks_optimality(self):
         # edge 0 -> 1 of weight 3 at k = 2: three units around the cycle
         # 0 -> 1 -> omega -> alpha -> 0, every arc of it tight under the
@@ -617,6 +639,35 @@ class TestAdmissibleMaxFlow:
         assert len(rounds) == sum(s.stats.repairs for s in states) > 0
         # the max flows move excesses of many sizes, 1.8 * 10^5 to 2.2 * 10^7 as measured
         assert min(rounds) * 10 < max(rounds)
+
+    def test_search_over_saturated_arcs_raises_rather_than_hangs(self, monkeypatch):
+        """Negative control of the progress guard.  A search that also enters
+        vertices over saturated residual arcs labels starts that no walk can
+        reach; the max flow then raises where it would repeat forever."""
+        path = Path(circulation.__file__)
+        source = path.read_text()
+        check = " or res[e ^ 1] == 0"
+        assert source.count(check) == 1
+        mutant = types.ModuleType("agony.circulation_mutant")
+        mutant.__package__ = "agony"
+        monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+        exec(compile(source.replace(check, ""), str(path), "exec"), mutant.__dict__)
+
+        def stalled(signum, frame):
+            raise TimeoutError("the max flow neither pushed nor raised within 20 s")
+
+        rng = random.Random(1)
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(20)
+        try:
+            with pytest.raises(mutant.SolverError, match="pushed nothing"):
+                for _ in range(200):
+                    g = random_graph(rng, rng.randint(2, 12), 0.3)
+                    sg = mutant.build_convex_instance(g, g.n, LINEAR)
+                    mutant.solve_fast(mutant.uncapacitate(sg))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def _pairing_breaks(core):

@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 from agony import exact
+from agony.circulation import SolverError
 from agony.exact import min_agony, verify_certificate
 from agony.graph import WeightedDigraph, score_ranking
 from agony.penalties import LINEAR, PenaltySpec, UnsupportedPenaltyError
@@ -86,6 +88,14 @@ class TestMinAgony:
             assert base.agony == fast.agony == min_agony(g, k).agony
             assert base.objective == fast.objective
 
+    def test_strong_duality_check_catches_a_wrong_circulation_value(self, monkeypatch):
+        """Negative control: a circulation value one above the ranking's
+        score raises rather than being reported as the agony."""
+        value = exact.circulation_value
+        monkeypatch.setattr(exact, "circulation_value", lambda state: value(state) + 1)
+        with pytest.raises(SolverError, match="strong duality broken"):
+            min_agony(graph_from_text(TOY))
+
     def test_k_one_is_trivial(self):
         g = graph_from_text(TOY)
         res = min_agony(g, 1)
@@ -161,6 +171,21 @@ class TestCertificate:
         res = global_result(g, 4)
         res.components[0].state.flow[0] += 1
         assert not verify_certificate(res)
+
+    def test_false_when_an_edge_between_components_costs(self):
+        """Negative control of the circulation total.  Ranks that put the
+        edge b -> d between two components backward, with the agony
+        rescored to match, keep every component's certificate, so only the
+        total of the circulation values tells them from an optimum."""
+        g = graph_from_text(TOY)  # the cycle a b c, then d after b
+        res = min_agony(g)
+        ranks = [r + 1 for r in res.ranks]
+        ranks[3] = 0
+        moved = dataclasses.replace(res, ranks=ranks, agony=score_ranking(g, ranks, LINEAR))
+        assert moved.agony > res.agony
+        solved = [c for c in moved.components if c.state is not None]
+        assert solved and all(c.state.certifies(c.local_ranks) for c in solved)
+        assert not verify_certificate(moved)
 
     def test_false_when_agony_misreported(self):
         g = graph_from_text(TOY)

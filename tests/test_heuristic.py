@@ -16,9 +16,17 @@ from agony.heuristic import (
     scc_layer_heuristic,
 )
 from agony.penalties import LINEAR
-from agony.splittree import PruneDP, _preorder, build_split_tree
+from agony.splittree import PruneDP, build_split_tree
 
-from conftest import brute_min_linear, graph_from_text, random_dag, random_graph, split_score
+from conftest import (
+    assert_preorder_layout,
+    brute_min_linear,
+    graph_from_text,
+    random_dag,
+    random_graph,
+    root_value,
+    split_score,
+)
 
 TOY = "a b\nb c\nc a 2\nb d\n"
 
@@ -70,7 +78,7 @@ def _reference_scc_layers(g, k, trees=None):
         for i in range(1, L + 1):
             l_hi = h if i == 1 else h - 1
             spend, l = min(
-                (dps[i - 1].value(l) + lopt[i - 1][h - l], l) for l in range(1, l_hi + 1)
+                (root_value(dps[i - 1], l) + lopt[i - 1][h - l], l) for l in range(1, l_hi + 1)
             )
             if spend <= jvals[i]:
                 lopt[i][h], choice[i][h] = spend, ("spend", l)
@@ -196,7 +204,7 @@ class TestBudgetDpEquivalence:
     def test_rankings_equal_brute_force_window_without_reuse(self, rng):
         for _ in range(40):
             g = _layered_graph(rng, rng.randint(1, 12), 10**6)
-            leaves = sum(len(t.leaves()) for t in _layer_data(g)[1])
+            leaves = sum(len(t.leaves) for t in _layer_data(g)[1])
             for k in sorted({1, 2, 3, max(1, leaves - 1), leaves}):
                 expect = _reference_scc_layers(g, k)
                 assert scc_layer_heuristic(g, k) == expect, (g.edges, k)
@@ -208,11 +216,6 @@ def _per_layer_trees(g):
     per subgraph grows its tree, and its leaves hold layer positions."""
     layers, _ = condensation_layers(g)
     return layers, [build_split_tree(sub) for sub in split_by_part(g, layers)]
-
-
-def _preorder_gains(tree):
-    """Every node's gain in preorder, None at a leaf, so the shape counts too."""
-    return [None if node.is_leaf else node.gain for node in _preorder(tree.root)]
 
 
 def _shared_builder_inputs(rng):
@@ -256,20 +259,26 @@ class TestSharedLayerBuilder:
             assert layers == ref_layers
             subs = split_by_part(g, layers)
             for verts, tree, ref, sub in zip(layers, trees, ref_trees, subs):
-                assert _preorder_gains(tree) == _preorder_gains(ref), g.edges
-                assert [leaf.vertices for leaf in tree.leaves()] == [
-                    sorted(verts[lv] for lv in leaf.vertices) for leaf in ref.leaves()
+                # 0 marks a leaf, so equal gain lists mean equal shapes too
+                assert tree.gains == ref.gains, g.edges
+                assert tree.leaves == [
+                    sorted(verts[lv] for lv in leaf) for leaf in ref.leaves
                 ], g.edges
                 assert split_score(tree, g.edges) == split_score(ref, sub.edges)
                 assert tree.n == g.n
+
+    def test_layer_trees_keep_the_preorder_layout(self, rng):
+        for g in _shared_builder_inputs(rng):
+            layers, trees, _ = _layer_data(g)
+            for verts, tree in zip(layers, trees):
+                assert_preorder_layout(tree, verts)
 
     def test_rankings_match_per_layer_builds(self, rng):
         for g in _shared_builder_inputs(rng):
             layers, ref_trees = _per_layer_trees(g)
             for verts, tree in zip(layers, ref_trees):
-                for leaf in tree.leaves():
-                    leaf.vertices = sorted(verts[lv] for lv in leaf.vertices)
-            leaves = [leaf.vertices for tree in ref_trees for leaf in tree.leaves()]
+                tree.leaves = [sorted(verts[lv] for lv in leaf) for leaf in tree.leaves]
+            leaves = [leaf for tree in ref_trees for leaf in tree.leaves]
             unbudgeted = [0] * g.n
             for rank, group in enumerate(leaves):
                 for v in group:
@@ -367,7 +376,7 @@ class TestSccVariant:
                         l_hi = h if i == 1 else h - 1
                         for l in range(1, l_hi + 1):
                             if lopt[i - 1][h - l] != INF:
-                                best = min(best, dps[i - 1].value(l) + lopt[i - 1][h - l])
+                                best = min(best, root_value(dps[i - 1], l) + lopt[i - 1][h - l])
                         lopt[i][h] = best
                 expect = intra_weight + lopt[L][k] if L else 0
                 got = score_ranking(g, scc_layer_heuristic(g, k), LINEAR)

@@ -52,7 +52,7 @@ def test_solvers_agree_and_heuristic_dominates(g):
 @settings(max_examples=80, deadline=None)
 def test_tree_score_identity(g):
     tree = build_split_tree(g)
-    assert split_score(tree, g.edges) == score_ranking(g, tree.ranking(), LINEAR)
+    assert split_score(tree, g.edges) == score_ranking(g, prune_tree(tree, None), LINEAR)
 
 
 @given(small_graphs(max_n=8), st.integers(1, 6))

@@ -10,12 +10,19 @@ from agony.splittree import (
     PruneDP,
     SplitTree,
     SplitTreeBuilder,
-    TreeNode,
     build_split_tree,
     prune_tree,
 )
 
-from conftest import brute_min_linear, graph_from_text, internal_nodes, random_graph, split_score
+from conftest import (
+    assert_preorder_layout,
+    brute_min_linear,
+    graph_from_text,
+    random_graph,
+    root_value,
+    split_gains,
+    split_score,
+)
 
 TOY = "a b\nb c\nc a 2\nb d\n"
 
@@ -145,22 +152,21 @@ class TestBuild:
     def test_dag_path_splits_into_topological_leaves(self):
         g = graph_from_text("a b\nb c\n")
         tree = build_split_tree(g)
-        groups = [leaf.vertices for leaf in tree.leaves()]
-        assert groups == [[0], [1], [2]]
+        assert tree.leaves == [[0], [1], [2]]
         assert split_score(tree, g.edges) == 0
 
     def test_edgeless_graph_stays_one_leaf(self):
         g = WeightedDigraph(5, [])
         tree = build_split_tree(g)
-        assert len(tree.leaves()) == 1
-        assert tree.ranking() == [0] * 5
+        assert tree.leaves == [[0, 1, 2, 3, 4]] and tree.gains == [0]
+        assert prune_tree(tree, None) == [0] * 5
         assert split_score(tree, g.edges) == 0
 
     def test_two_cycle_has_no_profitable_split(self):
         # any split of a unit 2-cycle scores 2, the same as one group
         g = graph_from_text("a b\nb a\n")
         tree = build_split_tree(g)
-        assert len(tree.leaves()) == 1
+        assert len(tree.leaves) == 1
         assert split_score(tree, g.edges) == 2 == brute_min_linear(g, 2)
 
     def test_toy_graph_bounded_by_optimum_and_total_weight(self):
@@ -172,13 +178,15 @@ class TestBuild:
         for _ in range(80):
             g = random_graph(rng, rng.randint(1, 14), 0.35, 3)
             tree = build_split_tree(g)
-            assert score_ranking(g, tree.ranking(), LINEAR) == split_score(tree, g.edges)
+            assert score_ranking(g, prune_tree(tree, None), LINEAR) == split_score(tree, g.edges)
 
     def test_every_recorded_gain_is_negative(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 12), 0.4, 3)
             tree = build_split_tree(g)
-            assert all(node.gain < 0 for node in internal_nodes(tree))
+            # 0 marks a leaf, and a full binary tree has one more leaf than splits
+            assert len(split_gains(tree)) == len(tree.leaves) - 1
+            assert all(gain < 0 for gain in split_gains(tree))
             assert split_score(tree, g.edges) <= g.total_weight
 
     def test_gain_equals_rescoring_difference(self, rng):
@@ -196,7 +204,7 @@ class TestBuild:
 
             with SplitWatch(rescore) as watch:
                 tree = SplitTreeBuilder(g.n, g.edges).tree(range(g.n))
-            gains = sorted(node.gain for node in internal_nodes(tree))
+            gains = sorted(split_gains(tree))
             diffs = sorted(b - a for a, b in zip(scores, scores[1:]))
             assert watch.splits == len(gains)
             assert gains == diffs
@@ -206,7 +214,7 @@ class TestBuild:
             g = random_graph(rng, rng.randint(2, 14), 0.3, 3)
             with audit_counters(g) as audit:
                 tree = build_split_tree(g)
-            assert audit.splits == len(internal_nodes(tree))
+            assert audit.splits == len(split_gains(tree))
 
     def test_counters_match_recomputation_across_several_roots(self, rng):
         """One builder grows a tree per root; after every split of any root
@@ -229,17 +237,23 @@ class TestBuild:
             builder = SplitTreeBuilder(g.n, edges)
             with SplitWatch(audit) as watch:
                 done = [builder.tree(verts) for verts in roots]
-            assert watch.splits == sum(len(internal_nodes(tree)) for tree in done)
+            assert watch.splits == sum(len(split_gains(tree)) for tree in done)
             for verts, tree, sub in zip(roots, done, split_by_part(g, roots)):
                 ref = build_split_tree(sub)
-                assert [node.gain for node in internal_nodes(tree)] == [
-                    node.gain for node in internal_nodes(ref)
-                ]
-                assert [leaf.vertices for leaf in tree.leaves()] == [
-                    sorted(verts[lv] for lv in leaf.vertices) for leaf in ref.leaves()
-                ]
+                assert tree.gains == ref.gains
+                assert tree.leaves == [sorted(verts[lv] for lv in leaf) for leaf in ref.leaves]
                 assert split_score(tree, edges) == split_score(ref, sub.edges)
         assert later_splits > 0  # roots after the first were split too
+
+    def test_preorder_layout(self, rng):
+        """Built and synthetic trees are full binary trees in preorder whose
+        leaves partition the root and come out of every pruning in order."""
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(0, 14), rng.choice([0.15, 0.35, 0.6]), 3)
+            assert_preorder_layout(build_split_tree(g), range(g.n))
+        for _ in range(40):
+            tree, n_leaves = _random_gain_tree(rng, 12)
+            assert_preorder_layout(tree, range(n_leaves))
 
     def test_unnormalized_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -287,34 +301,33 @@ class TestLeftSmaller:
 
 
 def _random_gain_tree(rng, max_leaves):
-    """Synthetic split tree with random negative gains."""
+    """Synthetic split tree with random negative gains, one vertex per leaf."""
     n_leaves = rng.randint(1, max_leaves)
-    nodes = []
-    vid = 0
-    for _ in range(n_leaves):
-        node = TreeNode()
-        node.vertices = [vid]
-        vid += 1
-        nodes.append(node)
-    while len(nodes) > 1:
-        i = rng.randrange(len(nodes) - 1)
-        left = nodes.pop(i)
-        right = nodes.pop(i)
-        parent = TreeNode()
-        parent.left, parent.right = left, right
-        parent.gain = -rng.randint(1, 9)
-        nodes.insert(i, parent)
-    return SplitTree(nodes[0], vid), n_leaves
+    gains: list[int] = []
+    stack = [n_leaves]  # the leaf counts of the subtrees still to write
+    while stack:
+        count = stack.pop()
+        if count == 1:
+            gains.append(0)
+            continue
+        gains.append(-rng.randint(1, 9))
+        left = rng.randint(1, count - 1)
+        stack += [count - left, left]
+    return SplitTree(gains, [[v] for v in range(n_leaves)], n_leaves), n_leaves
 
 
-def _all_prunings(node):
-    if node.is_leaf:
-        return {(1, 0)}
+def _all_prunings(gains, i=0):
+    """Every (leaf count, gain sum) of a pruning of the subtree at preorder
+    position i, and the position where that subtree ends."""
+    if not gains[i]:
+        return {(1, 0)}, i + 1
+    left, r = _all_prunings(gains, i + 1)
+    right, end = _all_prunings(gains, r)
     out = {(1, 0)}
-    for l1, g1 in _all_prunings(node.left):
-        for l2, g2 in _all_prunings(node.right):
-            out.add((l1 + l2, g1 + g2 + node.gain))
-    return out
+    for l1, g1 in left:
+        for l2, g2 in right:
+            out.add((l1 + l2, g1 + g2 + gains[i]))
+    return out, end
 
 
 class TestPrune:
@@ -322,13 +335,14 @@ class TestPrune:
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 10), 0.4, 3)
             tree = build_split_tree(g)
-            full = tree.ranking()
-            assert prune_tree(tree, len(tree.leaves())) == full
+            full = prune_tree(tree, None)
+            for rank, leaf in enumerate(tree.leaves):
+                assert all(full[v] == rank for v in leaf)
+            assert prune_tree(tree, len(tree.leaves)) == full
             assert prune_tree(tree, g.n + 5) == full
-            assert prune_tree(tree, None) == full
             # the pruning DP that such budgets skip keeps every leaf too
-            leaves = tree.leaves()
-            assert PruneDP(tree, len(leaves)).groups(len(leaves)) == [x.vertices for x in leaves]
+            leaves = tree.leaves
+            assert PruneDP(tree, len(leaves)).groups(len(leaves)) == leaves
 
     def test_budget_one_collapses_everything(self, rng):
         g = random_graph(rng, 8, 0.4, 3)
@@ -346,17 +360,18 @@ class TestPrune:
         rng = random.Random(4242)
         for _ in range(100):
             tree, n_leaves = _random_gain_tree(rng, 12)
-            prunings = _all_prunings(tree.root)
+            prunings, end = _all_prunings(tree.gains)
+            assert end == len(tree.gains)
             for k in range(1, n_leaves + 2):
                 best = min(gain for leaves, gain in prunings if leaves <= k)
-                assert PruneDP(tree, k).value(k) == best
+                assert root_value(PruneDP(tree, k), k) == best
 
     def test_dp_matches_exhaustive_on_real_trees(self, rng):
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 12), 0.45, 3)
             tree = build_split_tree(g)
-            prunings = _all_prunings(tree.root)
-            for k in range(1, len(tree.leaves()) + 1):
+            prunings, _ = _all_prunings(tree.gains)
+            for k in range(1, len(tree.leaves) + 1):
                 best = min(gain for leaves, gain in prunings if leaves <= k)
                 ranks = prune_tree(tree, k)
                 assert len(set(ranks)) <= k
